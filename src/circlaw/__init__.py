@@ -27,6 +27,7 @@ from .ensemble import (
     AssembledPair,
     EntryDistribution,
     MatrixSample,
+    Perturbation,
     PerturbationSpec,
     assemble,
     build_perturbation,

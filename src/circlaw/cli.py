@@ -136,6 +136,17 @@ def _scan_rows(config):
     return list(diagnostics.experiment_rows(config))
 
 
+def _consistency_failure(rows) -> str | None:
+    """Count of delta rows failing a check and the first one's details."""
+    bad = [(dim, rep, d) for dim, rep, d in rows if d.failed_checks()]
+    if not bad:
+        return None
+    dim, rep, d = bad[0]
+    return (f"CONSISTENCY FAILURE on {len(bad)} of {len(rows)} delta rows; "
+            f"first at n={dim} replicate={rep} z={d.z}: "
+            + "; ".join(d.failed_checks()))
+
+
 def _cmd_delta_scan(args) -> int:
     config = _load_config(args)
     rows = _scan_rows(config)
@@ -151,10 +162,9 @@ def _cmd_delta_scan(args) -> int:
         print(f"  max cross-check gap = "
               f"{max(abs(d.delta - d.delta_logdet) for d in clean):.3g}")
     print(f"  wrote {path}")
-    bad = [d for _, _, d in rows
-           if not (d.cross_check_ok and d.rank_inequality_ok and d.chain_bound_ok)]
-    if bad:
-        print(f"  CONSISTENCY FAILURE on {len(bad)} rows", file=sys.stderr)
+    failure = _consistency_failure(rows)
+    if failure:
+        print(f"  {failure}", file=sys.stderr)
         return 2
     return 0
 
@@ -220,8 +230,9 @@ def _cmd_run(args) -> int:
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     print(f"  reports in {config.output_dir}")
-    if not report.consistency_ok:
-        print("  CONSISTENCY FAILURE: see delta.csv", file=sys.stderr)
+    failure = _consistency_failure(report.delta_rows)
+    if failure:
+        print(f"  {failure}", file=sys.stderr)
         return 2
     return 0
 

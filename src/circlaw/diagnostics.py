@@ -133,6 +133,20 @@ class DeltaDiagnostics:
             return True
         return abs(self.delta) <= self.ibp_bound + CHAIN_SLACK
 
+    def failed_checks(self) -> list[str]:
+        """One line per failing check, with both sides of its inequality."""
+        failed = []
+        if not self.cross_check_ok:
+            failed.append(f"cross-check: delta={self.delta!r} vs "
+                          f"delta_logdet={self.delta_logdet!r}")
+        if not self.rank_inequality_ok:
+            failed.append(f"rank inequality: ks={self.ks!r} > "
+                          f"rank_bound={self.rank_bound!r}")
+        if not self.chain_bound_ok:
+            failed.append(f"chain bound: |delta|={abs(self.delta)!r} > "
+                          f"ibp_bound={self.ibp_bound!r}")
+        return failed
+
 
 @dataclass(frozen=True)
 class RankCheck:
@@ -230,8 +244,7 @@ def build_pair(config: "ExperimentConfig", dim: int, replicate: int) -> ensemble
     """
     seed = ensemble.derive_seed(config.master_seed, dim, replicate)
     x = ensemble.sample_matrix(config.distribution, dim, seed)
-    m = ensemble.build_perturbation(config.perturbation, dim)
-    return ensemble.assemble(x, m)
+    return ensemble.assemble(x, *ensemble.build_perturbation(config.perturbation, dim))
 
 
 def experiment_rows(
@@ -396,8 +409,9 @@ def constant_case(
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     x = ensemble.sample_matrix(dist, n, seed)
-    m = ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
-    pair = ensemble.assemble(x, m)
+    pair = ensemble.assemble(
+        x, *ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
+    )
     eig = spectral.eigenvalues(pair.b_matrix)
     s1 = float(spectral.singular_values(pair.a_matrix)[0])
     return ConstantCaseResult(

@@ -8,9 +8,11 @@ realized as dense complex matrices.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "PERTURBATION_KINDS",
     "EntryDistribution",
     "PerturbationSpec",
+    "Perturbation",
     "MatrixSample",
     "AssembledPair",
     "sample_matrix",
@@ -163,9 +166,14 @@ class AssembledPair:
 class PerturbationSpec:
     """Declarative description of a deterministic additive perturbation.
 
-    ``rank_budget`` and ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2)
-    are enforced against the realized matrix; None means "infer from the
-    realized matrix", which makes the constraint vacuous.
+    ``rank_budget`` is enforced against the rank read from the spec's
+    structure: 0 for ``zero``, 1 for ``all-ones`` (0 if ``scale`` is 0), and
+    for ``low-rank`` the numerical rank of the k-by-k core R_U R_V* from QR
+    of the n-by-k factor matrices. Only ``file`` perturbations take a dense
+    SVD. Every rank uses RANK_TOLERANCE. ``hs_budget_coefficient`` (the c in
+    ||M||^2 <= c n^2) is enforced against the realized matrix. None means
+    "infer from the realized matrix", which makes the constraint vacuous.
+    Scales and factor entries must be finite.
     """
 
     kind: str
@@ -189,6 +197,14 @@ class PerturbationSpec:
                 raise ValidationError(
                     "low-rank perturbation requires matching nonempty factor lists"
                 )
+        if not math.isfinite(self.scale):
+            raise ValidationError(
+                f"perturbation scale must be finite, got {self.scale!r}"
+            )
+        factors = (*self.left_factors, *self.right_factors)
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                   for vec in factors for v in vec):
+            raise ValidationError("low-rank factor entries must be finite")
         if self.rank_budget is not None and self.rank_budget < 0:
             raise ValidationError("rank_budget must be nonnegative")
 
@@ -280,13 +296,12 @@ def sample_matrix(
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 
-def numerical_rank(m: np.ndarray, singular_values: np.ndarray | None = None) -> int:
+def numerical_rank(m: np.ndarray) -> int:
     """Count singular values above RANK_TOLERANCE * s1."""
-    if singular_values is None:
-        singular_values = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if singular_values.size == 0 or singular_values[0] == 0.0:
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(singular_values > RANK_TOLERANCE * singular_values[0]))
+    return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
 
 
 def read_matrix_csv(path, n: int) -> np.ndarray:
@@ -337,12 +352,21 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _realize(spec: PerturbationSpec, n: int) -> np.ndarray:
+class Perturbation(NamedTuple):
+    """A realized perturbation matrix and its numerical rank."""
+
+    matrix: np.ndarray
+    rank: int
+
+
+def _realize(spec: PerturbationSpec, n: int) -> Perturbation:
     kind = spec.kind
     if kind == "zero":
-        return np.zeros((n, n), dtype=np.complex128)
+        return Perturbation(np.zeros((n, n), dtype=np.complex128), 0)
     if kind == "all-ones":
-        return np.full((n, n), spec.scale, dtype=np.complex128)
+        return Perturbation(
+            np.full((n, n), spec.scale, dtype=np.complex128), int(spec.scale != 0.0)
+        )
     if kind == "low-rank":
         for vec in (*spec.left_factors, *spec.right_factors):
             if len(vec) != n:
@@ -353,25 +377,26 @@ def _realize(spec: PerturbationSpec, n: int) -> np.ndarray:
             raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
         u = np.array(spec.left_factors, dtype=np.complex128).T
         v = np.array(spec.right_factors, dtype=np.complex128).T
-        return u @ v.conj().T
+        # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
+        # so M and the k-by-k core share their singular values.
+        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
+        return Perturbation(u @ v.conj().T, numerical_rank(core))
     if kind == "file":
-        return read_matrix_csv(spec.path, n)
+        m = read_matrix_csv(spec.path, n)
+        return Perturbation(m, numerical_rank(m))
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def build_perturbation(spec: PerturbationSpec, n: int) -> np.ndarray:
-    """Realize the perturbation matrix and enforce its declared budgets."""
+def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
+    """Realize the perturbation matrix and its rank; enforce declared budgets."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
-    m = _realize(spec, n)
-    if spec.rank_budget is not None:
-        s = np.linalg.svd(m, compute_uv=False)
-        rank = numerical_rank(m, singular_values=s)
-        if rank > spec.rank_budget:
-            raise BudgetViolationError(
-                f"{spec.kind} perturbation has numerical rank {rank}, "
-                f"declared budget {spec.rank_budget}"
-            )
+    m, rank = _realize(spec, n)
+    if spec.rank_budget is not None and rank > spec.rank_budget:
+        raise BudgetViolationError(
+            f"{spec.kind} perturbation has numerical rank {rank}, "
+            f"declared budget {spec.rank_budget}"
+        )
     if spec.hs_budget_coefficient is not None:
         hs_sq = float(np.sum(np.abs(m) ** 2))
         limit = spec.hs_budget_coefficient * n * n
@@ -379,20 +404,22 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> np.ndarray:
             raise BudgetViolationError(
                 f"perturbation squared HS norm {hs_sq} exceeds c*n^2 = {limit}"
             )
-    return m
+    return Perturbation(m, rank)
 
 
-def assemble(x: MatrixSample, m: np.ndarray) -> AssembledPair:
-    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n)."""
+def assemble(x: MatrixSample, m: np.ndarray, rank: int) -> AssembledPair:
+    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n); ``rank`` is rank(M)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (x.dim, x.dim):
         raise ShapeError(
             f"perturbation shape {m.shape} does not match sample dim {x.dim}"
         )
+    if not 0 <= rank <= x.dim:
+        raise ValidationError(f"perturbation rank {rank} outside 0..{x.dim}")
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
     return AssembledPair(
         a_matrix=x.entries * inv_sqrt_n,
         b_matrix=(x.entries + m) * inv_sqrt_n,
         dim=x.dim,
-        perturbation_rank=numerical_rank(m),
+        perturbation_rank=rank,
     )

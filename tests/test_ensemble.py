@@ -1,5 +1,7 @@
 """Tests for entry distributions, seeding, and perturbation assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,8 @@ def test_numerical_rank_examples():
 
 
 def test_zero_perturbation():
-    m = build_perturbation(PerturbationSpec.zero(), 5)
+    m, rank = build_perturbation(PerturbationSpec.zero(), 5)
+    assert rank == 0
     assert m.shape == (5, 5)
     assert np.all(m == 0.0)
     assert numerical_rank(m) == 0
@@ -171,7 +174,8 @@ def test_zero_perturbation():
 
 def test_all_ones_perturbation_budgets():
     n = 7
-    m = build_perturbation(PerturbationSpec.all_ones(), n)
+    m, rank = build_perturbation(PerturbationSpec.all_ones(), n)
+    assert rank == 1
     assert np.all(m == 1.0)
     assert numerical_rank(m) == 1
     s1 = np.linalg.svd(m, compute_uv=False)[0]
@@ -181,14 +185,15 @@ def test_all_ones_perturbation_budgets():
 
 
 def test_all_ones_scale():
-    m = build_perturbation(PerturbationSpec.all_ones(scale=2.5), 4)
+    m = build_perturbation(PerturbationSpec.all_ones(scale=2.5), 4).matrix
     assert np.all(m == 2.5)
 
 
 def test_low_rank_perturbation():
     left = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
     right = [(0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 3.0)]
-    m = build_perturbation(PerturbationSpec.low_rank(left, right), 4)
+    m, rank = build_perturbation(PerturbationSpec.low_rank(left, right), 4)
+    assert rank == 2
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = 2.0
     expected[1, 3] = 3.0
@@ -268,7 +273,9 @@ def test_file_perturbation_rank_budget_enforced(tmp_path):
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, 3)
     ok = PerturbationSpec.from_file(path, rank_budget=2)
-    assert np.array_equal(build_perturbation(ok, 3), m)
+    realized, rank = build_perturbation(ok, 3)
+    assert np.array_equal(realized, m)
+    assert rank == 2
 
 
 def test_hs_budget_enforced(tmp_path):
@@ -281,7 +288,83 @@ def test_hs_budget_enforced(tmp_path):
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, n)
     ok = PerturbationSpec.from_file(path, hs_budget_coefficient=4.0)
-    assert np.array_equal(build_perturbation(ok, n), m)
+    assert np.array_equal(build_perturbation(ok, n).matrix, m)
+
+
+def _complex_vectors(seed, count, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
+def _rank2_file(tmp_path):
+    u, v = _complex_vectors(11, 2, 5), _complex_vectors(12, 2, 5)
+    path = tmp_path / "rank2.csv"
+    write_matrix_csv(path, u.T @ v.conj())
+    return PerturbationSpec.from_file(path)
+
+
+_U, _V = _complex_vectors(3, 2, 6)
+
+
+def _low_rank(seed, k, n):
+    left, right = np.split(_complex_vectors(seed, 2 * k, n), 2)
+    return PerturbationSpec.low_rank(left, right)
+
+
+# case -> (spec from tmp_path, n, rank of the realized M)
+STRUCTURAL_CASES = {
+    "zero": (lambda tmp: PerturbationSpec.zero(), 6, 0),
+    "ones-scale-0": (lambda tmp: PerturbationSpec.all_ones(0.0), 6, 0),
+    "ones-scale-neg-0": (lambda tmp: PerturbationSpec.all_ones(-0.0), 6, 0),
+    "ones-scale-2.5": (lambda tmp: PerturbationSpec.all_ones(2.5), 6, 1),
+    "ones-scale-1e-300": (lambda tmp: PerturbationSpec.all_ones(1e-300), 6, 1),
+    "low-rank-independent": (lambda tmp: _low_rank(4, 2, 6), 6, 2),
+    "low-rank-parallel": (
+        lambda tmp: PerturbationSpec.low_rank([_U, (1 - 2j) * _U], [_V, _V]), 6, 1
+    ),
+    "low-rank-k-equals-n": (lambda tmp: _low_rank(5, 6, 6), 6, 6),
+    "file": (_rank2_file, 5, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
+def test_structural_rank_matches_dense_rank(case, tmp_path):
+    make_spec, n, expected = STRUCTURAL_CASES[case]
+    m, rank = build_perturbation(make_spec(tmp_path), n)
+    assert rank == expected
+    assert rank == numerical_rank(m)
+
+
+def test_rank_budget_checked_against_structural_rank():
+    ones = PerturbationSpec("all-ones", rank_budget=0)
+    with pytest.raises(BudgetViolationError, match="rank 1, declared budget 0"):
+        build_perturbation(ones, 4)
+    zero_ones = PerturbationSpec("all-ones", scale=0.0, rank_budget=0)
+    assert build_perturbation(zero_ones, 4).rank == 0
+    rank2 = dataclasses.replace(_low_rank(6, 2, 5), rank_budget=1)
+    with pytest.raises(BudgetViolationError, match="rank 2, declared budget 1"):
+        build_perturbation(rank2, 5)
+    parallel = PerturbationSpec.low_rank([_U, 2 * _U], [_V, _V], rank_budget=1)
+    assert build_perturbation(parallel, 6).rank == 1
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scale_rejected(scale):
+    with pytest.raises(ValidationError, match="finite"):
+        PerturbationSpec.all_ones(scale)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("inf"))])
+def test_non_finite_factor_entry_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        PerturbationSpec.low_rank([(1.0, bad)], [(1.0, 1.0)])
+
+
+def test_assemble_rejects_rank_out_of_range():
+    d = EntryDistribution.parse("complex-gaussian")
+    x = sample_matrix(d, 3, seed=2)
+    with pytest.raises(ValidationError):
+        assemble(x, np.ones((3, 3), dtype=complex), 4)
 
 
 def test_assemble_scaling_and_shift():
@@ -290,8 +373,7 @@ def test_assemble_scaling_and_shift():
     x = sample_matrix(d, 4, seed=0)
     x = type(x)(dim=4, entries=np.zeros((4, 4), dtype=complex), seed=0,
                 distribution=d)
-    m = build_perturbation(PerturbationSpec.all_ones(), 4)
-    pair = assemble(x, m)
+    pair = assemble(x, *build_perturbation(PerturbationSpec.all_ones(), 4))
     assert np.all(pair.a_matrix == 0.0)
     assert np.all(pair.b_matrix == 0.5)
     assert pair.perturbation_rank == 1
@@ -303,7 +385,7 @@ def test_assemble_scaling_and_shift():
 def test_assemble_zero_perturbation_identity():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 6, seed=2)
-    pair = assemble(x, build_perturbation(PerturbationSpec.zero(), 6))
+    pair = assemble(x, *build_perturbation(PerturbationSpec.zero(), 6))
     assert np.array_equal(pair.a_matrix, pair.b_matrix)
     assert pair.perturbation_rank == 0
 
@@ -312,7 +394,8 @@ def test_assemble_rejects_shape_mismatch():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 4, seed=2)
     with pytest.raises(ShapeError):
-        assemble(x, np.ones((3, 3), dtype=complex))
+        m = np.ones((3, 3), dtype=complex)
+        assemble(x, m, numerical_rank(m))
 
 
 def test_assemble_exact_linearity_in_perturbation():
@@ -320,9 +403,9 @@ def test_assemble_exact_linearity_in_perturbation():
     perturbation shifts b by exactly m/4."""
     d = EntryDistribution.parse("rademacher")
     x = sample_matrix(d, 16, seed=5)
-    m = build_perturbation(PerturbationSpec.all_ones(), 16)
-    p1 = assemble(x, m)
-    p2 = assemble(x, 2.0 * m)
+    m, rank = build_perturbation(PerturbationSpec.all_ones(), 16)
+    p1 = assemble(x, m, rank)
+    p2 = assemble(x, 2.0 * m, numerical_rank(2.0 * m))
     assert np.array_equal(p2.b_matrix - p1.b_matrix, m / 4.0)
     assert np.array_equal(p2.a_matrix, p1.a_matrix)
 
@@ -333,8 +416,8 @@ def test_assemble_generic_linearity():
     rng = np.random.default_rng(4)
     m = (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
     m01 = np.zeros_like(m)
-    base = assemble(x, m01).b_matrix
-    shifted = assemble(x, m).b_matrix
+    base = assemble(x, m01, numerical_rank(m01)).b_matrix
+    shifted = assemble(x, m, numerical_rank(m)).b_matrix
     assert np.allclose(shifted - base, m / np.sqrt(10.0), rtol=1e-13, atol=0)
 
 

@@ -22,7 +22,7 @@ from circlaw import (
     serialize_config,
     write_report_files,
 )
-from circlaw import cli
+from circlaw import cli, diagnostics
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -266,6 +266,52 @@ def test_run_experiment_all_ones(tmp_path):
     assert report_obj["config"]["name"] == "small"
 
 
+def low_rank_config(tmp_path, n=8):
+    rng = np.random.default_rng(21)
+    left, right = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
+    return small_config(
+        tmp_path, dims=(n,), perturbation=PerturbationSpec.low_rank(left, right)
+    )
+
+
+def test_run_experiment_low_rank_end_to_end(tmp_path):
+    cfg = low_rank_config(tmp_path)
+    report = run_experiment(cfg, workers=1)
+    assert report.consistency_ok
+    assert len(report.constant_rows) == 0
+    names = ["delta.csv", "disk.csv", "scaling.csv", "report.json"]
+    serial = {n: (tmp_path / "out" / n).read_bytes() for n in names}
+    rows = read_csv(tmp_path / "out" / "delta.csv")
+    # 1 dim * 2 replicates * 2 grid points
+    assert len(rows) == 4
+    assert all(float(r["rank_bound"]) == 2 / 8 for r in rows)
+    run_experiment(cfg, workers=2)
+    parallel = {n: (tmp_path / "out" / n).read_bytes() for n in names}
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("kind", ["all-ones", "low-rank"])
+def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
+    """The only n-by-n SVDs are of A - zI and B - zI at each z, and of A for
+    the all-ones outlier record; a low-rank M adds one SVD of its k-by-k core."""
+    cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_experiment(cfg)
+    units = len(cfg.dims) * cfg.replicates
+    per_unit = 2 * len(cfg.z_grid) + (kind == "all-ones")
+    square = [s for s in shapes if s[0] == s[1] and s[0] in cfg.dims]
+    assert len(square) == units * per_unit
+    core = [] if kind == "all-ones" else [(2, 2)] * units
+    assert [s for s in shapes if s not in square] == core
+
+
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = small_config(tmp_path)
     run_experiment(cfg)
@@ -368,6 +414,43 @@ def test_cli_run_invalid_config(tmp_path, capsys):
     path.write_text("{")
     code = cli.main(["run", "--config", str(path)])
     assert code == 1
+
+
+def test_cli_run_rejects_non_finite_scale(tmp_path, capsys):
+    path = write_config(
+        tmp_path, perturbation={"kind": "all-ones", "scale": float("nan")})
+    code = cli.main(["run", "--config", str(path)])
+    assert code == 1
+    assert "scale must be finite" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_non_finite_factor(tmp_path, capsys):
+    pert = {
+        "kind": "low-rank",
+        "left_factors": [[1.0, [0.0, float("inf")], 0.0]],
+        "right_factors": [[0.0, 1.0, 0.0]],
+    }
+    path = write_config(tmp_path, dims=[3], perturbation=pert)
+    code = cli.main(["run", "--config", str(path)])
+    assert code == 1
+    assert "factor entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slack, check", [
+    ("CROSS_CHECK_ATOL", "cross-check: delta="),
+    ("RANK_SLACK", "rank inequality: ks="),
+])
+def test_cli_run_consistency_failure_names_first_row(
+    tmp_path, capsys, monkeypatch, slack, check
+):
+    monkeypatch.setattr(diagnostics, slack, -1.0)
+    path = write_config(tmp_path, replicates=1)
+    code = cli.main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in captured.err
+    assert "first at n=6 replicate=0 z=0j: " + check in captured.err
+    assert "CONSISTENCY" not in captured.out
 
 
 def test_cli_bad_flag_exits_one(capsys):
