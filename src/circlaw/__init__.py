@@ -13,7 +13,6 @@ from .errors import (
     BudgetViolationError,
     CirclawError,
     DomainError,
-    InsufficientDataError,
     InvalidValueError,
     MeasureError,
     NumericalConsistencyError,
@@ -43,6 +42,7 @@ from .spectral import (
     check_weyl,
     eigenvalues,
     log_abs_det_lu,
+    logdet_agree,
     max_dimension,
     shifted,
     singular_values,
@@ -71,7 +71,6 @@ from .diagnostics import (
     ScalingReport,
     ZGrid,
     aggregate_scaling,
-    build_pair,
     constant_case,
     default_test_functions,
     delta_at,
@@ -80,7 +79,6 @@ from .diagnostics import (
     ks_distance_brute_force,
     replacement_check,
     run_lemma_trials,
-    scaling_scan,
     verify_rank_inequality,
 )
 from .harness import (
@@ -89,6 +87,7 @@ from .harness import (
     DiskRecord,
     ExperimentConfig,
     RunReport,
+    build_pair,
     disk_record,
     load_config,
     parse_config,

@@ -132,24 +132,22 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _scan_rows(config):
-    return list(diagnostics.experiment_rows(config))
-
-
-def _consistency_failure(rows) -> str | None:
-    """Count of delta rows failing a check and the first one's details."""
+def _consistency_status(rows) -> int:
+    """0, or 2 after naming on stderr the failing-row count and the first row."""
     bad = [(dim, rep, d) for dim, rep, d in rows if d.failed_checks()]
     if not bad:
-        return None
+        return 0
     dim, rep, d = bad[0]
-    return (f"CONSISTENCY FAILURE on {len(bad)} of {len(rows)} delta rows; "
-            f"first at n={dim} replicate={rep} z={d.z}: "
-            + "; ".join(d.failed_checks()))
+    print(f"  CONSISTENCY FAILURE on {len(bad)} of {len(rows)} delta rows; "
+          f"first at n={dim} replicate={rep} z={d.z}: "
+          + "; ".join(d.failed_checks()), file=sys.stderr)
+    return 2
 
 
 def _cmd_delta_scan(args) -> int:
     config = _load_config(args)
-    rows = _scan_rows(config)
+    units = harness.run_units(config, {"delta"})
+    rows = [(u.dim, u.replicate, d) for u in units for d in u.diagnostics]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "delta.csv"
@@ -162,20 +160,12 @@ def _cmd_delta_scan(args) -> int:
         print(f"  max cross-check gap = "
               f"{max(abs(d.delta - d.delta_logdet) for d in clean):.3g}")
     print(f"  wrote {path}")
-    failure = _consistency_failure(rows)
-    if failure:
-        print(f"  {failure}", file=sys.stderr)
-        return 2
-    return 0
+    return _consistency_status(rows)
 
 
 def _cmd_circular_law(args) -> int:
     config = _load_config(args)
-    records = []
-    for dim in config.dims:
-        for replicate in range(config.replicates):
-            pair = diagnostics.build_pair(config, dim, replicate)
-            records.append(harness.disk_record(pair, dim, replicate))
+    records = [u.disk for u in harness.run_units(config, {"disk"})]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "disk.csv"
@@ -230,11 +220,7 @@ def _cmd_run(args) -> int:
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     print(f"  reports in {config.output_dir}")
-    failure = _consistency_failure(report.delta_rows)
-    if failure:
-        print(f"  {failure}", file=sys.stderr)
-        return 2
-    return 0
+    return _consistency_status(report.delta_rows)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

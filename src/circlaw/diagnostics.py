@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ensemble, measures, spectral
 from .errors import (
     DomainError,
-    InsufficientDataError,
     InvalidValueError,
     ShapeError,
     ValidationError,
 )
 from .measures import EmpiricalMeasure1D
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig
 
 __all__ = [
     "ZGrid",
@@ -43,20 +39,15 @@ __all__ = [
     "delta_at",
     "verify_rank_inequality",
     "delta_scan",
-    "scaling_scan",
     "replacement_check",
     "constant_case",
     "green_identity_residual",
-    "build_pair",
-    "experiment_rows",
     "aggregate_scaling",
     "default_test_functions",
     "run_lemma_trials",
 ]
 
 # Slack constants for the recorded inequality checks.
-CROSS_CHECK_RTOL = 1e-8
-CROSS_CHECK_ATOL = 1e-12
 RANK_SLACK = 1e-12
 CHAIN_SLACK = 1e-8
 
@@ -70,7 +61,7 @@ class ZGrid:
     step: float
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValidationError(f"grid step must be positive, got {self.step}")
         for name, (lo, hi) in (("re_range", self.re_range), ("im_range", self.im_range)):
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
@@ -114,13 +105,10 @@ class DeltaDiagnostics:
 
     @property
     def cross_check_ok(self) -> bool:
-        """Both delta routes agree to CROSS_CHECK_RTOL; vacuous when flagged."""
+        """Both delta routes agree (spectral.logdet_agree); vacuous when flagged."""
         if self.singular_flag:
             return True
-        return abs(self.delta - self.delta_logdet) <= (
-            CROSS_CHECK_RTOL * max(abs(self.delta), abs(self.delta_logdet))
-            + CROSS_CHECK_ATOL
-        )
+        return spectral.logdet_agree(self.delta, self.delta_logdet)
 
     @property
     def rank_inequality_ok(self) -> bool:
@@ -236,28 +224,6 @@ def delta_scan(pair: ensemble.AssembledPair, grid: ZGrid) -> list[DeltaDiagnosti
     return [delta_at(pair, z) for z in grid.points()]
 
 
-def build_pair(config: "ExperimentConfig", dim: int, replicate: int) -> ensemble.AssembledPair:
-    """Sample and assemble one (dim, replicate) unit of an experiment.
-
-    The sample seed is a pure function of (master_seed, dim, replicate), so
-    units can be computed in any order or concurrently.
-    """
-    seed = ensemble.derive_seed(config.master_seed, dim, replicate)
-    x = ensemble.sample_matrix(config.distribution, dim, seed)
-    return ensemble.assemble(x, *ensemble.build_perturbation(config.perturbation, dim))
-
-
-def experiment_rows(
-    config: "ExperimentConfig",
-) -> Iterator[tuple[int, int, DeltaDiagnostics]]:
-    """Yield (dim, replicate, diagnostics) over the full configured scan."""
-    for dim in config.dims:
-        for replicate in range(config.replicates):
-            pair = build_pair(config, dim, replicate)
-            for diag in delta_scan(pair, config.z_grid):
-                yield dim, replicate, diag
-
-
 @dataclass(frozen=True)
 class DimScalingStats:
     """Aggregates over all non-flagged (replicate, z) rows at one dimension."""
@@ -308,9 +274,12 @@ def _fit_slope(dims: Sequence[int], values: Sequence[float]) -> float:
 def aggregate_scaling(
     rows: Sequence[tuple[int, int, DeltaDiagnostics]],
     b0: float,
-    min_dims: int = 2,
 ) -> ScalingReport:
-    """Aggregate scan rows into per-dim statistics and fitted exponents."""
+    """Aggregate scan rows into per-dim statistics and fitted exponents.
+
+    A dim whose rows are all singular-flagged is left out of ``per_dim`` and
+    of the fits; with fewer than two usable dims the exponents are NaN.
+    """
     by_dim: dict[int, list[DeltaDiagnostics]] = {}
     for dim, _replicate, diag in rows:
         by_dim.setdefault(dim, []).append(diag)
@@ -339,12 +308,6 @@ def aggregate_scaling(
             )
         )
 
-    if len(per_dim) < min_dims:
-        raise InsufficientDataError(
-            f"only {len(per_dim)} usable dimensions after singular flags; "
-            f"need at least {min_dims}"
-        )
-
     dims = tuple(s.dim for s in per_dim)
     if len(per_dim) < 2:
         a_hat = b_hat = eps_hat = float("nan")
@@ -361,18 +324,6 @@ def aggregate_scaling(
         reference_exponent_b0=b0,
         smin_violation_fraction=(violations / total) if total else 0.0,
     )
-
-
-def scaling_scan(config: "ExperimentConfig") -> ScalingReport:
-    """Run the configured scan across dimensions and fit scaling exponents."""
-    if len(config.dims) < 3:
-        raise ValidationError(
-            f"scaling scan needs at least 3 dimensions, got {len(config.dims)}"
-        )
-    if config.replicates < 1:
-        raise ValidationError("scaling scan needs at least 1 replicate")
-    rows = list(experiment_rows(config))
-    return aggregate_scaling(rows, config.reference_exponent_b0)
 
 
 def replacement_check(

@@ -33,9 +33,5 @@ class ValidationError(CirclawError, ValueError):
     """A configuration document or argument set failed validation."""
 
 
-class InsufficientDataError(CirclawError, RuntimeError):
-    """Not enough usable data points remain to compute the requested statistic."""
-
-
 class NumericalConsistencyError(CirclawError, RuntimeError):
     """Two independent computations of the same quantity disagree beyond tolerance."""

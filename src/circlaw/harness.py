@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import diagnostics, measures, spectral
+from . import diagnostics, ensemble, measures, spectral
 from .diagnostics import DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
     PERTURBATION_KINDS,
@@ -35,9 +35,12 @@ __all__ = [
     "DiskRecord",
     "ConstantCaseRecord",
     "RunReport",
+    "STAGES",
     "parse_config",
     "load_config",
     "serialize_config",
+    "build_pair",
+    "run_units",
     "run_experiment",
     "disk_record",
     "write_report_files",
@@ -55,12 +58,23 @@ DELTA_CSV_HEADER = (
 DISK_CSV_HEADER = "n,replicate,radial_ks,angular_ks,top_eigen_modulus"
 SCALING_CSV_HEADER = "n,median_abs_delta,median_ks,min_smin,max_smax"
 
+# Per-unit products: delta_scan rows, disc-law record, all-ones outlier record.
+STAGES = ("delta", "disk", "constant")
+
 
 def _default_z_grid() -> ZGrid:
     return ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
 
 
 DEFAULT_Z_GRID = _default_z_grid()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,15 +98,13 @@ class ExperimentConfig:
             problems.append("name must be a nonempty string")
         if not self.dims:
             problems.append("dims must be nonempty")
-        elif not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                     for d in self.dims):
+        elif not all(_is_int(d) and d >= 1 for d in self.dims):
             problems.append(f"dims must be positive integers, got {list(self.dims)}")
         elif any(b <= a for a, b in zip(self.dims, self.dims[1:])):
             problems.append(f"dims must be strictly increasing, got {list(self.dims)}")
-        if not isinstance(self.replicates, int) or isinstance(self.replicates, bool) \
-                or self.replicates < 1:
+        if not _is_int(self.replicates) or self.replicates < 1:
             problems.append(f"replicates must be a positive integer, got {self.replicates!r}")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
+        if not _is_int(self.master_seed):
             problems.append(f"master_seed must be an integer, got {self.master_seed!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             problems.append("output_dir must be a nonempty string")
@@ -103,8 +115,7 @@ class ExperimentConfig:
         if not isinstance(self.z_grid, ZGrid):
             problems.append("z_grid must be a ZGrid")
         b0 = self.reference_exponent_b0
-        if not isinstance(b0, (int, float)) or isinstance(b0, bool) \
-                or not math.isfinite(float(b0)):
+        if not _is_real(b0) or not math.isfinite(b0):
             problems.append(f"reference_exponent_b0 must be a finite real, got {b0!r}")
         else:
             object.__setattr__(self, "reference_exponent_b0", float(b0))
@@ -134,13 +145,26 @@ _PERTURBATION_KEYS_BY_KIND = {
 _Z_GRID_KEYS = {"re_range", "im_range", "step"}
 
 
+def _real(value, label: str) -> float:
+    """A JSON number as a float; anything else is rejected naming the key."""
+    if not _is_real(value):
+        raise ValidationError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, label: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{label} must be a list, got {value!r}")
+    return value
+
+
 def _complex_vector(values, label: str) -> tuple[complex, ...]:
     """Accepts a list of reals or [re, im] pairs."""
     out = []
-    for v in values:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
+    for v in _list(values, label):
+        if _is_real(v):
             out.append(complex(float(v), 0.0))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+        elif isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)):
             out.append(complex(float(v[0]), float(v[1])))
         else:
             raise ValidationError(
@@ -174,12 +198,13 @@ def _parse_perturbation(obj) -> PerturbationSpec:
     if kind == "zero":
         spec = PerturbationSpec.zero()
     elif kind == "all-ones":
-        spec = PerturbationSpec.all_ones(float(obj.get("scale", 1.0)))
+        spec = PerturbationSpec.all_ones(
+            _real(obj.get("scale", 1.0), "perturbation scale"))
     elif kind == "low-rank":
         left = [_complex_vector(v, "left_factors")
-                for v in obj.get("left_factors", [])]
+                for v in _list(obj.get("left_factors", []), "left_factors")]
         right = [_complex_vector(v, "right_factors")
-                 for v in obj.get("right_factors", [])]
+                 for v in _list(obj.get("right_factors", []), "right_factors")]
         spec = PerturbationSpec.low_rank(left, right)
         if "k" in obj and obj["k"] != spec.k:
             raise ValidationError(
@@ -190,9 +215,15 @@ def _parse_perturbation(obj) -> PerturbationSpec:
         spec = PerturbationSpec.from_file(obj.get("path") or "")
     overrides = {}
     if "rank_budget" in obj:
-        overrides["rank_budget"] = obj["rank_budget"]
+        budget = obj["rank_budget"]
+        if not _is_int(budget) or budget < 0:
+            raise ValidationError(
+                f"perturbation rank_budget must be a nonnegative integer, got {budget!r}"
+            )
+        overrides["rank_budget"] = budget
     if "hs_budget_coefficient" in obj:
-        overrides["hs_budget_coefficient"] = float(obj["hs_budget_coefficient"])
+        overrides["hs_budget_coefficient"] = _real(
+            obj["hs_budget_coefficient"], "perturbation hs_budget_coefficient")
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     return spec
@@ -210,12 +241,13 @@ def _parse_z_grid(obj) -> ZGrid:
 
     def _pair(key: str) -> tuple[float, float]:
         v = obj[key]
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
-            raise ValidationError(f"z_grid {key} must be a [lo, hi] pair, got {v!r}")
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))):
+            raise ValidationError(
+                f"z_grid {key} must be a [lo, hi] pair of numbers, got {v!r}")
         return float(v[0]), float(v[1])
 
     return ZGrid(re_range=_pair("re_range"), im_range=_pair("im_range"),
-                 step=float(obj["step"]))
+                 step=_real(obj["step"], "z_grid step"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -255,7 +287,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "z_grid" in doc:
         try:
             z_grid = _parse_z_grid(doc["z_grid"])
-        except (ValidationError, TypeError) as exc:
+        except ValidationError as exc:
             problems.append(str(exc))
     if problems:
         raise ValidationError("invalid experiment config: " + "; ".join(problems))
@@ -349,10 +381,12 @@ class ConstantCaseRecord:
 
 @dataclass(frozen=True)
 class UnitResult:
+    """The stages one unit computed; a stage not asked for is empty/None."""
+
     dim: int
     replicate: int
     diagnostics: tuple[DeltaDiagnostics, ...]
-    disk: DiskRecord
+    disk: DiskRecord | None
     constant: ConstantCaseRecord | None
 
 
@@ -413,14 +447,35 @@ def disk_record(
     )
 
 
-def _run_unit(config: ExperimentConfig, dim: int, replicate: int) -> UnitResult:
-    pair = diagnostics.build_pair(config, dim, replicate)
-    diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-    eig = spectral.eigenvalues(pair.b_matrix)
-    disk = disk_record(pair, dim, replicate, eigenvalues=eig)
+def build_pair(config: ExperimentConfig, dim: int, replicate: int) -> ensemble.AssembledPair:
+    """Sample and assemble one (dim, replicate) unit of an experiment.
 
-    constant = None
-    if config.perturbation.kind == "all-ones" and dim >= 2:
+    The sample seed is a pure function of (master_seed, dim, replicate), so
+    units can be computed in any order or concurrently.
+    """
+    seed = ensemble.derive_seed(config.master_seed, dim, replicate)
+    x = ensemble.sample_matrix(config.distribution, dim, seed)
+    return ensemble.assemble(x, *ensemble.build_perturbation(config.perturbation, dim))
+
+
+def _run_unit(config: ExperimentConfig, dim: int, replicate: int, stages) -> UnitResult:
+    """One unit from one build_pair, computing only the requested stages.
+
+    "disk" and "constant" share one eigensolve of B; "constant" adds one SVD
+    of A and applies to all-ones perturbations with dim >= 2.
+    """
+    pair = build_pair(config, dim, replicate)
+    diags = ()
+    if "delta" in stages:
+        diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
+    with_constant = ("constant" in stages and dim >= 2
+                     and config.perturbation.kind == "all-ones")
+    eig = disk = constant = None
+    if "disk" in stages or with_constant:
+        eig = spectral.eigenvalues(pair.b_matrix)
+    if "disk" in stages:
+        disk = disk_record(pair, dim, replicate, eigenvalues=eig)
+    if with_constant:
         s1 = float(spectral.singular_values(pair.a_matrix)[0])
         constant = ConstantCaseRecord(
             dim=dim,
@@ -435,24 +490,14 @@ def _run_unit(config: ExperimentConfig, dim: int, replicate: int) -> UnitResult:
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    """Execute the configured scan and write report files to output_dir.
-
-    Units (one per (dim, replicate)) are independent; with workers > 1 they
-    run in spawned processes. Outputs are identical for identical configs
-    regardless of worker count.
-    """
+def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
+    """Every (dim, replicate) unit in dims-then-replicates order, computing
+    the given subset of STAGES. With workers > 1 units run in forked
+    processes; the results do not depend on the worker count."""
     if workers < 1:
         raise ValidationError(f"workers must be positive, got {workers}")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".write-probe"
-    probe.write_text("")
-    probe.unlink()
-
-    tasks = [(config, dim, replicate)
+    tasks = [(config, dim, replicate, stages)
              for dim in config.dims for replicate in range(config.replicates)]
-    t0 = time.perf_counter()
     if workers > 1:
         # fork avoids re-importing __main__ in the children; results do not
         # depend on the start method or the worker count.
@@ -462,19 +507,34 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
             units = pool.starmap(_run_unit, tasks)
     else:
         units = [_run_unit(*task) for task in tasks]
-    t_units = time.perf_counter() - t0
 
     seen = {(u.dim, u.replicate) for u in units}
     if len(units) != len(tasks) or len(seen) != len(tasks):
         raise RuntimeError("unit accounting mismatch: a (dim, replicate) was dropped")
+    return units
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
+    """Execute the configured scan and write report files to output_dir.
+
+    Every unit computes all STAGES (see run_units). Outputs are identical for
+    identical configs regardless of worker count.
+    """
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".write-probe"
+    probe.write_text("")
+    probe.unlink()
+
+    t0 = time.perf_counter()
+    units = run_units(config, STAGES, workers)
+    t_units = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     delta_rows = tuple(
         (u.dim, u.replicate, d) for u in units for d in u.diagnostics
     )
-    scaling = diagnostics.aggregate_scaling(
-        delta_rows, config.reference_exponent_b0, min_dims=0
-    )
+    scaling = diagnostics.aggregate_scaling(delta_rows, config.reference_exponent_b0)
     report = RunReport(
         config=config,
         delta_rows=delta_rows,

@@ -29,13 +29,15 @@ __all__ = [
     "shifted",
     "check_weyl",
     "log_abs_det_lu",
+    "logdet_agree",
     "max_dimension",
 ]
 
 DEFAULT_MAX_DIMENSION = 2000
 
-# Tolerance for the SVD-vs-LU log|det| cross-check (relative to magnitude).
-_LOGDET_AGREEMENT_TOL = 1e-6
+# Tolerances of the SVD-vs-LU log|det| cross-check (see logdet_agree).
+CROSS_CHECK_RTOL = 1e-8
+CROSS_CHECK_ATOL = 1e-12
 
 
 def max_dimension() -> int:
@@ -131,6 +133,11 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
     return float(logdet), False
 
 
+def logdet_agree(x: float, y: float) -> bool:
+    """|x - y| within CROSS_CHECK_RTOL relative plus CROSS_CHECK_ATOL absolute."""
+    return abs(x - y) <= CROSS_CHECK_RTOL * max(abs(x), abs(y)) + CROSS_CHECK_ATOL
+
+
 def summarize(a) -> SpectralSummary:
     """Full spectral summary with the log|det| cross-check applied."""
     m = _as_matrix(a)
@@ -141,21 +148,18 @@ def summarize(a) -> SpectralSummary:
     operator_norm = float(sv[0]) if sv.size else 0.0
 
     lu_val, lu_singular = log_abs_det_lu(m)
-    svd_singular = bool(sv.size == 0 or sv[-1] == 0.0)
-    singular = svd_singular or lu_singular
+    singular = bool(sv.size == 0 or sv[-1] == 0.0) or lu_singular
     if singular:
         log_abs_det = None
     else:
         log_abs_det = float(np.sum(np.log(sv)))
         if not np.isfinite(log_abs_det):
             singular, log_abs_det = True, None
-        else:
-            diff = abs(log_abs_det - lu_val)
-            if diff > _LOGDET_AGREEMENT_TOL * max(1.0, abs(log_abs_det), abs(lu_val)):
-                raise NumericalConsistencyError(
-                    f"log|det| disagreement: singular-value sum {log_abs_det} "
-                    f"vs LU factorization {lu_val}"
-                )
+        elif not logdet_agree(log_abs_det, lu_val):
+            raise NumericalConsistencyError(
+                f"log|det| disagreement: singular-value sum {log_abs_det} "
+                f"vs LU factorization {lu_val}"
+            )
     return SpectralSummary(
         eigenvalues=eig,
         singular_values=sv,

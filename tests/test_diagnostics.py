@@ -10,7 +10,6 @@ from circlaw import (
     DeltaDiagnostics,
     DomainError,
     EntryDistribution,
-    InsufficientDataError,
     InvalidValueError,
     MatrixSample,
     PerturbationSpec,
@@ -30,10 +29,8 @@ from circlaw import (
     replacement_check,
     run_lemma_trials,
     sample_matrix,
-    scaling_scan,
     verify_rank_inequality,
 )
-from circlaw.harness import ExperimentConfig
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -211,15 +208,20 @@ def test_aggregate_scaling_degenerate_rows_fit_zero():
     assert all(s.median_abs_delta == 0.0 for s in agg.per_dim)
 
 
-def test_aggregate_scaling_insufficient_usable_dims():
+def test_aggregate_scaling_drops_all_flagged_dim():
     flagged = DeltaDiagnostics(
         z=0j, delta=float("nan"), delta_logdet=float("nan"), s_max_a=1.0,
         s_min_a=0.0, s_max_b=1.0, s_min_b=0.0, ks=0.0, rank_bound=0.0,
         ibp_bound=float("nan"), singular_flag=True,
     )
-    rows = [(10, 0, _identity_row(10)), (20, 0, flagged), (40, 0, flagged)]
-    with pytest.raises(InsufficientDataError):
-        aggregate_scaling(rows, 3.0)
+    rows = [(10, 0, _identity_row(10)), (20, 0, flagged), (20, 1, flagged),
+            (40, 0, flagged), (40, 1, _identity_row(40))]
+    agg = aggregate_scaling(rows, 3.0)
+    assert agg.dims == (10, 40)
+    assert [(s.dim, s.rows, s.flagged) for s in agg.per_dim] == [(10, 1, 0), (40, 2, 1)]
+    assert agg.a_hat == agg.b_hat == agg.eps_hat == 0.0
+    # one usable dim: no exponent can be fitted
+    assert math.isnan(aggregate_scaling(rows[:3], 3.0).a_hat)
 
 
 def test_aggregate_scaling_counts_smin_violations():
@@ -232,46 +234,6 @@ def test_aggregate_scaling_counts_smin_violations():
     # threshold 10^-3 = 1e-3 > 1e-9 so the first row violates
     agg = aggregate_scaling(rows, 3.0)
     assert agg.smin_violation_fraction == 0.5
-
-
-def test_scaling_scan_requires_three_dims():
-    cfg = ExperimentConfig(
-        name="t", dims=(8, 16), distribution=CG,
-        perturbation=PerturbationSpec.zero(),
-        z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0),
-        replicates=1, master_seed=1, output_dir="unused",
-    )
-    with pytest.raises(ValidationError):
-        scaling_scan(cfg)
-
-
-def test_scaling_scan_zero_perturbation():
-    cfg = ExperimentConfig(
-        name="t", dims=(8, 12, 16), distribution=CG,
-        perturbation=PerturbationSpec.zero(),
-        z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0),
-        replicates=2, master_seed=21, output_dir="unused",
-    )
-    rep = scaling_scan(cfg)
-    assert rep.dims == (8, 12, 16)
-    assert rep.eps_hat == 0.0
-    assert rep.smin_violation_fraction == 0.0
-    assert all(s.median_abs_delta == 0.0 for s in rep.per_dim)
-    assert all(s.median_ks == 0.0 for s in rep.per_dim)
-
-
-def test_scaling_scan_rank_one_ks_is_reciprocal_dim():
-    """With a rank-one perturbation the ECDF distance tracks 1/n exactly."""
-    cfg = ExperimentConfig(
-        name="t", dims=(10, 20, 40), distribution=CG,
-        perturbation=PerturbationSpec.all_ones(),
-        z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0),
-        replicates=3, master_seed=9, output_dir="unused",
-    )
-    rep = scaling_scan(cfg)
-    for stats in rep.per_dim:
-        assert abs(stats.median_ks - 1.0 / stats.dim) <= 1e-12
-    assert rep.eps_hat > 0.9
 
 
 def test_replacement_check_zero_perturbation():

@@ -22,7 +22,7 @@ from circlaw import (
     serialize_config,
     write_report_files,
 )
-from circlaw import cli, diagnostics
+from circlaw import cli, diagnostics, spectral
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -312,6 +312,31 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
     assert [s for s in shapes if s not in square] == core
 
 
+def test_run_experiment_scaling_zero_perturbation(tmp_path):
+    cfg = small_config(
+        tmp_path, dims=(8, 12, 16), perturbation=PerturbationSpec.zero(),
+        z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0), master_seed=21,
+    )
+    rep = run_experiment(cfg).scaling
+    assert rep.dims == (8, 12, 16)
+    assert rep.eps_hat == 0.0
+    assert rep.smin_violation_fraction == 0.0
+    assert all(s.median_abs_delta == 0.0 for s in rep.per_dim)
+    assert all(s.median_ks == 0.0 for s in rep.per_dim)
+
+
+def test_run_experiment_scaling_rank_one_ks_is_reciprocal_dim(tmp_path):
+    """With a rank-one perturbation the ECDF distance tracks 1/n exactly."""
+    cfg = small_config(
+        tmp_path, dims=(10, 20, 40), z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0),
+        replicates=3, master_seed=9,
+    )
+    rep = run_experiment(cfg).scaling
+    for stats in rep.per_dim:
+        assert abs(stats.median_ks - 1.0 / stats.dim) <= 1e-12
+    assert rep.eps_hat > 0.9
+
+
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = small_config(tmp_path)
     run_experiment(cfg)
@@ -443,7 +468,8 @@ def test_cli_run_rejects_non_finite_factor(tmp_path, capsys):
 def test_cli_run_consistency_failure_names_first_row(
     tmp_path, capsys, monkeypatch, slack, check
 ):
-    monkeypatch.setattr(diagnostics, slack, -1.0)
+    module = spectral if slack == "CROSS_CHECK_ATOL" else diagnostics
+    monkeypatch.setattr(module, slack, -1.0)
     path = write_config(tmp_path, replicates=1)
     code = cli.main(["run", "--config", str(path)])
     captured = capsys.readouterr()
@@ -451,6 +477,85 @@ def test_cli_run_consistency_failure_names_first_row(
     assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in captured.err
     assert "first at n=6 replicate=0 z=0j: " + check in captured.err
     assert "CONSISTENCY" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "delta-scan", "circular-law"])
+@pytest.mark.parametrize("key, overrides", [
+    ("scale", {"perturbation": {"kind": "all-ones", "scale": "x"}}),
+    ("hs_budget_coefficient",
+     {"perturbation": {"kind": "all-ones", "hs_budget_coefficient": "x"}}),
+    ("rank_budget", {"perturbation": {"kind": "all-ones", "rank_budget": "x"}}),
+    ("rank_budget", {"perturbation": {"kind": "all-ones", "rank_budget": 1.0}}),
+    ("rank_budget", {"perturbation": {"kind": "all-ones", "rank_budget": True}}),
+    ("left_factors", {"perturbation": {
+        "kind": "low-rank", "left_factors": 5, "right_factors": [[1.0]]}}),
+    ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0], "step": "x"}}),
+    ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0],
+                         "step": float("nan")}}),
+    ("re_range", {"z_grid": {"re_range": [0, "a"], "im_range": [0, 0], "step": 1}}),
+], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
+        "step-nan", "re-range"])
+def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
+    path = write_config(tmp_path, **overrides)
+    code = cli.main([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err
+    assert "Traceback" not in err
+
+
+def config_file(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(serialize_config(cfg))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["all-ones", "low-rank"])
+def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
+    """delta-scan's delta.csv and circular-law's disk.csv equal run's."""
+    cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
+    path = str(config_file(tmp_path, cfg))
+    for command, out in [("run", "run"), ("delta-scan", "delta"),
+                         ("circular-law", "disk")]:
+        code = cli.main([command, "--config", path, "--out", str(tmp_path / out)])
+        assert code == 0
+    for out, name in [("delta", "delta.csv"), ("disk", "disk.csv")]:
+        assert (tmp_path / out / name).read_bytes() \
+            == (tmp_path / "run" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == [name]
+
+
+@pytest.mark.parametrize("kind", ["all-ones", "low-rank"])
+def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kind):
+    """n-by-n LAPACK calls per command: delta-scan takes 2 SVDs and 2 LUs per
+    z per unit, circular-law one eigensolve per unit, run both plus one SVD
+    of A per all-ones unit."""
+    cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
+    path = str(config_file(tmp_path, cfg))
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] in cfg.dims:
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "eigvals", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+
+    units = len(cfg.dims) * cfg.replicates
+    per_z = 2 * len(cfg.z_grid) * units
+    spike = units if kind == "all-ones" else 0
+    expected = {
+        "delta-scan": {"svd": per_z, "eigvals": 0, "slogdet": per_z},
+        "circular-law": {"svd": 0, "eigvals": units, "slogdet": 0},
+        "run": {"svd": per_z + spike, "eigvals": units, "slogdet": per_z},
+    }
+    for command, counts in expected.items():
+        calls.clear()
+        assert cli.main([command, "--config", path]) == 0
+        assert {name: calls.count(name) for name in counts} == counts, command
 
 
 def test_cli_bad_flag_exits_one(capsys):

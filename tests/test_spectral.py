@@ -5,16 +5,19 @@ import pytest
 
 from circlaw import (
     InvalidValueError,
+    NumericalConsistencyError,
     ShapeError,
     ValidationError,
     check_weyl,
     eigenvalues,
     log_abs_det_lu,
+    logdet_agree,
     max_dimension,
     shifted,
     singular_values,
     summarize,
 )
+from circlaw import spectral
 
 
 def test_eigenvalues_diagonal_order():
@@ -96,6 +99,22 @@ def test_log_abs_det_lu():
     assert not singular
     _, singular = log_abs_det_lu(np.ones((2, 2)))
     assert singular
+
+
+def test_logdet_agree_tolerance():
+    """1e-8 relative plus 1e-12 absolute, symmetric in its arguments."""
+    assert logdet_agree(100.0, 100.0 + 0.9e-6)
+    assert not logdet_agree(100.0, 100.0 + 1.1e-6)
+    assert logdet_agree(0.0, 0.9e-12) and logdet_agree(0.9e-12, 0.0)
+    assert not logdet_agree(0.0, 1.1e-12)
+
+
+def test_summarize_cross_check_uses_logdet_agree(monkeypatch):
+    a = np.diag([2.0, 3.0])
+    assert summarize(a).log_abs_det == pytest.approx(np.log(6.0), abs=1e-12)
+    monkeypatch.setattr(spectral, "CROSS_CHECK_ATOL", -1.0)
+    with pytest.raises(NumericalConsistencyError):
+        summarize(a)
 
 
 def test_abs_det_equals_product_of_singular_values():
