@@ -157,9 +157,8 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
     lu_a, sing_a = spectral.log_abs_det_lu(shifted_a)
     lu_b, sing_b = spectral.log_abs_det_lu(shifted_b)
 
-    ks = measures.kolmogorov_distance(
-        EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
-    )
+    mu_a, mu_b = EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
+    ks = measures.kolmogorov_distance(mu_a, mu_b)
     rank_bound = pair.perturbation_rank / n
     s_max_a, s_min_a = float(sv_a[0]), float(sv_a[-1])
     s_max_b, s_min_b = float(sv_b[0]), float(sv_b[-1])
@@ -168,9 +167,7 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
     if singular:
         delta = delta_logdet = ibp_bound = float("nan")
     else:
-        delta = measures.log_integral_diff(
-            EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
-        )
+        delta = measures.log_integral_diff(mu_a, mu_b)
         delta_logdet = (lu_a - lu_b) / n
         s_max = max(s_max_a, s_max_b)
         s_min = min(s_min_a, s_min_b)

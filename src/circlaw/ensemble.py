@@ -170,10 +170,11 @@ class PerturbationSpec:
     structure: 0 for ``zero``, 1 for ``all-ones`` (0 if ``scale`` is 0), and
     for ``low-rank`` the numerical rank of the k-by-k core R_U R_V* from QR
     of the n-by-k factor matrices. Only ``file`` perturbations take a dense
-    SVD. Every rank uses RANK_TOLERANCE. ``hs_budget_coefficient`` (the c in
-    ||M||^2 <= c n^2) is enforced against the realized matrix. None means
-    "infer from the realized matrix", which makes the constraint vacuous.
-    Scales and factor entries must be finite.
+    SVD. Every rank uses RANK_TOLERANCE; ``rank_budget`` must be a
+    nonnegative int. ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2,
+    c >= 0, inf for no bound) is enforced against the realized matrix. None
+    means "infer from the realized matrix", which makes the constraint
+    vacuous. Scales and factor entries must be finite.
     """
 
     kind: str
@@ -205,8 +206,15 @@ class PerturbationSpec:
         if not all(math.isfinite(v.real) and math.isfinite(v.imag)
                    for vec in factors for v in vec):
             raise ValidationError("low-rank factor entries must be finite")
-        if self.rank_budget is not None and self.rank_budget < 0:
-            raise ValidationError("rank_budget must be nonnegative")
+        budget = self.rank_budget
+        if budget is not None and (not isinstance(budget, int)
+                                   or isinstance(budget, bool) or budget < 0):
+            raise ValidationError(
+                f"rank_budget must be a nonnegative integer, got {budget!r}")
+        c = self.hs_budget_coefficient
+        if c is not None and not c >= 0:
+            raise ValidationError(
+                f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
 
     @classmethod
     def zero(cls) -> "PerturbationSpec":

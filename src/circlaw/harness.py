@@ -51,12 +51,13 @@ __all__ = [
 
 DEFAULT_REFERENCE_EXPONENT = 3.0
 
-DELTA_CSV_HEADER = (
-    "n,replicate,z_re,z_im,delta,ks,rank_bound,ibp_bound,"
-    "s_min_a,s_min_b,s_max_a,s_max_b,singular_flag"
+# delta.csv is not one record's fields: z is split into its two parts.
+_DELTA_COLUMNS = (
+    "n", "replicate", "z_re", "z_im", "delta", "ks", "rank_bound", "ibp_bound",
+    "s_min_a", "s_min_b", "s_max_a", "s_max_b", "singular_flag",
 )
-DISK_CSV_HEADER = "n,replicate,radial_ks,angular_ks,top_eigen_modulus"
-SCALING_CSV_HEADER = "n,median_abs_delta,median_ks,min_smin,max_smax"
+# The DimScalingStats fields written to scaling.csv.
+_SCALING_FIELDS = ("dim", "median_abs_delta", "median_ks", "min_smin", "max_smax")
 
 # Per-unit products: delta_scan rows, disc-law record, all-ones outlier record.
 STAGES = ("delta", "disk", "constant")
@@ -114,11 +115,13 @@ class ExperimentConfig:
             problems.append("perturbation must be a PerturbationSpec")
         if not isinstance(self.z_grid, ZGrid):
             problems.append("z_grid must be a ZGrid")
-        b0 = self.reference_exponent_b0
-        if not _is_real(b0) or not math.isfinite(b0):
-            problems.append(f"reference_exponent_b0 must be a finite real, got {b0!r}")
-        else:
-            object.__setattr__(self, "reference_exponent_b0", float(b0))
+        try:
+            b0 = _real(self.reference_exponent_b0, "reference_exponent_b0")
+            if not math.isfinite(b0):
+                raise ValidationError(f"reference_exponent_b0 must be finite, got {b0!r}")
+            object.__setattr__(self, "reference_exponent_b0", b0)
+        except ValidationError as exc:
+            problems.append(str(exc))
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
 
@@ -131,25 +134,27 @@ _REQUIRED_KEYS = (
     "name", "dims", "distribution", "perturbation",
     "replicates", "master_seed", "output_dir",
 )
-_PERTURBATION_KEYS = {
-    "kind", "scale", "k", "left_factors", "right_factors", "path",
-    "rank_budget", "hs_budget_coefficient",
-}
+# The config keys of each perturbation kind; each is a PerturbationSpec attribute.
+_BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
 _PERTURBATION_KEYS_BY_KIND = {
-    "zero": {"kind", "rank_budget", "hs_budget_coefficient"},
-    "all-ones": {"kind", "scale", "rank_budget", "hs_budget_coefficient"},
-    "low-rank": {"kind", "k", "left_factors", "right_factors",
-                 "rank_budget", "hs_budget_coefficient"},
-    "file": {"kind", "path", "rank_budget", "hs_budget_coefficient"},
+    "zero": ("kind", *_BUDGET_KEYS),
+    "all-ones": ("kind", "scale", *_BUDGET_KEYS),
+    "low-rank": ("kind", "k", "left_factors", "right_factors", *_BUDGET_KEYS),
+    "file": ("kind", "path", *_BUDGET_KEYS),
 }
+_PERTURBATION_KEYS = set().union(*_PERTURBATION_KEYS_BY_KIND.values())
 _Z_GRID_KEYS = {"re_range", "im_range", "step"}
 
 
 def _real(value, label: str) -> float:
-    """A JSON number as a float; anything else is rejected naming the key."""
+    """A number as a float; a non-number, or an integer too large for a
+    float, is rejected naming the key."""
     if not _is_real(value):
         raise ValidationError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{label} is an integer too large for a float") from None
 
 
 def _list(value, label: str) -> list:
@@ -163,9 +168,9 @@ def _complex_vector(values, label: str) -> tuple[complex, ...]:
     out = []
     for v in _list(values, label):
         if _is_real(v):
-            out.append(complex(float(v), 0.0))
+            out.append(complex(_real(v, label), 0.0))
         elif isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)):
-            out.append(complex(float(v[0]), float(v[1])))
+            out.append(complex(_real(v[0], label), _real(v[1], label)))
         else:
             raise ValidationError(
                 f"{label} entries must be reals or [re, im] pairs, got {v!r}"
@@ -213,14 +218,10 @@ def _parse_perturbation(obj) -> PerturbationSpec:
             )
     else:
         spec = PerturbationSpec.from_file(obj.get("path") or "")
+    # PerturbationSpec checks both budgets.
     overrides = {}
     if "rank_budget" in obj:
-        budget = obj["rank_budget"]
-        if not _is_int(budget) or budget < 0:
-            raise ValidationError(
-                f"perturbation rank_budget must be a nonnegative integer, got {budget!r}"
-            )
-        overrides["rank_budget"] = budget
+        overrides["rank_budget"] = obj["rank_budget"]
     if "hs_budget_coefficient" in obj:
         overrides["hs_budget_coefficient"] = _real(
             obj["hs_budget_coefficient"], "perturbation hs_budget_coefficient")
@@ -244,7 +245,7 @@ def _parse_z_grid(obj) -> ZGrid:
         if not (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))):
             raise ValidationError(
                 f"z_grid {key} must be a [lo, hi] pair of numbers, got {v!r}")
-        return float(v[0]), float(v[1])
+        return _real(v[0], f"z_grid {key}"), _real(v[1], f"z_grid {key}")
 
     return ZGrid(re_range=_pair("re_range"), im_range=_pair("im_range"),
                  step=_real(obj["step"], "z_grid step"))
@@ -259,7 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
@@ -316,23 +317,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _perturbation_to_obj(spec: PerturbationSpec) -> dict:
-    obj: dict = {"kind": spec.kind}
-    if spec.kind == "all-ones":
-        obj["scale"] = spec.scale
-    elif spec.kind == "low-rank":
-        obj["k"] = spec.k
-        obj["left_factors"] = [
-            [[v.real, v.imag] for v in vec] for vec in spec.left_factors
-        ]
-        obj["right_factors"] = [
-            [[v.real, v.imag] for v in vec] for vec in spec.right_factors
-        ]
-    elif spec.kind == "file":
-        obj["path"] = spec.path
-    if spec.rank_budget is not None:
-        obj["rank_budget"] = spec.rank_budget
-    if spec.hs_budget_coefficient is not None:
-        obj["hs_budget_coefficient"] = spec.hs_budget_coefficient
+    """The spec's keys for its kind; unset budgets are left out and factor
+    entries are written as [re, im] pairs."""
+    obj = {}
+    for key in _PERTURBATION_KEYS_BY_KIND[spec.kind]:
+        value = getattr(spec, key)
+        if key.endswith("_factors"):
+            value = [[[v.real, v.imag] for v in vec] for vec in value]
+        if value is not None:
+            obj[key] = value
     return obj
 
 
@@ -496,6 +489,10 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
     processes; the results do not depend on the worker count."""
     if workers < 1:
         raise ValidationError(f"workers must be positive, got {workers}")
+    unknown = sorted(set(stages) - set(STAGES))
+    if unknown or not stages:
+        raise ValidationError(
+            f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
     tasks = [(config, dim, replicate, stages)
              for dim in config.dims for replicate in range(config.replicates)]
     if workers > 1:
@@ -554,42 +551,45 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
     return report
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form."""
-    return repr(float(x))
+def _column(name: str) -> str:
+    """Report files write a record's dim as n."""
+    return "n" if name == "dim" else name
+
+
+def _cell(value) -> str:
+    """A CSV cell: bools as 1/0, ints as digits, anything else in shortest
+    round-trip float form."""
+    if isinstance(value, int):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path, columns: Sequence[str], rows) -> None:
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_records_csv(path, names: Sequence[str], records) -> None:
+    """One CSV row per record, one column per named field."""
+    _write_csv(path, [_column(name) for name in names],
+               ([getattr(r, name) for name in names] for r in records))
 
 
 def write_delta_csv(path, rows: Sequence[tuple[int, int, DeltaDiagnostics]]) -> None:
-    lines = [DELTA_CSV_HEADER]
-    for dim, replicate, d in rows:
-        lines.append(
-            f"{dim},{replicate},{_fmt(d.z.real)},{_fmt(d.z.imag)},"
-            f"{_fmt(d.delta)},{_fmt(d.ks)},{_fmt(d.rank_bound)},"
-            f"{_fmt(d.ibp_bound)},{_fmt(d.s_min_a)},{_fmt(d.s_min_b)},"
-            f"{_fmt(d.s_max_a)},{_fmt(d.s_max_b)},"
-            f"{1 if d.singular_flag else 0}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, _DELTA_COLUMNS, (
+        (dim, replicate, d.z.real, d.z.imag, d.delta, d.ks, d.rank_bound,
+         d.ibp_bound, d.s_min_a, d.s_min_b, d.s_max_a, d.s_max_b, d.singular_flag)
+        for dim, replicate, d in rows
+    ))
 
 
 def write_disk_csv(path, rows: Sequence[DiskRecord]) -> None:
-    lines = [DISK_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.dim},{r.replicate},{_fmt(r.radial_ks)},{_fmt(r.angular_ks)},"
-            f"{_fmt(r.top_eigen_modulus)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_records_csv(path, [f.name for f in dataclasses.fields(DiskRecord)], rows)
 
 
 def write_scaling_csv(path, scaling: ScalingReport) -> None:
-    lines = [SCALING_CSV_HEADER]
-    for s in scaling.per_dim:
-        lines.append(
-            f"{s.dim},{_fmt(s.median_abs_delta)},{_fmt(s.median_ks)},"
-            f"{_fmt(s.min_smin)},{_fmt(s.max_smax)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_records_csv(path, _SCALING_FIELDS, scaling.per_dim)
 
 
 def _jf(x: float):
@@ -598,72 +598,37 @@ def _jf(x: float):
     return x if math.isfinite(x) else None
 
 
-def _jc(z: complex) -> list:
-    return [_jf(z.real), _jf(z.imag)]
+def _json(value):
+    """A record as JSON: dataclasses as dicts of their fields (dim as n),
+    tuples as lists, non-finite floats and complex parts as null."""
+    if dataclasses.is_dataclass(value):
+        return {_column(f.name): _json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, complex):
+        return [_jf(value.real), _jf(value.imag)]
+    if isinstance(value, float):
+        return _jf(value)
+    return value
 
 
 def report_to_obj(report: RunReport) -> dict:
-    cross_gaps = [
-        abs(d.delta - d.delta_logdet)
-        for _, _, d in report.delta_rows if not d.singular_flag
-    ]
-    scaling = report.scaling
+    diags = [d for _, _, d in report.delta_rows]
+    cross_gaps = [abs(d.delta - d.delta_logdet) for d in diags if not d.singular_flag]
     return {
         "config": config_to_obj(report.config),
         "consistency": {
-            "cross_check_ok": all(
-                d.cross_check_ok for _, _, d in report.delta_rows
-            ),
-            "chain_bound_ok": all(
-                d.chain_bound_ok for _, _, d in report.delta_rows
-            ),
-            "rank_inequality_ok": all(
-                d.rank_inequality_ok for _, _, d in report.delta_rows
-            ),
+            "cross_check_ok": all(d.cross_check_ok for d in diags),
+            "chain_bound_ok": all(d.chain_bound_ok for d in diags),
+            "rank_inequality_ok": all(d.rank_inequality_ok for d in diags),
             "flagged_points": report.flagged_points,
-            "delta_rows": len(report.delta_rows),
+            "delta_rows": len(diags),
             "max_cross_check_gap": _jf(max(cross_gaps)) if cross_gaps else None,
         },
-        "disk": [
-            {
-                "n": r.dim,
-                "replicate": r.replicate,
-                "radial_ks": _jf(r.radial_ks),
-                "angular_ks": _jf(r.angular_ks),
-                "top_eigen_modulus": _jf(r.top_eigen_modulus),
-            }
-            for r in report.disk_rows
-        ],
-        "constant_case": [
-            {
-                "n": r.dim,
-                "replicate": r.replicate,
-                "lambda1": _jc(r.lambda1),
-                "lambda2": _jc(r.lambda2),
-                "s1_central": _jf(r.s1_central),
-            }
-            for r in report.constant_rows
-        ],
-        "scaling": {
-            "dims": list(scaling.dims),
-            "a_hat": _jf(scaling.a_hat),
-            "b_hat": _jf(scaling.b_hat),
-            "eps_hat": _jf(scaling.eps_hat),
-            "reference_exponent_b0": _jf(scaling.reference_exponent_b0),
-            "smin_violation_fraction": _jf(scaling.smin_violation_fraction),
-            "per_dim": [
-                {
-                    "n": s.dim,
-                    "median_abs_delta": _jf(s.median_abs_delta),
-                    "median_ks": _jf(s.median_ks),
-                    "min_smin": _jf(s.min_smin),
-                    "max_smax": _jf(s.max_smax),
-                    "rows": s.rows,
-                    "flagged": s.flagged,
-                }
-                for s in scaling.per_dim
-            ],
-        },
+        "disk": _json(report.disk_rows),
+        "constant_case": _json(report.constant_rows),
+        "scaling": _json(report.scaling),
     }
 
 

@@ -222,8 +222,24 @@ def test_file_requires_path():
 
 
 def test_negative_rank_budget_rejected():
-    with pytest.raises(ValidationError):
-        PerturbationSpec("zero", rank_budget=-1)
+    for budget in (-1, 1.5, True, "1"):
+        with pytest.raises(ValidationError, match="rank_budget"):
+            PerturbationSpec("zero", rank_budget=budget)
+    with pytest.raises(ValidationError, match="rank_budget"):
+        PerturbationSpec.low_rank([(1.0,)], [(1.0,)], rank_budget=1.5)
+
+
+@pytest.mark.parametrize("c", [float("nan"), -1.0, -float("inf")])
+def test_hs_budget_coefficient_must_be_nonnegative(c):
+    with pytest.raises(ValidationError, match="hs_budget_coefficient"):
+        PerturbationSpec("zero", hs_budget_coefficient=c)
+    with pytest.raises(ValidationError, match="hs_budget_coefficient"):
+        PerturbationSpec.from_file("m.csv", hs_budget_coefficient=c)
+
+
+def test_hs_budget_coefficient_inf_is_unbounded():
+    spec = PerturbationSpec("all-ones", scale=100.0, hs_budget_coefficient=float("inf"))
+    assert build_perturbation(spec, 4).rank == 1
 
 
 def test_matrix_csv_round_trip(tmp_path):

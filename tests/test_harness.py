@@ -22,7 +22,7 @@ from circlaw import (
     serialize_config,
     write_report_files,
 )
-from circlaw import cli, diagnostics, spectral
+from circlaw import cli, diagnostics, harness, spectral
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -227,6 +227,33 @@ def test_config_validation_collects_problems():
     assert "replicates" in msg
 
 
+def test_config_b0_too_large_for_a_float_rejected():
+    with pytest.raises(ValidationError, match="reference_exponent_b0"):
+        ExperimentConfig(
+            name="b0", dims=(4,), distribution=CG,
+            perturbation=PerturbationSpec.zero(), replicates=1, master_seed=1,
+            output_dir="out", reference_exponent_b0=10**400,
+        )
+
+
+def test_parse_config_rejects_over_long_integer_literal():
+    with pytest.raises(ValidationError, match="JSON"):
+        parse_config(cfg_json().replace('"master_seed": 7', '"master_seed": ' + "9" * 5000))
+
+
+@pytest.mark.parametrize("stages", [{"dleta"}, {"delta", "disc"}, set()],
+                         ids=["typo", "one-typo", "empty"])
+def test_run_units_rejects_unknown_stages(tmp_path, monkeypatch, stages):
+    def no_units(*args):
+        raise AssertionError("a unit was built")
+
+    monkeypatch.setattr(harness, "build_pair", no_units)
+    with pytest.raises(ValidationError, match="stages") as exc:
+        harness.run_units(small_config(tmp_path), stages)
+    for stage in stages - set(harness.STAGES):
+        assert stage in str(exc.value)
+
+
 def test_run_experiment_zero_perturbation(tmp_path):
     cfg = small_config(tmp_path, perturbation=PerturbationSpec.zero())
     report = run_experiment(cfg)
@@ -408,6 +435,10 @@ def test_write_report_files_returns_paths(tmp_path):
 # ---- CLI ----
 
 
+# An integer literal too large for a float.
+HUGE = 10**400
+
+
 def write_config(tmp_path, **overrides):
     overrides.setdefault("dims", [6, 8])
     overrides.setdefault("output_dir", str(tmp_path / "out"))
@@ -493,8 +524,22 @@ def test_cli_run_consistency_failure_names_first_row(
     ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0],
                          "step": float("nan")}}),
     ("re_range", {"z_grid": {"re_range": [0, "a"], "im_range": [0, 0], "step": 1}}),
+    ("hs_budget_coefficient",
+     {"perturbation": {"kind": "all-ones", "hs_budget_coefficient": float("nan")}}),
+    ("hs_budget_coefficient",
+     {"perturbation": {"kind": "all-ones", "hs_budget_coefficient": -1.0}}),
+    ("scale", {"perturbation": {"kind": "all-ones", "scale": HUGE}}),
+    ("hs_budget_coefficient",
+     {"perturbation": {"kind": "all-ones", "hs_budget_coefficient": HUGE}}),
+    ("reference_exponent_b0", {"reference_exponent_b0": HUGE}),
+    ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0], "step": HUGE}}),
+    ("re_range", {"z_grid": {"re_range": [0, HUGE], "im_range": [0, 0], "step": 1}}),
+    ("left_factors", {"dims": [3], "perturbation": {
+        "kind": "low-rank", "left_factors": [[1.0, [0.0, HUGE], 0.0]],
+        "right_factors": [[1.0, 0.0, 0.0]]}}),
 ], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
-        "step-nan", "re-range"])
+        "step-nan", "re-range", "hs-nan", "hs-negative", "scale-huge", "hs-huge",
+        "b0-huge", "step-huge", "re-range-huge", "factor-huge"])
 def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
     path = write_config(tmp_path, **overrides)
     code = cli.main([command, "--config", str(path)])
