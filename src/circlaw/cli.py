@@ -117,6 +117,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     dist = ensemble.EntryDistribution.parse(args.dist)
+    spectral.check_dimension(args.n)
     sample = ensemble.sample_matrix(dist, args.n, args.seed)
     summary = spectral.summarize(sample.entries / np.sqrt(float(args.n)))
     print(f"spectrum of X/sqrt(n): n={args.n} dist={dist} seed={args.seed}")

@@ -61,8 +61,9 @@ class ZGrid:
     step: float
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValidationError(f"grid step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError(
+                f"grid step must be finite and positive, got {self.step}")
         for name, (lo, hi) in (("re_range", self.re_range), ("im_range", self.im_range)):
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
                 raise ValidationError(f"{name} must be a finite ordered pair, got {(lo, hi)}")
@@ -290,7 +291,10 @@ def aggregate_scaling(
         if not ok:
             continue
         smins = [min(d.s_min_a, d.s_min_b) for d in ok]
-        threshold = dim ** (-b0)
+        try:
+            threshold = dim ** (-b0)
+        except OverflowError:  # every finite s_min is below it
+            threshold = math.inf
         violations += sum(1 for s in smins if s < threshold)
         total += len(ok)
         per_dim.append(
@@ -356,6 +360,7 @@ def constant_case(
     """
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
+    spectral.check_dimension(n)
     x = ensemble.sample_matrix(dist, n, seed)
     pair = ensemble.assemble(
         x, *ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)

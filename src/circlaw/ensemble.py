@@ -162,6 +162,14 @@ class AssembledPair:
     perturbation_rank: int
 
 
+def _complex_factors(vectors, label: str) -> tuple[tuple[complex, ...], ...]:
+    try:
+        return tuple(tuple(complex(v) for v in vec) for vec in vectors)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"low-rank {label} entries must be numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Declarative description of a deterministic additive perturbation.
@@ -237,8 +245,8 @@ class PerturbationSpec:
         rank_budget: int | None = None,
         hs_budget_coefficient: float | None = None,
     ) -> "PerturbationSpec":
-        left = tuple(tuple(complex(v) for v in vec) for vec in left_factors)
-        right = tuple(tuple(complex(v) for v in vec) for vec in right_factors)
+        left = _complex_factors(left_factors, "left_factors")
+        right = _complex_factors(right_factors, "right_factors")
         if rank_budget is None:
             rank_budget = len(left)
         return cls(

@@ -2,8 +2,9 @@
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
 seeds are derived from the master seed, units may execute in any order or in
-parallel, and the CSV/JSON outputs are byte-identical across repetitions and
-worker counts. Floats are written in shortest round-trip decimal form.
+parallel, and at a fixed BLAS thread count the CSV/JSON outputs are
+byte-identical across repetitions and worker counts. Floats are written in
+shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -63,11 +64,7 @@ _SCALING_FIELDS = ("dim", "median_abs_delta", "median_ks", "min_smin", "max_smax
 STAGES = ("delta", "disk", "constant")
 
 
-def _default_z_grid() -> ZGrid:
-    return ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
-
-
-DEFAULT_Z_GRID = _default_z_grid()
+DEFAULT_Z_GRID = ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
 
 
 def _is_int(value) -> bool:
@@ -80,7 +77,12 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one replicated scan experiment."""
+    """Validated description of one replicated scan experiment.
+
+    The fields are the JSON config's top-level keys; a field with a default
+    is optional. A dim above the dense-solve cap is rejected here, before
+    any unit is sampled.
+    """
 
     name: str
     dims: tuple[int, ...]
@@ -89,7 +91,7 @@ class ExperimentConfig:
     replicates: int
     master_seed: int
     output_dir: str
-    z_grid: ZGrid = field(default_factory=_default_z_grid)
+    z_grid: ZGrid = DEFAULT_Z_GRID
     reference_exponent_b0: float = DEFAULT_REFERENCE_EXPONENT
 
     def __post_init__(self) -> None:
@@ -103,6 +105,11 @@ class ExperimentConfig:
             problems.append(f"dims must be positive integers, got {list(self.dims)}")
         elif any(b <= a for a, b in zip(self.dims, self.dims[1:])):
             problems.append(f"dims must be strictly increasing, got {list(self.dims)}")
+        else:
+            try:
+                spectral.check_dimension(self.dims[-1])
+            except ValidationError as exc:
+                problems.append(str(exc))
         if not _is_int(self.replicates) or self.replicates < 1:
             problems.append(f"replicates must be a positive integer, got {self.replicates!r}")
         if not _is_int(self.master_seed):
@@ -126,14 +133,6 @@ class ExperimentConfig:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
 
 
-_TOP_LEVEL_KEYS = {
-    "name", "dims", "distribution", "perturbation", "z_grid",
-    "replicates", "master_seed", "reference_exponent_b0", "output_dir",
-}
-_REQUIRED_KEYS = (
-    "name", "dims", "distribution", "perturbation",
-    "replicates", "master_seed", "output_dir",
-)
 # The config keys of each perturbation kind; each is a PerturbationSpec attribute.
 _BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
 _PERTURBATION_KEYS_BY_KIND = {
@@ -143,7 +142,6 @@ _PERTURBATION_KEYS_BY_KIND = {
     "file": ("kind", "path", *_BUDGET_KEYS),
 }
 _PERTURBATION_KEYS = set().union(*_PERTURBATION_KEYS_BY_KIND.values())
-_Z_GRID_KEYS = {"re_range", "im_range", "step"}
 
 
 def _real(value, label: str) -> float:
@@ -222,21 +220,33 @@ def _parse_perturbation(obj) -> PerturbationSpec:
     overrides = {}
     if "rank_budget" in obj:
         overrides["rank_budget"] = obj["rank_budget"]
-    if "hs_budget_coefficient" in obj:
-        overrides["hs_budget_coefficient"] = _real(
-            obj["hs_budget_coefficient"], "perturbation hs_budget_coefficient")
+    if "hs_budget_coefficient" in obj:  # null, like inf, means no bound
+        c = obj["hs_budget_coefficient"]
+        overrides["hs_budget_coefficient"] = (
+            math.inf if c is None else _real(c, "perturbation hs_budget_coefficient"))
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     return spec
 
 
+def _key_problems(schema, obj: dict, prefix: str = "") -> list[str]:
+    """Unknown and missing keys of a JSON object read into the dataclass
+    schema; a field with no default is required."""
+    fields = dataclasses.fields(schema)
+    names = {f.name for f in fields}
+    problems = [f"unknown {prefix}key {key!r}" for key in obj if key not in names]
+    problems.extend(
+        f"{prefix}missing required key {f.name!r}" for f in fields
+        if f.name not in obj and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    )
+    return problems
+
+
 def _parse_z_grid(obj) -> ZGrid:
     if not isinstance(obj, dict):
         raise ValidationError("z_grid must be a JSON object")
-    problems = [f"unknown z_grid key {key!r}" for key in obj
-                if key not in _Z_GRID_KEYS]
-    missing = [key for key in sorted(_Z_GRID_KEYS) if key not in obj]
-    problems.extend(f"z_grid missing key {key!r}" for key in missing)
+    problems = _key_problems(ZGrid, obj, "z_grid ")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -251,12 +261,29 @@ def _parse_z_grid(obj) -> ZGrid:
                  step=_real(obj["step"], "z_grid step"))
 
 
+def _parse_distribution(value) -> EntryDistribution:
+    if not isinstance(value, str):
+        raise ValidationError("distribution must be a string")
+    return EntryDistribution.parse(value)
+
+
+# The config keys whose JSON value is not the field value; ExperimentConfig
+# checks every value.
+_CONFIG_READERS = {
+    "dims": lambda value: _list(value, "dims"),
+    "distribution": _parse_distribution,
+    "perturbation": _parse_perturbation,
+    "z_grid": _parse_z_grid,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration.
 
-    Unknown keys are rejected by name at the top level and inside the
-    perturbation and z_grid objects; defaults are applied for z_grid and
-    reference_exponent_b0. All schema-level problems are reported together.
+    The keys, required keys and defaults are ExperimentConfig's and ZGrid's
+    fields. Unknown keys are rejected by name at the top level and inside the
+    perturbation and z_grid objects. All schema-level problems are reported
+    together.
     """
     try:
         doc = json.loads(text)
@@ -265,50 +292,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
 
-    problems = [f"unknown key {key!r}" for key in doc if key not in _TOP_LEVEL_KEYS]
-    problems.extend(
-        f"missing required key {key!r}" for key in _REQUIRED_KEYS if key not in doc
-    )
-
-    distribution = perturbation = None
-    z_grid = _default_z_grid()
-    if "distribution" in doc:
-        if isinstance(doc["distribution"], str):
+    problems = _key_problems(ExperimentConfig, doc)
+    values = dict(doc)
+    for key, read in _CONFIG_READERS.items():
+        if key in doc:
             try:
-                distribution = EntryDistribution.parse(doc["distribution"])
+                values[key] = read(doc[key])
             except ValidationError as exc:
                 problems.append(str(exc))
-        else:
-            problems.append("distribution must be a string")
-    if "perturbation" in doc:
-        try:
-            perturbation = _parse_perturbation(doc["perturbation"])
-        except ValidationError as exc:
-            problems.append(str(exc))
-    if "z_grid" in doc:
-        try:
-            z_grid = _parse_z_grid(doc["z_grid"])
-        except ValidationError as exc:
-            problems.append(str(exc))
     if problems:
         raise ValidationError("invalid experiment config: " + "; ".join(problems))
-
-    dims = doc["dims"]
-    if not isinstance(dims, list):
-        raise ValidationError("invalid experiment config: dims must be a list")
-    return ExperimentConfig(
-        name=doc["name"],
-        dims=tuple(dims),
-        distribution=distribution,
-        perturbation=perturbation,
-        replicates=doc["replicates"],
-        master_seed=doc["master_seed"],
-        output_dir=doc["output_dir"],
-        z_grid=z_grid,
-        reference_exponent_b0=doc.get(
-            "reference_exponent_b0", DEFAULT_REFERENCE_EXPONENT
-        ),
-    )
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -317,34 +311,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _perturbation_to_obj(spec: PerturbationSpec) -> dict:
-    """The spec's keys for its kind; unset budgets are left out and factor
-    entries are written as [re, im] pairs."""
-    obj = {}
-    for key in _PERTURBATION_KEYS_BY_KIND[spec.kind]:
-        value = getattr(spec, key)
-        if key.endswith("_factors"):
-            value = [[[v.real, v.imag] for v in vec] for vec in value]
-        if value is not None:
-            obj[key] = value
-    return obj
+    """The spec's keys for its kind; unset budgets are left out."""
+    return {key: _json(getattr(spec, key))
+            for key in _PERTURBATION_KEYS_BY_KIND[spec.kind]
+            if getattr(spec, key) is not None}
 
 
 def config_to_obj(config: ExperimentConfig) -> dict:
-    return {
-        "name": config.name,
-        "dims": list(config.dims),
-        "distribution": str(config.distribution),
-        "perturbation": _perturbation_to_obj(config.perturbation),
-        "z_grid": {
-            "re_range": list(config.z_grid.re_range),
-            "im_range": list(config.z_grid.im_range),
-            "step": config.z_grid.step,
-        },
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "reference_exponent_b0": config.reference_exponent_b0,
-        "output_dir": config.output_dir,
-    }
+    """Every field through _json, so an unbounded budget is null; the
+    distribution is written as its wire string."""
+    obj = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    obj["distribution"] = str(config.distribution)
+    obj["perturbation"] = _perturbation_to_obj(config.perturbation)
+    return {key: _json(value) for key, value in obj.items()}
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -31,6 +31,7 @@ __all__ = [
     "log_abs_det_lu",
     "logdet_agree",
     "max_dimension",
+    "check_dimension",
 ]
 
 DEFAULT_MAX_DIMENSION = 2000
@@ -54,6 +55,15 @@ def max_dimension() -> int:
     return cap
 
 
+def check_dimension(n: int) -> None:
+    """Reject a dimension above the dense-solve cap, before anything n-by-n
+    is built."""
+    cap = max_dimension()
+    if n > cap:
+        raise ValidationError(f"dimension {n} exceeds dense-solve cap {cap} "
+                              "(set CIRCLAW_MAX_N to raise it)")
+
+
 def _as_matrix(a, square: bool = True) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -62,11 +72,7 @@ def _as_matrix(a, square: bool = True) -> np.ndarray:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise InvalidValueError("matrix contains non-finite entries")
-    if max(m.shape) > max_dimension():
-        raise ValidationError(
-            f"dimension {max(m.shape)} exceeds dense-solve cap {max_dimension()} "
-            "(set CIRCLAW_MAX_N to raise it)"
-        )
+    check_dimension(max(m.shape))
     return m
 
 

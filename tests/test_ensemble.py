@@ -376,6 +376,15 @@ def test_non_finite_factor_entry_rejected(bad):
         PerturbationSpec.low_rank([(1.0, bad)], [(1.0, 1.0)])
 
 
+@pytest.mark.parametrize("side", ["left_factors", "right_factors"])
+@pytest.mark.parametrize("bad", [10**400, "x"], ids=["huge", "str"])
+def test_bad_factor_entry_rejected(side, bad):
+    factors = {"left_factors": [(1.0, 1.0)], "right_factors": [(1.0, 1.0)]}
+    factors[side] = [(1.0, bad)]
+    with pytest.raises(ValidationError, match=side):
+        PerturbationSpec.low_rank(**factors)
+
+
 def test_assemble_rejects_rank_out_of_range():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 3, seed=2)

@@ -1,6 +1,7 @@
 """Tests for experiment configs, report generation, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -22,7 +23,7 @@ from circlaw import (
     serialize_config,
     write_report_files,
 )
-from circlaw import cli, diagnostics, harness, spectral
+from circlaw import cli, diagnostics, ensemble, harness, spectral
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -157,6 +158,10 @@ def test_parse_low_rank_k_mismatch():
         parse_config(cfg_json(perturbation=pert))
 
 
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_serialize_round_trip_handcrafted():
     specs = [
         PerturbationSpec.zero(),
@@ -164,6 +169,11 @@ def test_serialize_round_trip_handcrafted():
         PerturbationSpec.low_rank([(1.0, 2.0j)], [(0.0, 1.0)],
                                   hs_budget_coefficient=9.0),
         PerturbationSpec.from_file("/tmp/m.csv", rank_budget=3),
+        PerturbationSpec.from_file("/tmp/m.csv", hs_budget_coefficient=math.inf),
+        dataclasses.replace(PerturbationSpec.all_ones(),
+                            hs_budget_coefficient=math.inf),
+        PerturbationSpec.low_rank([(1.0, 2.0j)], [(0.0, 1.0)],
+                                  hs_budget_coefficient=math.inf),
     ]
     for spec in specs:
         c = ExperimentConfig(
@@ -172,7 +182,9 @@ def test_serialize_round_trip_handcrafted():
             replicates=3, master_seed=99, output_dir="somewhere",
             reference_exponent_b0=2.5,
         )
-        assert parse_config(serialize_config(c)) == c
+        text = serialize_config(c)
+        json.loads(text, parse_constant=_no_constant)
+        assert parse_config(text) == c
 
 
 def test_serialize_is_deterministic():
@@ -523,6 +535,8 @@ def test_cli_run_consistency_failure_names_first_row(
     ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0], "step": "x"}}),
     ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0],
                          "step": float("nan")}}),
+    ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0],
+                         "step": float("inf")}}),
     ("re_range", {"z_grid": {"re_range": [0, "a"], "im_range": [0, 0], "step": 1}}),
     ("hs_budget_coefficient",
      {"perturbation": {"kind": "all-ones", "hs_budget_coefficient": float("nan")}}),
@@ -538,8 +552,8 @@ def test_cli_run_consistency_failure_names_first_row(
         "kind": "low-rank", "left_factors": [[1.0, [0.0, HUGE], 0.0]],
         "right_factors": [[1.0, 0.0, 0.0]]}}),
 ], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
-        "step-nan", "re-range", "hs-nan", "hs-negative", "scale-huge", "hs-huge",
-        "b0-huge", "step-huge", "re-range-huge", "factor-huge"])
+        "step-nan", "step-inf", "re-range", "hs-nan", "hs-negative", "scale-huge",
+        "hs-huge", "b0-huge", "step-huge", "re-range-huge", "factor-huge"])
 def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
     path = write_config(tmp_path, **overrides)
     code = cli.main([command, "--config", str(path)])
@@ -547,6 +561,56 @@ def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, ov
     assert code == 1
     assert key in err
     assert "Traceback" not in err
+
+
+def test_cli_run_hs_budget_null_is_unbounded(tmp_path, capsys):
+    """null reads as inf: no HS bound, and the echo writes null again."""
+    bounded = write_config(tmp_path, replicates=1, perturbation={
+        "kind": "all-ones", "scale": 3.0, "hs_budget_coefficient": 1.0})
+    assert cli.main(["run", "--config", str(bounded)]) == 1
+    assert "exceeds c*n^2" in capsys.readouterr().err
+
+    path = write_config(tmp_path, replicates=1, perturbation={
+        "kind": "all-ones", "scale": 3.0, "hs_budget_coefficient": None})
+    assert load_config(path).perturbation.hs_budget_coefficient == math.inf
+    assert cli.main(["run", "--config", str(path)]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    obj = json.loads(text, parse_constant=_no_constant)
+    assert obj["config"]["perturbation"]["hs_budget_coefficient"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}"],
+    ["run", "--config", "{config}", "--n", "20"],
+    ["delta-scan", "--config", "{config}", "--n", "20"],
+    ["constant-case", "--n", "20"],
+    ["spectrum", "--n", "20"],
+], ids=["run-dims", "run-n", "delta-scan-n", "constant-case", "spectrum"])
+def test_cli_dimension_cap_checked_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    sample_matrix = ensemble.sample_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "sample_matrix", counting)
+    monkeypatch.setenv("CIRCLAW_MAX_N", "10")
+    dims = [6, 20] if argv[-1] == "{config}" else [6, 8]
+    path = write_config(tmp_path, dims=dims)
+    code = cli.main([str(path) if a == "{config}" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "dimension 20 exceeds dense-solve cap 10" in err
+    assert calls == []
+
+
+def test_cli_run_large_negative_b0_saturates_threshold(tmp_path, capsys):
+    """n ** 400 overflows a float: the threshold is inf, so every row counts."""
+    path = write_config(tmp_path, replicates=1, reference_exponent_b0=-400)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    obj = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert obj["scaling"]["smin_violation_fraction"] == 1.0
 
 
 def config_file(tmp_path, cfg):

@@ -6,6 +6,7 @@ format fails here even when it alters all four files consistently. The
 records need not be consistent with their config; only the format is tested.
 """
 
+import json
 import math
 
 import pytest
@@ -73,7 +74,7 @@ def low_rank_report() -> RunReport:
 
 def file_report() -> RunReport:
     """No rows at all, and the config echo of a file spec with an unbounded
-    Hilbert-Schmidt budget (written as the JSON extension Infinity)."""
+    Hilbert-Schmidt budget (written as null, like every non-finite float)."""
     config = ExperimentConfig(
         name="file-echo",
         dims=(4,),
@@ -276,7 +277,7 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     "name": "file-echo",
     "output_dir": "out",
     "perturbation": {
-      "hs_budget_coefficient": Infinity,
+      "hs_budget_coefficient": null,
       "kind": "file",
       "path": "m.csv"
     },
@@ -328,3 +329,14 @@ def test_report_files_match_golden_text(tmp_path, build, expected):
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
     assert {p.name for p in paths.values()} == set(expected)
+
+
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("expected", [LOW_RANK_FILES, FILE_FILES],
+                         ids=["low-rank", "file"])
+def test_golden_report_json_is_strict_json(expected):
+    """No NaN or Infinity token: a strict JSON parser reads report.json."""
+    json.loads(expected["report.json"], parse_constant=_no_constant)
