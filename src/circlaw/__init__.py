@@ -5,8 +5,7 @@ pair A = X/sqrt(n) and B = (X + M)/sqrt(n) for a deterministic low-rank
 perturbation M, and measures every quantity the comparison between their
 spectral distributions rests on: normalized log-determinant gaps, singular
 value ECDF distances and their rank bound, extreme singular-value scaling,
-smooth-test-function ESD differences, the rank-one outlier, and the Green
-identity for polynomial root measures.
+the rank-one outlier, and the Green identity for polynomial root measures.
 """
 
 from .errors import (
@@ -61,7 +60,7 @@ from .measures import (
 )
 from .diagnostics import (
     BumpFunction,
-    ConstantCaseResult,
+    ConstantCaseRecord,
     DeltaDiagnostics,
     DimScalingStats,
     GreenIdentityResult,
@@ -72,18 +71,16 @@ from .diagnostics import (
     ZGrid,
     aggregate_scaling,
     constant_case,
-    default_test_functions,
+    constant_case_record,
     delta_at,
     delta_scan,
     green_identity_residual,
     ks_distance_brute_force,
-    replacement_check,
     run_lemma_trials,
     verify_rank_inequality,
 )
 from .harness import (
     DEFAULT_Z_GRID,
-    ConstantCaseRecord,
     DiskRecord,
     ExperimentConfig,
     RunReport,

@@ -3,16 +3,15 @@
 Each operation turns one step of the log-determinant comparison argument
 into a measurable quantity: the normalized log|det| gap at a shift z, the
 rank bound on the Kolmogorov distance between singular-value ECDFs, extreme
-singular-value scaling across dimensions, weak-convergence probes through
-smooth test functions, the rank-one outlier case, and the Green-identity
-quadrature for polynomial root-counting measures.
+singular-value scaling across dimensions, the rank-one outlier case, and
+the Green-identity quadrature for polynomial root-counting measures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ __all__ = [
     "RankCheck",
     "DimScalingStats",
     "ScalingReport",
-    "ConstantCaseResult",
+    "ConstantCaseRecord",
     "GreenIdentityResult",
     "Rectangle",
     "BumpFunction",
@@ -39,17 +38,20 @@ __all__ = [
     "delta_at",
     "verify_rank_inequality",
     "delta_scan",
-    "replacement_check",
+    "constant_case_record",
     "constant_case",
     "green_identity_residual",
     "aggregate_scaling",
-    "default_test_functions",
+    "ks_distance_brute_force",
     "run_lemma_trials",
 ]
 
 # Slack constants for the recorded inequality checks.
 RANK_SLACK = 1e-12
 CHAIN_SLACK = 1e-8
+
+# Upper bound on the number of points a ZGrid may hold.
+MAX_Z_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,28 @@ class ZGrid:
         for name, (lo, hi) in (("re_range", self.re_range), ("im_range", self.im_range)):
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
                 raise ValidationError(f"{name} must be a finite ordered pair, got {(lo, hi)}")
+        # Each span is checked first: an inf or huge span has no int count.
+        if not all((hi - lo) / self.step < MAX_Z_GRID_POINTS
+                   for lo, hi in (self.re_range, self.im_range)) \
+                or len(self) > MAX_Z_GRID_POINTS:
+            raise ValidationError(
+                f"re_range {self.re_range} x im_range {self.im_range} at step "
+                f"{self.step} exceeds {MAX_Z_GRID_POINTS} grid points")
 
-    @staticmethod
-    def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(count)
+    def _counts(self) -> tuple[int, ...]:
+        """Points per axis, real then imaginary: lo, lo + step, ... up to hi."""
+        return tuple(int(math.floor((hi - lo) / self.step + 1e-9)) + 1
+                     for lo, hi in (self.re_range, self.im_range))
 
     def points(self) -> np.ndarray:
         """Grid points, imaginary part varying slowest."""
-        res = self._axis(*self.re_range, self.step)
-        ims = self._axis(*self.im_range, self.step)
+        n_re, n_im = self._counts()
+        res = self.re_range[0] + self.step * np.arange(n_re)
+        ims = self.im_range[0] + self.step * np.arange(n_im)
         return (res[None, :] + 1j * ims[:, None]).ravel()
 
     def __len__(self) -> int:
-        return self.points().size
+        return math.prod(self._counts())
 
 
 @dataclass(frozen=True)
@@ -327,37 +337,33 @@ def aggregate_scaling(
     )
 
 
-def replacement_check(
-    pair: ensemble.AssembledPair,
-    test_functions: Sequence[Callable[[np.ndarray], np.ndarray]],
-) -> list[float]:
-    """Difference of ESD integrals of each test function between A and B."""
-    eig_a = spectral.eigenvalues(pair.a_matrix)
-    eig_b = spectral.eigenvalues(pair.b_matrix)
-    return [
-        float(np.mean(np.asarray(f(eig_a), dtype=np.float64))
-              - np.mean(np.asarray(f(eig_b), dtype=np.float64)))
-        for f in test_functions
-    ]
-
-
 @dataclass(frozen=True)
-class ConstantCaseResult:
-    """Outlier and bulk summary for the rank-one all-ones perturbation."""
+class ConstantCaseRecord:
+    """Outlier and bulk summary of one unit with the all-ones perturbation."""
 
+    dim: int
+    replicate: int
     lambda1: complex
     lambda2: complex
     s1_central: float
 
 
+def constant_case_record(
+    pair: ensemble.AssembledPair, replicate: int, eigenvalues: np.ndarray
+) -> ConstantCaseRecord:
+    """The two largest-modulus eigenvalues of B, taken from its sorted
+    ``eigenvalues``, and the operator norm of A (one SVD)."""
+    return ConstantCaseRecord(
+        dim=pair.dim, replicate=replicate, lambda1=complex(eigenvalues[0]),
+        lambda2=complex(eigenvalues[1]),
+        s1_central=float(spectral.singular_values(pair.a_matrix)[0]))
+
+
 def constant_case(
     n: int, dist: ensemble.EntryDistribution, seed: int
-) -> ConstantCaseResult:
-    """Sample X, perturb by the all-ones matrix, and report the outlier.
-
-    Returns the two largest-modulus eigenvalues of (X + ones)/sqrt(n) and
-    the operator norm of the unperturbed X/sqrt(n).
-    """
+) -> ConstantCaseRecord:
+    """Sample X from the raw seed, perturb by the all-ones matrix, and
+    report the outlier as the record of replicate 0."""
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     spectral.check_dimension(n)
@@ -365,11 +371,7 @@ def constant_case(
     pair = ensemble.assemble(
         x, *ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
     )
-    eig = spectral.eigenvalues(pair.b_matrix)
-    s1 = float(spectral.singular_values(pair.a_matrix)[0])
-    return ConstantCaseResult(
-        lambda1=complex(eig[0]), lambda2=complex(eig[1]), s1_central=s1
-    )
+    return constant_case_record(pair, 0, spectral.eigenvalues(pair.b_matrix))
 
 
 @dataclass(frozen=True)
@@ -433,23 +435,6 @@ class BumpFunction:
             * (ui * (h2 + h1 * h1) + h1)
         )
         return out
-
-
-def default_test_functions(
-    radius: float = 1.2, center: complex = 0.0 + 0.0j
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Radial bumps and polynomial-times-bump probes for weak convergence."""
-    bump = BumpFunction(center=center, radius=radius)
-    half = BumpFunction(center=center, radius=radius / 2.0)
-
-    def real_part_weighted(z):
-        return np.real(z) * bump(z)
-
-    def modulus_sq_weighted(z):
-        z = np.asarray(z, dtype=np.complex128)
-        return (z.real**2 + z.imag**2) * bump(z)
-
-    return [bump, half, real_part_weighted, modulus_sq_weighted]
 
 
 @dataclass(frozen=True)

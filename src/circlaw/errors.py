@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["CirclawError", "ShapeError", "InvalidValueError", "BudgetViolationError",
+           "MeasureError", "SingularSupportError", "DomainError", "ValidationError",
+           "NumericalConsistencyError"]
+
 
 class CirclawError(Exception):
     """Base class for all package-specific errors."""

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import diagnostics, ensemble, measures, spectral
-from .diagnostics import DeltaDiagnostics, ScalingReport, ZGrid
+from .diagnostics import ConstantCaseRecord, DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
     PERTURBATION_KINDS,
     EntryDistribution,
@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_REFERENCE_EXPONENT",
     "ExperimentConfig",
     "DiskRecord",
-    "ConstantCaseRecord",
     "RunReport",
     "STAGES",
     "parse_config",
@@ -343,15 +342,6 @@ class DiskRecord:
 
 
 @dataclass(frozen=True)
-class ConstantCaseRecord:
-    dim: int
-    replicate: int
-    lambda1: complex
-    lambda2: complex
-    s1_central: float
-
-
-@dataclass(frozen=True)
 class UnitResult:
     """The stages one unit computed; a stage not asked for is empty/None."""
 
@@ -448,14 +438,7 @@ def _run_unit(config: ExperimentConfig, dim: int, replicate: int, stages) -> Uni
     if "disk" in stages:
         disk = disk_record(pair, dim, replicate, eigenvalues=eig)
     if with_constant:
-        s1 = float(spectral.singular_values(pair.a_matrix)[0])
-        constant = ConstantCaseRecord(
-            dim=dim,
-            replicate=replicate,
-            lambda1=complex(eig[0]),
-            lambda2=complex(eig[1]),
-            s1_central=s1,
-        )
+        constant = diagnostics.constant_case_record(pair, replicate, eig)
     return UnitResult(
         dim=dim, replicate=replicate, diagnostics=diags, disk=disk,
         constant=constant,

@@ -21,12 +21,11 @@ from circlaw import (
     assemble,
     build_perturbation,
     constant_case,
-    default_test_functions,
+    constant_case_record,
     delta_at,
     delta_scan,
     green_identity_residual,
     numerical_rank,
-    replacement_check,
     run_lemma_trials,
     sample_matrix,
     verify_rank_inequality,
@@ -66,6 +65,13 @@ def test_zgrid_validation():
         ZGrid((1.0, 0.0), (0.0, 1.0), 0.5)
     with pytest.raises(ValidationError):
         ZGrid((0.0, float("inf")), (0.0, 1.0), 0.5)
+
+
+def test_zgrid_point_bound():
+    """Each axis fits, but the product does not; one point fewer fits."""
+    assert len(ZGrid((0.0, 999.0), (0.0, 999.0), 1.0)) == 10**6
+    with pytest.raises(ValidationError, match="exceeds 1000000 grid points"):
+        ZGrid((0.0, 999.0), (0.0, 1000.0), 1.0)
 
 
 def test_delta_zero_perturbation_is_exactly_zero():
@@ -236,30 +242,6 @@ def test_aggregate_scaling_counts_smin_violations():
     assert agg.smin_violation_fraction == 0.5
 
 
-def test_replacement_check_zero_perturbation():
-    pair = make_pair(30, seed=4, spec=PerturbationSpec.zero())
-    diffs = replacement_check(pair, default_test_functions())
-    assert diffs == [0.0, 0.0, 0.0, 0.0]
-
-
-def test_replacement_check_constant_function():
-    pair = make_pair(25, seed=4)
-    diffs = replacement_check(pair, [lambda z: np.ones(np.shape(z))])
-    assert diffs == [0.0]
-
-
-def test_replacement_check_decays_with_dimension():
-    from circlaw import derive_seed
-
-    gaps = []
-    for n in (100, 400):
-        pair = make_pair(n, seed=derive_seed(7, n, 0))
-        diffs = replacement_check(pair, default_test_functions(radius=1.2))
-        gaps.append(max(abs(v) for v in diffs))
-    assert gaps[1] < gaps[0]
-    assert gaps[0] <= 0.1
-
-
 def test_constant_case_deterministic_skeleton():
     """X = 0: the perturbed matrix is ones/sqrt(n) with eigenvalues
     {sqrt(n), 0, ..., 0}."""
@@ -272,6 +254,12 @@ def test_constant_case_deterministic_skeleton():
     eig = eigenvalues(pair.b_matrix)
     assert abs(eig[0] - 4.0) <= 1e-12
     assert np.all(np.abs(eig[1:]) <= 1e-12)
+
+    record = constant_case_record(pair, 3, eig)
+    assert (record.dim, record.replicate) == (n, 3)
+    assert abs(record.lambda1 - 4.0) <= 1e-12
+    assert abs(record.lambda2) <= 1e-12
+    assert record.s1_central == 0.0
 
 
 def test_constant_case_outlier_near_sqrt_n():
@@ -321,16 +309,6 @@ def test_bump_function_laplacian_matches_finite_differences():
 def test_bump_function_rejects_bad_radius():
     with pytest.raises(ValidationError):
         BumpFunction(radius=0.0)
-
-
-def test_default_test_functions_shape():
-    fns = default_test_functions()
-    assert len(fns) == 4
-    z = np.array([0.1 + 0.2j, 3.0 + 0j])
-    for f in fns:
-        out = np.asarray(f(z))
-        assert out.shape == (2,)
-        assert out[1] == 0.0  # outside every support
 
 
 def test_green_identity_single_root():

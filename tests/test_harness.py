@@ -548,12 +548,16 @@ def test_cli_run_consistency_failure_names_first_row(
     ("reference_exponent_b0", {"reference_exponent_b0": HUGE}),
     ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0], "step": HUGE}}),
     ("re_range", {"z_grid": {"re_range": [0, HUGE], "im_range": [0, 0], "step": 1}}),
+    ("step", {"z_grid": {"re_range": [0, 1], "im_range": [0, 0], "step": 1e-300}}),
+    ("re_range", {"z_grid": {"re_range": [-1e308, 1e308], "im_range": [0, 0],
+                             "step": 1}}),
     ("left_factors", {"dims": [3], "perturbation": {
         "kind": "low-rank", "left_factors": [[1.0, [0.0, HUGE], 0.0]],
         "right_factors": [[1.0, 0.0, 0.0]]}}),
 ], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
         "step-nan", "step-inf", "re-range", "hs-nan", "hs-negative", "scale-huge",
-        "hs-huge", "b0-huge", "step-huge", "re-range-huge", "factor-huge"])
+        "hs-huge", "b0-huge", "step-huge", "re-range-huge", "step-tiny", "span-inf",
+        "factor-huge"])
 def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
     path = write_config(tmp_path, **overrides)
     code = cli.main([command, "--config", str(path)])
@@ -638,7 +642,7 @@ def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
 def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kind):
     """n-by-n LAPACK calls per command: delta-scan takes 2 SVDs and 2 LUs per
     z per unit, circular-law one eigensolve per unit, run both plus one SVD
-    of A per all-ones unit."""
+    of A per all-ones unit, and constant-case one eigensolve and one SVD."""
     cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
     path = str(config_file(tmp_path, cfg))
     calls = []
@@ -656,15 +660,18 @@ def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kin
     units = len(cfg.dims) * cfg.replicates
     per_z = 2 * len(cfg.z_grid) * units
     spike = units if kind == "all-ones" else 0
-    expected = {
-        "delta-scan": {"svd": per_z, "eigvals": 0, "slogdet": per_z},
-        "circular-law": {"svd": 0, "eigvals": units, "slogdet": 0},
-        "run": {"svd": per_z + spike, "eigvals": units, "slogdet": per_z},
-    }
-    for command, counts in expected.items():
+    expected = [
+        (["delta-scan", "--config", path], {"svd": per_z, "eigvals": 0, "slogdet": per_z}),
+        (["circular-law", "--config", path], {"svd": 0, "eigvals": units, "slogdet": 0}),
+        (["run", "--config", path],
+         {"svd": per_z + spike, "eigvals": units, "slogdet": per_z}),
+        (["constant-case", "--n", str(cfg.dims[-1])],
+         {"svd": 1, "eigvals": 1, "slogdet": 0}),
+    ]
+    for argv, counts in expected:
         calls.clear()
-        assert cli.main([command, "--config", path]) == 0
-        assert {name: calls.count(name) for name in counts} == counts, command
+        assert cli.main(argv) == 0
+        assert {name: calls.count(name) for name in counts} == counts, argv[0]
 
 
 def test_cli_bad_flag_exits_one(capsys):

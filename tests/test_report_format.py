@@ -12,8 +12,13 @@ import math
 import pytest
 
 from circlaw import EntryDistribution, ExperimentConfig, PerturbationSpec, ZGrid
-from circlaw.diagnostics import DeltaDiagnostics, DimScalingStats, ScalingReport
-from circlaw.harness import ConstantCaseRecord, DiskRecord, RunReport, write_report_files
+from circlaw.diagnostics import (
+    ConstantCaseRecord,
+    DeltaDiagnostics,
+    DimScalingStats,
+    ScalingReport,
+)
+from circlaw.harness import DiskRecord, RunReport, write_report_files
 
 NAN, INF = math.nan, math.inf
 
