@@ -367,10 +367,8 @@ def constant_case(
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     spectral.check_dimension(n)
-    x = ensemble.sample_matrix(dist, n, seed)
-    pair = ensemble.assemble(
-        x, *ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
-    )
+    perturbation = ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
+    pair = ensemble.assemble(ensemble.sample_matrix(dist, n, seed), perturbation)
     return constant_case_record(pair, 0, spectral.eigenvalues(pair.b_matrix))
 
 
@@ -539,8 +537,8 @@ def _random_measure(rng: np.random.Generator, max_atoms: int, lo: float, hi: flo
     return EmpiricalMeasure1D(rng.uniform(lo, hi, n))
 
 
-def _poly_pair(coeffs: np.ndarray, scale: float):
-    """Polynomial sum(c_k (x/scale)^k) and its derivative as callables."""
+def _poly(coeffs: np.ndarray, scale: float):
+    """Polynomial sum(c_k (x/scale)^k) as a callable."""
 
     def f(x):
         x = np.asarray(x, dtype=np.float64)
@@ -549,15 +547,7 @@ def _poly_pair(coeffs: np.ndarray, scale: float):
             acc = acc + c * (x / scale) ** k
         return acc
 
-    def fp(x):
-        x = np.asarray(x, dtype=np.float64)
-        acc = np.zeros_like(x)
-        for k, c in enumerate(coeffs):
-            if k >= 1:
-                acc = acc + c * k * (x / scale) ** (k - 1) / scale
-        return acc
-
-    return f, fp
+    return f
 
 
 def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
@@ -585,14 +575,13 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
         mu = _random_measure(rng, 40, 1.0, 10.0)
         nu = _random_measure(rng, 40, 1.0, 10.0)
         coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 6)))
-        f, fp = _poly_pair(coeffs, 10.0)
-        res = measures.ibp_difference(f, fp, mu, nu, (1.0, 10.0))
+        res = measures.ibp_difference(_poly(coeffs, 10.0), mu, nu, (1.0, 10.0))
         if abs(res.lhs - res.rhs) > 1e-10 * (1.0 + abs(res.lhs)):
             ibp_identity += 1
 
         # Monotone bound with nonnegative coefficients (nondecreasing on [1, 10]).
-        g, gp = _poly_pair(np.abs(coeffs), 10.0)
-        res_mono = measures.ibp_difference(g, gp, mu, nu, (1.0, 10.0))
+        res_mono = measures.ibp_difference(_poly(np.abs(coeffs), 10.0), mu, nu,
+                                           (1.0, 10.0))
         if abs(res_mono.lhs) > res_mono.bound + 1e-10:
             ibp_bound += 1
 

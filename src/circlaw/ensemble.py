@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -174,15 +173,10 @@ def _complex_factors(vectors, label: str) -> tuple[tuple[complex, ...], ...]:
 class PerturbationSpec:
     """Declarative description of a deterministic additive perturbation.
 
-    ``rank_budget`` is enforced against the rank read from the spec's
-    structure: 0 for ``zero``, 1 for ``all-ones`` (0 if ``scale`` is 0), and
-    for ``low-rank`` the numerical rank of the k-by-k core R_U R_V* from QR
-    of the n-by-k factor matrices. Only ``file`` perturbations take a dense
-    SVD. Every rank uses RANK_TOLERANCE; ``rank_budget`` must be a
-    nonnegative int. ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2,
-    c >= 0, inf for no bound) is enforced against the realized matrix. None
-    means "infer from the realized matrix", which makes the constraint
-    vacuous. Scales and factor entries must be finite.
+    build_perturbation enforces ``rank_budget`` (a nonnegative int) and
+    ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf for no
+    bound) once per dim. None means "infer from the realized matrix", which
+    makes the constraint vacuous. Scales and factor entries must be finite.
     """
 
     kind: str
@@ -287,28 +281,25 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _row_generator(seed: int, stream: int, row: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed & _U64_MASK, spawn_key=(stream, row))
+def _row_generator(seed: int, row: int) -> np.random.Generator:
+    # The spawn key's leading 0 is part of every sample's bytes.
+    ss = np.random.SeedSequence(seed & _U64_MASK, spawn_key=(0, row))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_matrix(
-    dist: EntryDistribution, n: int, seed: int, stream: int = 0
-) -> MatrixSample:
+def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     """Draw an n-by-n matrix of i.i.d. standardized entries.
 
-    Entry (j, k) is a pure function of (seed, stream, j, k): each row has its
-    own counter-based bit stream keyed by (seed, stream, j), and entry k
-    consumes a fixed prefix of it. Two calls with equal arguments return
-    bitwise-identical matrices, and rows may be generated in any order.
+    Entry (j, k) is a pure function of (seed, j, k): each row has its own
+    counter-based bit stream keyed by (seed, j), and entry k consumes a fixed
+    prefix of it. Two calls with equal arguments return bitwise-identical
+    matrices, and rows may be generated in any order.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
-    if stream < 0:
-        raise ValidationError(f"stream must be nonnegative, got {stream}")
     entries = np.empty((n, n), dtype=np.complex128)
     for j in range(n):
-        entries[j] = dist._draw_row(_row_generator(seed, stream, j), n)
+        entries[j] = dist._draw_row(_row_generator(seed, j), n)
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 
@@ -368,46 +359,68 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-class Perturbation(NamedTuple):
-    """A realized perturbation matrix and its numerical rank."""
+@dataclass(frozen=True)
+class Perturbation:
+    """M of one spec at one dim and its structural rank, budgets checked.
 
-    matrix: np.ndarray
+    Only a ``file`` M is kept (``dense``, read-only); matrix() rebuilds any
+    other, so no dense M stays alive between units.
+    """
+
+    spec: PerturbationSpec
+    dim: int
     rank: int
+    dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def matrix(self) -> np.ndarray:
+        """M as a dense n-by-n complex matrix."""
+        return _matrix(self.spec, self.dim) if self.dense is None else self.dense
 
 
-def _realize(spec: PerturbationSpec, n: int) -> Perturbation:
-    kind = spec.kind
-    if kind == "zero":
-        return Perturbation(np.zeros((n, n), dtype=np.complex128), 0)
-    if kind == "all-ones":
-        return Perturbation(
-            np.full((n, n), spec.scale, dtype=np.complex128), int(spec.scale != 0.0)
-        )
-    if kind == "low-rank":
-        for vec in (*spec.left_factors, *spec.right_factors):
-            if len(vec) != n:
-                raise ShapeError(
-                    f"low-rank factor has length {len(vec)}, expected {n}"
-                )
-        if spec.k > n:
-            raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
-        u = np.array(spec.left_factors, dtype=np.complex128).T
-        v = np.array(spec.right_factors, dtype=np.complex128).T
-        # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
-        # so M and the k-by-k core share their singular values.
-        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
-        return Perturbation(u @ v.conj().T, numerical_rank(core))
-    if kind == "file":
-        m = read_matrix_csv(spec.path, n)
-        return Perturbation(m, numerical_rank(m))
-    raise AssertionError(f"unhandled kind {kind}")
+def _factors(spec: PerturbationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The n-by-k factor matrices U and V of a low-rank M = U V*."""
+    return (np.array(spec.left_factors, dtype=np.complex128).T,
+            np.array(spec.right_factors, dtype=np.complex128).T)
+
+
+def _matrix(spec: PerturbationSpec, n: int) -> np.ndarray:
+    if spec.kind == "zero":
+        return np.zeros((n, n), dtype=np.complex128)
+    if spec.kind == "all-ones":
+        return np.full((n, n), spec.scale, dtype=np.complex128)
+    if spec.kind == "file":
+        return read_matrix_csv(spec.path, n)
+    u, v = _factors(spec)
+    return u @ v.conj().T
 
 
 def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
-    """Realize the perturbation matrix and its rank; enforce declared budgets."""
+    """M at dim n with its rank, after enforcing the declared budgets.
+
+    The rank comes from the spec's structure: 0 for ``zero``, 1 for
+    ``all-ones`` (0 if ``scale`` is 0), and for ``low-rank`` the numerical
+    rank of the k-by-k core R_U R_V* from QR of the n-by-k factor matrices.
+    Only a ``file`` M takes a dense SVD. Every rank uses RANK_TOLERANCE.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
-    m, rank = _realize(spec, n)
+    if spec.kind == "low-rank":
+        for vec in (*spec.left_factors, *spec.right_factors):
+            if len(vec) != n:
+                raise ShapeError(f"low-rank factor has length {len(vec)}, expected {n}")
+        if spec.k > n:
+            raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
+    m = _matrix(spec, n)
+    if spec.kind == "low-rank":
+        # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
+        # so M and the k-by-k core share their singular values.
+        u, v = _factors(spec)
+        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
+        rank = numerical_rank(core)
+    elif spec.kind == "file":
+        rank = numerical_rank(m)
+    else:
+        rank = int(spec.kind == "all-ones" and spec.scale != 0.0)
     if spec.rank_budget is not None and rank > spec.rank_budget:
         raise BudgetViolationError(
             f"{spec.kind} perturbation has numerical rank {rank}, "
@@ -420,22 +433,22 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
             raise BudgetViolationError(
                 f"perturbation squared HS norm {hs_sq} exceeds c*n^2 = {limit}"
             )
-    return Perturbation(m, rank)
+    if spec.kind != "file":
+        return Perturbation(spec, n, rank)
+    m.flags.writeable = False  # matrix() hands this one array to every unit
+    return Perturbation(spec, n, rank, m)
 
 
-def assemble(x: MatrixSample, m: np.ndarray, rank: int) -> AssembledPair:
-    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n); ``rank`` is rank(M)."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (x.dim, x.dim):
+def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
+    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M."""
+    if perturbation.dim != x.dim:
         raise ShapeError(
-            f"perturbation shape {m.shape} does not match sample dim {x.dim}"
+            f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
-    if not 0 <= rank <= x.dim:
-        raise ValidationError(f"perturbation rank {rank} outside 0..{x.dim}")
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
     return AssembledPair(
         a_matrix=x.entries * inv_sqrt_n,
-        b_matrix=(x.entries + m) * inv_sqrt_n,
+        b_matrix=(x.entries + perturbation.matrix()) * inv_sqrt_n,
         dim=x.dim,
-        perturbation_rank=rank,
+        perturbation_rank=perturbation.rank,
     )

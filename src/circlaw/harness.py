@@ -208,11 +208,10 @@ def _parse_perturbation(obj) -> PerturbationSpec:
         right = [_complex_vector(v, "right_factors")
                  for v in _list(obj.get("right_factors", []), "right_factors")]
         spec = PerturbationSpec.low_rank(left, right)
-        if "k" in obj and obj["k"] != spec.k:
+        if "k" in obj and not (_is_int(obj["k"]) and obj["k"] == spec.k):
             raise ValidationError(
-                f"perturbation k={obj['k']} does not match "
-                f"{spec.k} factor pairs"
-            )
+                f"perturbation k must be the integer {spec.k}, the number of "
+                f"factor pairs, got {obj['k']!r}")
     else:
         spec = PerturbationSpec.from_file(obj.get("path") or "")
     # PerturbationSpec checks both budgets.
@@ -409,24 +408,28 @@ def disk_record(
     )
 
 
-def build_pair(config: ExperimentConfig, dim: int, replicate: int) -> ensemble.AssembledPair:
-    """Sample and assemble one (dim, replicate) unit of an experiment.
+def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
+               replicate: int) -> ensemble.AssembledPair:
+    """Sample and assemble one (dim, replicate) unit at the perturbation's dim.
 
     The sample seed is a pure function of (master_seed, dim, replicate), so
     units can be computed in any order or concurrently.
     """
+    dim = perturbation.dim
     seed = ensemble.derive_seed(config.master_seed, dim, replicate)
     x = ensemble.sample_matrix(config.distribution, dim, seed)
-    return ensemble.assemble(x, *ensemble.build_perturbation(config.perturbation, dim))
+    return ensemble.assemble(x, perturbation)
 
 
-def _run_unit(config: ExperimentConfig, dim: int, replicate: int, stages) -> UnitResult:
+def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
+              replicate: int, stages) -> UnitResult:
     """One unit from one build_pair, computing only the requested stages.
 
     "disk" and "constant" share one eigensolve of B; "constant" adds one SVD
     of A and applies to all-ones perturbations with dim >= 2.
     """
-    pair = build_pair(config, dim, replicate)
+    dim = perturbation.dim
+    pair = build_pair(config, perturbation, replicate)
     diags = ()
     if "delta" in stages:
         diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
@@ -447,16 +450,20 @@ def _run_unit(config: ExperimentConfig, dim: int, replicate: int, stages) -> Uni
 
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
-    the given subset of STAGES. With workers > 1 units run in forked
-    processes; the results do not depend on the worker count."""
+    the given subset of STAGES from one Perturbation per dim, built before
+    any unit samples. With workers > 1 units run in forked processes; the
+    results do not depend on the worker count."""
     if workers < 1:
         raise ValidationError(f"workers must be positive, got {workers}")
     unknown = sorted(set(stages) - set(STAGES))
     if unknown or not stages:
         raise ValidationError(
             f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
-    tasks = [(config, dim, replicate, stages)
-             for dim in config.dims for replicate in range(config.replicates)]
+    perturbations = [ensemble.build_perturbation(config.perturbation, dim)
+                     for dim in config.dims]
+    tasks = [(config, perturbation, replicate, stages)
+             for perturbation in perturbations
+             for replicate in range(config.replicates)]
     if workers > 1:
         # fork avoids re-importing __main__ in the children; results do not
         # depend on the start method or the worker count.

@@ -89,20 +89,16 @@ class IbpResult:
     """Both sides of the integration-by-parts identity plus the sup-norm bound.
 
     ``bound`` is (f(beta) - f(alpha)) * ||F_mu - F_nu||_inf and dominates
-    |lhs| whenever f is nondecreasing on the interval. ``f_nondecreasing``
-    is a sampled indicator of that hypothesis (derivative checked at atoms,
-    midpoints, and endpoints), not a proof.
+    |lhs| whenever f is nondecreasing on the interval.
     """
 
     lhs: float
     rhs: float
     bound: float
-    f_nondecreasing: bool
 
 
 def ibp_difference(
     f: Callable[[np.ndarray], np.ndarray],
-    f_prime: Callable[[np.ndarray], np.ndarray],
     mu: EmpiricalMeasure1D,
     nu: EmpiricalMeasure1D,
     interval: tuple[float, float],
@@ -141,13 +137,7 @@ def ibp_difference(
     ks = float(np.max(np.abs(diff)))
     f_alpha, f_beta = (float(v) for v in f(np.array([alpha, beta])))
     bound = (f_beta - f_alpha) * ks
-
-    probe = np.unique(
-        np.concatenate([[alpha, beta], cuts, 0.5 * (cuts[1:] + cuts[:-1])])
-    )
-    f_nondecreasing = bool(np.all(np.asarray(f_prime(probe)) >= -1e-12))
-
-    return IbpResult(lhs=lhs, rhs=rhs, bound=bound, f_nondecreasing=f_nondecreasing)
+    return IbpResult(lhs=lhs, rhs=rhs, bound=bound)
 
 
 def log_integral_diff(mu: EmpiricalMeasure1D, nu: EmpiricalMeasure1D) -> float:

@@ -42,7 +42,7 @@ def _line(tag: str, ok: bool, detail: str) -> None:
 
 def _pair(n, seed, dist=CG):
     x = sample_matrix(dist, n, seed)
-    return assemble(x, *build_perturbation(PerturbationSpec.all_ones(), n))
+    return assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
 
 
 @pytest.fixture(scope="module")

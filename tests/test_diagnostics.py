@@ -25,7 +25,6 @@ from circlaw import (
     delta_at,
     delta_scan,
     green_identity_residual,
-    numerical_rank,
     run_lemma_trials,
     sample_matrix,
     verify_rank_inequality,
@@ -36,7 +35,7 @@ CG = EntryDistribution.parse("complex-gaussian")
 
 def make_pair(n, seed, spec=None, dist=CG):
     x = sample_matrix(dist, n, seed)
-    return assemble(x, *build_perturbation(spec or PerturbationSpec.all_ones(), n))
+    return assemble(x, build_perturbation(spec or PerturbationSpec.all_ones(), n))
 
 
 def test_zgrid_points_order_and_count():
@@ -88,8 +87,7 @@ def test_delta_one_by_one_analytic():
     """n = 1: delta is log|x - z| - log|x + m - z| exactly."""
     x_val = 0.3 + 0.4j
     x = MatrixSample(dim=1, entries=np.array([[x_val]]), seed=0, distribution=CG)
-    m = np.array([[1.0 + 0.0j]])
-    pair = assemble(x, m, numerical_rank(m))
+    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 1))
     z = 0.1 - 0.2j
     d = delta_at(pair, z)
     expected = math.log(abs(x_val - z)) - math.log(abs(x_val + 1.0 - z))
@@ -115,7 +113,7 @@ def test_delta_singular_point_is_flagged():
     n = 4
     x = MatrixSample(dim=n, entries=2.0 * np.eye(n, dtype=complex), seed=0,
                      distribution=CG)
-    pair = assemble(x, *build_perturbation(PerturbationSpec.all_ones(), n))
+    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
     d = delta_at(pair, 1.0 + 0.0j)
     assert d.singular_flag
     assert math.isnan(d.delta)
@@ -248,7 +246,7 @@ def test_constant_case_deterministic_skeleton():
     n = 16
     x = MatrixSample(dim=n, entries=np.zeros((n, n), dtype=complex), seed=0,
                      distribution=CG)
-    pair = assemble(x, *build_perturbation(PerturbationSpec.all_ones(), n))
+    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
     from circlaw import eigenvalues
 
     eig = eigenvalues(pair.b_matrix)

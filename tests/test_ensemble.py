@@ -86,13 +86,6 @@ def test_sampling_prefix_stability():
         assert np.array_equal(small, big[:5, :5])
 
 
-def test_sampling_streams_are_independent():
-    d = EntryDistribution.parse("complex-gaussian")
-    a = sample_matrix(d, 6, seed=5, stream=0).entries
-    b = sample_matrix(d, 6, seed=5, stream=1).entries
-    assert not np.array_equal(a, b)
-
-
 def test_sampling_rejects_bad_dimension():
     d = EntryDistribution.parse("complex-gaussian")
     with pytest.raises(ShapeError):
@@ -165,8 +158,10 @@ def test_numerical_rank_examples():
 
 
 def test_zero_perturbation():
-    m, rank = build_perturbation(PerturbationSpec.zero(), 5)
-    assert rank == 0
+    p = build_perturbation(PerturbationSpec.zero(), 5)
+    m = p.matrix()
+    assert (p.dim, p.rank) == (5, 0)
+    assert p.dense is None
     assert m.shape == (5, 5)
     assert np.all(m == 0.0)
     assert numerical_rank(m) == 0
@@ -174,8 +169,10 @@ def test_zero_perturbation():
 
 def test_all_ones_perturbation_budgets():
     n = 7
-    m, rank = build_perturbation(PerturbationSpec.all_ones(), n)
-    assert rank == 1
+    p = build_perturbation(PerturbationSpec.all_ones(), n)
+    m = p.matrix()
+    assert p.rank == 1
+    assert p.dense is None
     assert np.all(m == 1.0)
     assert numerical_rank(m) == 1
     s1 = np.linalg.svd(m, compute_uv=False)[0]
@@ -185,15 +182,17 @@ def test_all_ones_perturbation_budgets():
 
 
 def test_all_ones_scale():
-    m = build_perturbation(PerturbationSpec.all_ones(scale=2.5), 4).matrix
+    m = build_perturbation(PerturbationSpec.all_ones(scale=2.5), 4).matrix()
     assert np.all(m == 2.5)
 
 
 def test_low_rank_perturbation():
     left = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
     right = [(0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 3.0)]
-    m, rank = build_perturbation(PerturbationSpec.low_rank(left, right), 4)
-    assert rank == 2
+    p = build_perturbation(PerturbationSpec.low_rank(left, right), 4)
+    m = p.matrix()
+    assert p.rank == 2
+    assert p.dense is None
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = 2.0
     expected[1, 3] = 3.0
@@ -289,9 +288,9 @@ def test_file_perturbation_rank_budget_enforced(tmp_path):
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, 3)
     ok = PerturbationSpec.from_file(path, rank_budget=2)
-    realized, rank = build_perturbation(ok, 3)
-    assert np.array_equal(realized, m)
-    assert rank == 2
+    realized = build_perturbation(ok, 3)
+    assert np.array_equal(realized.matrix(), m)
+    assert realized.rank == 2
 
 
 def test_hs_budget_enforced(tmp_path):
@@ -304,7 +303,7 @@ def test_hs_budget_enforced(tmp_path):
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, n)
     ok = PerturbationSpec.from_file(path, hs_budget_coefficient=4.0)
-    assert np.array_equal(build_perturbation(ok, n).matrix, m)
+    assert np.array_equal(build_perturbation(ok, n).matrix(), m)
 
 
 def _complex_vectors(seed, count, n):
@@ -343,12 +342,22 @@ STRUCTURAL_CASES = {
 }
 
 
+def test_file_perturbation_is_read_once(tmp_path):
+    """A file M is parsed when the perturbation is built and kept read-only."""
+    spec = _rank2_file(tmp_path)
+    p = build_perturbation(spec, 5)
+    (tmp_path / "rank2.csv").unlink()
+    m = p.matrix()
+    assert m is p.dense and not m.flags.writeable
+    assert numerical_rank(m) == p.rank == 2
+
+
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
 def test_structural_rank_matches_dense_rank(case, tmp_path):
     make_spec, n, expected = STRUCTURAL_CASES[case]
-    m, rank = build_perturbation(make_spec(tmp_path), n)
-    assert rank == expected
-    assert rank == numerical_rank(m)
+    p = build_perturbation(make_spec(tmp_path), n)
+    assert p.rank == expected
+    assert p.rank == numerical_rank(p.matrix())
 
 
 def test_rank_budget_checked_against_structural_rank():
@@ -385,20 +394,13 @@ def test_bad_factor_entry_rejected(side, bad):
         PerturbationSpec.low_rank(**factors)
 
 
-def test_assemble_rejects_rank_out_of_range():
-    d = EntryDistribution.parse("complex-gaussian")
-    x = sample_matrix(d, 3, seed=2)
-    with pytest.raises(ValidationError):
-        assemble(x, np.ones((3, 3), dtype=complex), 4)
-
-
 def test_assemble_scaling_and_shift():
     """x = 0, m = all ones, n = 4: b has constant entries 1/2."""
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 4, seed=0)
     x = type(x)(dim=4, entries=np.zeros((4, 4), dtype=complex), seed=0,
                 distribution=d)
-    pair = assemble(x, *build_perturbation(PerturbationSpec.all_ones(), 4))
+    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 4))
     assert np.all(pair.a_matrix == 0.0)
     assert np.all(pair.b_matrix == 0.5)
     assert pair.perturbation_rank == 1
@@ -410,7 +412,7 @@ def test_assemble_scaling_and_shift():
 def test_assemble_zero_perturbation_identity():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 6, seed=2)
-    pair = assemble(x, *build_perturbation(PerturbationSpec.zero(), 6))
+    pair = assemble(x, build_perturbation(PerturbationSpec.zero(), 6))
     assert np.array_equal(pair.a_matrix, pair.b_matrix)
     assert pair.perturbation_rank == 0
 
@@ -418,9 +420,8 @@ def test_assemble_zero_perturbation_identity():
 def test_assemble_rejects_shape_mismatch():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 4, seed=2)
-    with pytest.raises(ShapeError):
-        m = np.ones((3, 3), dtype=complex)
-        assemble(x, m, numerical_rank(m))
+    with pytest.raises(ShapeError, match="perturbation dim 3"):
+        assemble(x, build_perturbation(PerturbationSpec.all_ones(), 3))
 
 
 def test_assemble_exact_linearity_in_perturbation():
@@ -428,21 +429,21 @@ def test_assemble_exact_linearity_in_perturbation():
     perturbation shifts b by exactly m/4."""
     d = EntryDistribution.parse("rademacher")
     x = sample_matrix(d, 16, seed=5)
-    m, rank = build_perturbation(PerturbationSpec.all_ones(), 16)
-    p1 = assemble(x, m, rank)
-    p2 = assemble(x, 2.0 * m, numerical_rank(2.0 * m))
-    assert np.array_equal(p2.b_matrix - p1.b_matrix, m / 4.0)
+    p1 = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 16))
+    p2 = assemble(x, build_perturbation(PerturbationSpec.all_ones(2.0), 16))
+    assert np.all(p2.b_matrix - p1.b_matrix == 0.25)
     assert np.array_equal(p2.a_matrix, p1.a_matrix)
 
 
-def test_assemble_generic_linearity():
+def test_assemble_generic_linearity(tmp_path):
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 10, seed=8)
     rng = np.random.default_rng(4)
     m = (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
-    m01 = np.zeros_like(m)
-    base = assemble(x, m01, numerical_rank(m01)).b_matrix
-    shifted = assemble(x, m, numerical_rank(m)).b_matrix
+    write_matrix_csv(tmp_path / "m.csv", m)
+    dense = build_perturbation(PerturbationSpec.from_file(tmp_path / "m.csv"), 10)
+    base = assemble(x, build_perturbation(PerturbationSpec.zero(), 10)).b_matrix
+    shifted = assemble(x, dense).b_matrix
     assert np.allclose(shifted - base, m / np.sqrt(10.0), rtol=1e-13, atol=0)
 
 

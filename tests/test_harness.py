@@ -59,6 +59,20 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**fields)
 
 
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """The arguments of every ensemble.sample_matrix call."""
+    calls = []
+    sample_matrix = ensemble.sample_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "sample_matrix", counting)
+    return calls
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -329,11 +343,24 @@ def test_run_experiment_low_rank_end_to_end(tmp_path):
     assert serial == parallel
 
 
-@pytest.mark.parametrize("kind", ["all-ones", "low-rank"])
+def file_config(tmp_path):
+    """dims (6, 8) with a rank-3 M read from a file of 6-by-6 entries."""
+    rng = np.random.default_rng(22)
+    u, v = rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))
+    path = tmp_path / "m.csv"
+    ensemble.write_matrix_csv(path, u @ v.conj().T)
+    return small_config(tmp_path, perturbation=PerturbationSpec.from_file(path))
+
+
+CONFIGS = {"all-ones": small_config, "low-rank": low_rank_config, "file": file_config}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
-    """The only n-by-n SVDs are of A - zI and B - zI at each z, and of A for
-    the all-ones outlier record; a low-rank M adds one SVD of its k-by-k core."""
-    cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
+    """The n-by-n SVDs are of A - zI and B - zI at each z, of A for the
+    all-ones outlier record, and of a file M once per dim. A low-rank M adds
+    one SVD of its k-by-k core per dim."""
+    cfg = CONFIGS[kind](tmp_path)
     shapes = []
     svd = np.linalg.svd
 
@@ -345,9 +372,10 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
     run_experiment(cfg)
     units = len(cfg.dims) * cfg.replicates
     per_unit = 2 * len(cfg.z_grid) + (kind == "all-ones")
+    per_dim = kind == "file"
     square = [s for s in shapes if s[0] == s[1] and s[0] in cfg.dims]
-    assert len(square) == units * per_unit
-    core = [] if kind == "all-ones" else [(2, 2)] * units
+    assert len(square) == units * per_unit + len(cfg.dims) * per_dim
+    core = [(2, 2)] * len(cfg.dims) if kind == "low-rank" else []
     assert [s for s in shapes if s not in square] == core
 
 
@@ -554,10 +582,16 @@ def test_cli_run_consistency_failure_names_first_row(
     ("left_factors", {"dims": [3], "perturbation": {
         "kind": "low-rank", "left_factors": [[1.0, [0.0, HUGE], 0.0]],
         "right_factors": [[1.0, 0.0, 0.0]]}}),
+    ("perturbation k", {"dims": [3], "perturbation": {
+        "kind": "low-rank", "k": True, "left_factors": [[1.0, 0.0, 0.0]],
+        "right_factors": [[0.0, 1.0, 0.0]]}}),
+    ("perturbation k", {"dims": [3], "perturbation": {
+        "kind": "low-rank", "k": 1.0, "left_factors": [[1.0, 0.0, 0.0]],
+        "right_factors": [[0.0, 1.0, 0.0]]}}),
 ], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
         "step-nan", "step-inf", "re-range", "hs-nan", "hs-negative", "scale-huge",
         "hs-huge", "b0-huge", "step-huge", "re-range-huge", "step-tiny", "span-inf",
-        "factor-huge"])
+        "factor-huge", "k-bool", "k-float"])
 def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
     path = write_config(tmp_path, **overrides)
     code = cli.main([command, "--config", str(path)])
@@ -590,15 +624,9 @@ def test_cli_run_hs_budget_null_is_unbounded(tmp_path, capsys):
     ["constant-case", "--n", "20"],
     ["spectrum", "--n", "20"],
 ], ids=["run-dims", "run-n", "delta-scan-n", "constant-case", "spectrum"])
-def test_cli_dimension_cap_checked_before_sampling(tmp_path, capsys, monkeypatch, argv):
-    calls = []
-    sample_matrix = ensemble.sample_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return sample_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(ensemble, "sample_matrix", counting)
+def test_cli_dimension_cap_checked_before_sampling(
+    tmp_path, capsys, monkeypatch, sample_calls, argv
+):
     monkeypatch.setenv("CIRCLAW_MAX_N", "10")
     dims = [6, 20] if argv[-1] == "{config}" else [6, 8]
     path = write_config(tmp_path, dims=dims)
@@ -606,7 +634,37 @@ def test_cli_dimension_cap_checked_before_sampling(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert code == 1
     assert "dimension 20 exceeds dense-solve cap 10" in err
-    assert calls == []
+    assert sample_calls == []
+
+
+# Rank one, factors of length 6.
+LOW_RANK_6 = {"kind": "low-rank", "left_factors": [[1.0] * 6],
+              "right_factors": [[0.0] * 5 + [1.0]]}
+
+
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["run"], {"perturbation": LOW_RANK_6}, "length 6, expected 8"),
+    (["delta-scan", "--n", "8"], {"dims": [6], "perturbation": LOW_RANK_6},
+     "length 6, expected 8"),
+    (["circular-law"], {"perturbation": {"kind": "file", "path": "{m}"}},
+     "index (7,7) outside 1..6"),
+    (["run"], {"perturbation": {"kind": "all-ones", "scale": 3.0,
+                                "hs_budget_coefficient": 1.0}}, "exceeds c*n^2"),
+], ids=["two-dim-low-rank", "low-rank-n", "file-index", "hs-budget"])
+def test_cli_perturbation_checked_before_sampling(
+    tmp_path, capsys, sample_calls, argv, overrides, message
+):
+    """The perturbation is built at every dim before any unit samples."""
+    m_path = tmp_path / "m.csv"
+    m_path.write_text("7,7,1.0,0.0\n")
+    if overrides["perturbation"].get("path") == "{m}":
+        overrides = {"perturbation": {"kind": "file", "path": str(m_path)}}
+    path = write_config(tmp_path, **overrides)
+    code = cli.main([argv[0], "--config", str(path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert sample_calls == []
 
 
 def test_cli_run_large_negative_b0_saturates_threshold(tmp_path, capsys):
@@ -638,12 +696,13 @@ def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
         assert sorted(p.name for p in (tmp_path / out).iterdir()) == [name]
 
 
-@pytest.mark.parametrize("kind", ["all-ones", "low-rank"])
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kind):
     """n-by-n LAPACK calls per command: delta-scan takes 2 SVDs and 2 LUs per
     z per unit, circular-law one eigensolve per unit, run both plus one SVD
-    of A per all-ones unit, and constant-case one eigensolve and one SVD."""
-    cfg = small_config(tmp_path) if kind == "all-ones" else low_rank_config(tmp_path)
+    of A per all-ones unit, and constant-case one eigensolve and one SVD.
+    A file M adds one SVD per dim to each config command."""
+    cfg = CONFIGS[kind](tmp_path)
     path = str(config_file(tmp_path, cfg))
     calls = []
 
@@ -660,11 +719,14 @@ def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kin
     units = len(cfg.dims) * cfg.replicates
     per_z = 2 * len(cfg.z_grid) * units
     spike = units if kind == "all-ones" else 0
+    m_svd = len(cfg.dims) if kind == "file" else 0
     expected = [
-        (["delta-scan", "--config", path], {"svd": per_z, "eigvals": 0, "slogdet": per_z}),
-        (["circular-law", "--config", path], {"svd": 0, "eigvals": units, "slogdet": 0}),
+        (["delta-scan", "--config", path],
+         {"svd": per_z + m_svd, "eigvals": 0, "slogdet": per_z}),
+        (["circular-law", "--config", path],
+         {"svd": m_svd, "eigvals": units, "slogdet": 0}),
         (["run", "--config", path],
-         {"svd": per_z + spike, "eigvals": units, "slogdet": per_z}),
+         {"svd": per_z + spike + m_svd, "eigvals": units, "slogdet": per_z}),
         (["constant-case", "--n", str(cfg.dims[-1])],
          {"svd": 1, "eigvals": 1, "slogdet": 0}),
     ]

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
 
 import circlaw
 
@@ -18,3 +21,12 @@ def test_package_names_are_in_submodule_all():
         module = importlib.import_module(f"circlaw.{node.module}")
         missing = [a.name for a in node.names if a.name not in module.__all__]
         assert missing == [], node.module
+
+
+@pytest.mark.parametrize(
+    "layer", sorted(m.name for m in pkgutil.iter_modules(circlaw.__path__)))
+def test_every_all_name_exists(layer):
+    """Each name in a submodule's __all__ is an attribute of it; perfbench's
+    tracer runs getattr on every such name."""
+    module = importlib.import_module(f"circlaw.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
