@@ -220,6 +220,10 @@ def _cmd_run(args) -> int:
           f"{scaling.smin_violation_fraction:.4g}")
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
+    threads = spectral.blas_thread_count()
+    print("  BLAS: " + ("unknown" if threads is None else
+                        f"{threads} ambient threads, 1 per unit for "
+                        f"n <= {spectral.BLAS_PIN_MAX_DIM}"))
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

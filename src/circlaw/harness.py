@@ -1,10 +1,12 @@
 """Experiment orchestration: config parsing, replicated runs, report files.
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
-seeds are derived from the master seed, units may execute in any order or in
-parallel, and at a fixed BLAS thread count the CSV/JSON outputs are
-byte-identical across repetitions and worker counts. Floats are written in
-shortest round-trip decimal form.
+seeds are derived from the master seed, and units may execute in any order or
+in parallel. A unit at dim <= spectral.BLAS_PIN_MAX_DIM runs on one BLAS
+thread, so for such dims the CSV/JSON outputs are byte-identical across
+repetitions, worker counts and ambient BLAS thread counts; above it, at the
+same BLAS thread count. Floats are written in shortest round-trip decimal
+form.
 """
 
 from __future__ import annotations
@@ -426,22 +428,27 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     """One unit from one build_pair, computing only the requested stages.
 
     "disk" and "constant" share one eigensolve of B; "constant" adds one SVD
-    of A and applies to all-ones perturbations with dim >= 2.
+    of A and applies to all-ones perturbations of rank >= 1 with dim >= 2.
+    The whole unit runs under spectral._blas_threads(dim), so a unit at
+    dim <= spectral.BLAS_PIN_MAX_DIM computes on one BLAS thread wherever
+    it runs.
     """
     dim = perturbation.dim
-    pair = build_pair(config, perturbation, replicate)
-    diags = ()
-    if "delta" in stages:
-        diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-    with_constant = ("constant" in stages and dim >= 2
-                     and config.perturbation.kind == "all-ones")
-    eig = disk = constant = None
-    if "disk" in stages or with_constant:
-        eig = spectral.eigenvalues(pair.b_matrix)
-    if "disk" in stages:
-        disk = disk_record(pair, dim, replicate, eigenvalues=eig)
-    if with_constant:
-        constant = diagnostics.constant_case_record(pair, replicate, eig)
+    with spectral._blas_threads(dim):
+        pair = build_pair(config, perturbation, replicate)
+        diags = ()
+        if "delta" in stages:
+            diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
+        with_constant = ("constant" in stages and dim >= 2
+                         and config.perturbation.kind == "all-ones"
+                         and perturbation.rank >= 1)
+        eig = disk = constant = None
+        if "disk" in stages or with_constant:
+            eig = spectral.eigenvalues(pair.b_matrix)
+        if "disk" in stages:
+            disk = disk_record(pair, dim, replicate, eigenvalues=eig)
+        if with_constant:
+            constant = diagnostics.constant_case_record(pair, replicate, eig)
     return UnitResult(
         dim=dim, replicate=replicate, diagnostics=diags, disk=disk,
         constant=constant,
@@ -451,8 +458,10 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. With workers > 1 units run in forked processes; the
-    results do not depend on the worker count."""
+    any unit samples. With workers > 1 units run in forked processes. Every
+    unit pins its BLAS threads the same way wherever it runs (see
+    _run_unit), so the results do not depend on the worker count, nor, for
+    dims <= spectral.BLAS_PIN_MAX_DIM, on the ambient BLAS thread count."""
     if workers < 1:
         raise ValidationError(f"workers must be positive, got {workers}")
     unknown = sorted(set(stages) - set(STAGES))

@@ -4,10 +4,17 @@ Eigenvalues are labeled by nonincreasing modulus with ties broken by
 increasing principal argument; singular values are nonincreasing. log|det|
 is computed from the singular values and cross-checked against an
 LU-factorization value; disagreement is an internal-consistency error.
+
+This module owns every LAPACK call, and so the BLAS thread count they run
+at: `_blas_threads(n)` runs a block on one thread for n <= BLAS_PIN_MAX_DIM.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 from dataclasses import dataclass
 
@@ -32,6 +39,8 @@ __all__ = [
     "logdet_agree",
     "max_dimension",
     "check_dimension",
+    "BLAS_PIN_MAX_DIM",
+    "blas_thread_count",
 ]
 
 DEFAULT_MAX_DIMENSION = 2000
@@ -62,6 +71,68 @@ def check_dimension(n: int) -> None:
     if n > cap:
         raise ValidationError(f"dimension {n} exceeds dense-solve cap {cap} "
                               "(set CIRCLAW_MAX_N to raise it)")
+
+
+# Largest n whose LAPACK work runs on one BLAS thread. One unit's LAPACK work
+# (1 eigvals + 3 SVDs + 2 slogdet), 2-core box, OpenBLAS 0.3.31:
+#
+#      n    1 thread: wall / CPU    2 threads: wall / CPU
+#    200    0.11 / 0.11 s           0.12 / 0.23 s
+#    400    0.54-0.56 / 0.54 s      0.54-0.60 / 1.05 s
+#    500    0.98-1.05 s             0.88-0.90 s
+#   1000    5.5-5.8 s               4.35-4.43 s
+#
+# Up to 400 a second thread spins without shortening the wall time; above
+# it the second thread pays. LAPACK results depend on the thread count in
+# their last bits, so one thread also makes the bytes at n <= 400 the same
+# at any ambient thread count.
+BLAS_PIN_MAX_DIM = 400
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (get, set) thread-count functions through
+    ctypes, or None where the library or its symbols are missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    return get_threads, set_threads
+
+
+def blas_thread_count() -> int | None:
+    """The ambient OpenBLAS thread count; None where it cannot be read."""
+    openblas = _openblas()
+    return None if openblas is None else openblas[0]()
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the block on one BLAS thread when n <= BLAS_PIN_MAX_DIM, and
+    restore the ambient count on exit, also when the block raises. Above
+    the constant, or without OpenBLAS's thread symbols, do nothing. The
+    count is process-wide, so one pinned block runs at a time per process."""
+    openblas = _openblas() if n <= BLAS_PIN_MAX_DIM else None
+    if openblas is None:
+        yield
+        return
+    get_threads, set_threads = openblas
+    ambient = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(ambient)
 
 
 def _as_matrix(a, square: bool = True) -> np.ndarray:

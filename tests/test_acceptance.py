@@ -27,6 +27,7 @@ from circlaw import (
     run_lemma_trials,
     sample_matrix,
 )
+from circlaw import spectral
 from circlaw.harness import disk_record
 
 CG = EntryDistribution.parse("complex-gaussian")
@@ -197,7 +198,8 @@ def test_criterion_7_green_identity():
 
 
 def test_criterion_8_determinism(decay_run):
-    """Reruns of the same config are byte-identical, any worker count."""
+    """Reruns of the same config are byte-identical, any worker count and
+    any ambient BLAS thread count."""
     cfg, _, snapshot, _ = decay_run
     t0 = time.perf_counter()
     out = cfg.output_dir
@@ -207,12 +209,29 @@ def test_criterion_8_determinism(decay_run):
     serial = {name: (Path(out) / name).read_bytes() for name in REPORT_FILES}
     run_experiment(cfg, workers=2)
     parallel = {name: (Path(out) / name).read_bytes() for name in REPORT_FILES}
-    elapsed = time.perf_counter() - t0
     same_serial = serial == snapshot
     same_parallel = parallel == snapshot
-    detail = (f"serial_match={same_serial} workers2_match={same_parallel} "
-              f"{elapsed:.1f}s")
-    _line("8 determinism", same_serial and same_parallel, detail)
+    detail = f"serial_match={same_serial} workers2_match={same_parallel}"
+    ok = same_serial and same_parallel
+    openblas = spectral._openblas()
+    if openblas is not None:
+        get_threads, set_threads = openblas
+        ambient = get_threads()
+        other = 1 if ambient > 1 else 2
+        set_threads(other)
+        try:
+            run_experiment(cfg, workers=1)
+        finally:
+            set_threads(ambient)
+        rerun = {name: (Path(out) / name).read_bytes() for name in REPORT_FILES}
+        same_threads = rerun == snapshot
+        detail += f" threads{ambient}to{other}_match={same_threads}"
+        ok = ok and same_threads
+    elapsed = time.perf_counter() - t0
+    _line("8 determinism", ok, f"{detail} {elapsed:.1f}s")
+    if openblas is None:
+        pytest.skip("numpy's OpenBLAS thread-count symbols are not available: "
+                    "no rerun at another ambient BLAS thread count")
 
 
 if __name__ == "__main__":

@@ -498,6 +498,101 @@ def test_cli_run(tmp_path, capsys):
     assert "rows" in out
 
 
+def test_cli_run_zero_scale_all_ones_has_no_constant_case(tmp_path, capsys):
+    """scale 0 gives M rank 0: no outlier, so no constant-case record."""
+    path = write_config(tmp_path, dims=[50], replicates=1,
+                        perturbation={"kind": "all-ones", "scale": 0.0})
+    assert cli.main(["run", "--config", str(path)]) == 0
+    obj = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert obj["constant_case"] == []
+    assert obj["disk"][0]["top_eigen_modulus"] is None
+
+
+@pytest.fixture
+def blas_threads_two():
+    """OpenBLAS's thread-count getter, with the ambient count set to 2 for
+    the test and restored after it."""
+    openblas = spectral._openblas()
+    if openblas is None:
+        pytest.skip("numpy's OpenBLAS thread-count symbols are not available")
+    get_threads, set_threads = openblas
+    ambient = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(ambient)
+
+
+def eigvals_thread_counts(monkeypatch, get_threads):
+    """The BLAS thread count at each np.linalg.eigvals call."""
+    counts = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        counts.append(get_threads())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return counts
+
+
+def test_run_units_pin_one_blas_thread_and_restore_ambient(
+    tmp_path, monkeypatch, blas_threads_two
+):
+    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    harness.run_units(small_config(tmp_path), harness.STAGES)
+    assert counts == [1, 1, 1, 1]
+    assert blas_threads_two() == 2
+
+
+def test_run_units_restore_ambient_blas_threads_when_a_unit_raises(
+    tmp_path, monkeypatch, blas_threads_two
+):
+    counts = []
+
+    def failing(pair, grid):
+        counts.append(blas_threads_two())
+        raise RuntimeError("unit failed")
+
+    monkeypatch.setattr(diagnostics, "delta_scan", failing)
+    with pytest.raises(RuntimeError, match="unit failed"):
+        harness.run_units(small_config(tmp_path), {"delta"})
+    assert counts == [1]
+    assert blas_threads_two() == 2
+
+
+def test_run_units_above_pin_dim_run_at_ambient_blas_threads(
+    tmp_path, monkeypatch, blas_threads_two
+):
+    monkeypatch.setattr(spectral, "BLAS_PIN_MAX_DIM", 6)
+    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    harness.run_units(small_config(tmp_path, dims=(6, 8)), {"disk"})
+    assert counts == [1, 1, 2, 2]
+    assert blas_threads_two() == 2
+
+
+def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
+                                                     blas_threads_two):
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert ("BLAS: 2 ambient threads, 1 per unit for n <= "
+            f"{spectral.BLAS_PIN_MAX_DIM}") in out
+    for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
+        assert "BLAS" not in (tmp_path / "out" / name).read_text()
+
+
+def test_cli_run_without_openblas_symbols_does_not_pin(
+    tmp_path, capsys, monkeypatch, blas_threads_two
+):
+    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert "BLAS: unknown" in capsys.readouterr().out
+    assert counts == [2, 2]
+    assert blas_threads_two() == 2
+
+
 def test_cli_run_missing_config(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "absent.json")])
     err = capsys.readouterr().err
