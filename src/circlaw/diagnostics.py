@@ -159,14 +159,18 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
 
     If either shifted matrix is numerically singular the record comes back
     with ``singular_flag`` set and NaN gap values instead of an exception.
+
+    A - zI and B - zI are formed in the pair's own arrays, one at a time, and
+    the diagonals are restored on return, also when a call raises. So one
+    pair must not be shared by two threads at once.
     """
     n = pair.dim
-    shifted_a = spectral.shifted(pair.a_matrix, z)
-    shifted_b = spectral.shifted(pair.b_matrix, z)
-    sv_a = spectral.singular_values(shifted_a)
-    sv_b = spectral.singular_values(shifted_b)
-    lu_a, sing_a = spectral.log_abs_det_lu(shifted_a)
-    lu_b, sing_b = spectral.log_abs_det_lu(shifted_b)
+    with spectral._shifted_in_place(pair.a_matrix, z) as shifted_a:
+        sv_a = spectral.singular_values(shifted_a)
+        lu_a, sing_a = spectral.log_abs_det_lu(shifted_a)
+    with spectral._shifted_in_place(pair.b_matrix, z) as shifted_b:
+        sv_b = spectral.singular_values(shifted_b)
+        lu_b, sing_b = spectral.log_abs_det_lu(shifted_b)
 
     mu_a, mu_b = EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
     ks = measures.kolmogorov_distance(mu_a, mu_b)

@@ -397,43 +397,47 @@ def _matrix(spec: PerturbationSpec, n: int) -> np.ndarray:
 def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
     """M at dim n with its rank, after enforcing the declared budgets.
 
-    The rank comes from the spec's structure: 0 for ``zero``, 1 for
-    ``all-ones`` (0 if ``scale`` is 0), and for ``low-rank`` the numerical
-    rank of the k-by-k core R_U R_V* from QR of the n-by-k factor matrices.
-    Only a ``file`` M takes a dense SVD. Every rank uses RANK_TOLERANCE.
+    The rank and ||M||^2_HS come from the spec's structure: rank 0 and HS 0
+    for ``zero``; rank 1 (0 if ``scale`` is 0) and HS scale^2 n^2 for
+    ``all-ones``; for ``low-rank``, the numerical rank and squared Frobenius
+    norm of the k-by-k core R_U R_V* from QR of the n-by-k factor matrices.
+    Only a ``file`` M is built densely and takes an SVD. Every rank uses
+    RANK_TOLERANCE.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
+    m = None
     if spec.kind == "low-rank":
         for vec in (*spec.left_factors, *spec.right_factors):
             if len(vec) != n:
                 raise ShapeError(f"low-rank factor has length {len(vec)}, expected {n}")
         if spec.k > n:
             raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
-    m = _matrix(spec, n)
-    if spec.kind == "low-rank":
         # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
         # so M and the k-by-k core share their singular values.
         u, v = _factors(spec)
         core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
         rank = numerical_rank(core)
+        hs_sq = float(np.sum(np.abs(core) ** 2))
     elif spec.kind == "file":
+        m = _matrix(spec, n)
         rank = numerical_rank(m)
+        hs_sq = float(np.sum(np.abs(m) ** 2))
     else:
         rank = int(spec.kind == "all-ones" and spec.scale != 0.0)
+        hs_sq = spec.scale * spec.scale * n * n if spec.kind == "all-ones" else 0.0
     if spec.rank_budget is not None and rank > spec.rank_budget:
         raise BudgetViolationError(
             f"{spec.kind} perturbation has numerical rank {rank}, "
             f"declared budget {spec.rank_budget}"
         )
     if spec.hs_budget_coefficient is not None:
-        hs_sq = float(np.sum(np.abs(m) ** 2))
         limit = spec.hs_budget_coefficient * n * n
         if hs_sq > limit * (1.0 + 1e-12) + 1e-300:
             raise BudgetViolationError(
                 f"perturbation squared HS norm {hs_sq} exceeds c*n^2 = {limit}"
             )
-    if spec.kind != "file":
+    if m is None:
         return Perturbation(spec, n, rank)
     m.flags.writeable = False  # matrix() hands this one array to every unit
     return Perturbation(spec, n, rank, m)
@@ -446,9 +450,13 @@ def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
+    # An all-ones M is added as the scalar it repeats: the same sums, with
+    # no n-by-n M.
+    spec = perturbation.spec
+    m = complex(spec.scale) if spec.kind == "all-ones" else perturbation.matrix()
     return AssembledPair(
         a_matrix=x.entries * inv_sqrt_n,
-        b_matrix=(x.entries + perturbation.matrix()) * inv_sqrt_n,
+        b_matrix=(x.entries + m) * inv_sqrt_n,
         dim=x.dim,
         perturbation_rank=perturbation.rank,
     )

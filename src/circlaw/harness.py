@@ -44,6 +44,8 @@ __all__ = [
     "build_pair",
     "run_units",
     "run_experiment",
+    "lapack_work",
+    "unit_dense_bytes",
     "disk_record",
     "write_report_files",
     "write_delta_csv",
@@ -423,6 +425,28 @@ def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     return ensemble.assemble(x, perturbation)
 
 
+def _takes_constant(spec: PerturbationSpec, dim: int) -> bool:
+    """The constant stage applies: an all-ones M of rank >= 1 (scale not 0)
+    at dim >= 2."""
+    return spec.kind == "all-ones" and spec.scale != 0.0 and dim >= 2
+
+
+def lapack_work(config: ExperimentConfig) -> int:
+    """The units' dense LAPACK work in n^3, known at load: per unit, an SVD
+    and an LU of A - zI and of B - zI at every grid point, one eigensolve of
+    B, and one SVD of A where the constant stage applies."""
+    per_unit = 4 * len(config.z_grid) + 1
+    return config.replicates * sum(
+        n**3 * (per_unit + _takes_constant(config.perturbation, n))
+        for n in config.dims)
+
+
+def unit_dense_bytes(n: int) -> int:
+    """What one unit at dim n holds densely at its peak: A, B and the copy
+    LAPACK works on, three n-by-n complex128 matrices."""
+    return 3 * 16 * n * n
+
+
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
               replicate: int, stages) -> UnitResult:
     """One unit from one build_pair, computing only the requested stages.
@@ -439,9 +463,8 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
         diags = ()
         if "delta" in stages:
             diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-        with_constant = ("constant" in stages and dim >= 2
-                         and config.perturbation.kind == "all-ones"
-                         and perturbation.rank >= 1)
+        with_constant = ("constant" in stages
+                         and _takes_constant(config.perturbation, dim))
         eig = disk = constant = None
         if "disk" in stages or with_constant:
             eig = spectral.eigenvalues(pair.b_matrix)

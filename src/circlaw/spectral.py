@@ -201,6 +201,25 @@ def shifted(a, z: complex) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def _shifted_in_place(m: np.ndarray, z: complex):
+    """Shift a square complex128 array to m - z*I for the block, without an
+    n-by-n copy: the block sees the bytes shifted(m, z) returns. The saved
+    diagonal is written back on exit, also when the block raises, so m comes
+    back bit for bit. Callers pass the array to the checked public functions."""
+    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
+            and m.ndim == 2 and m.shape[0] == m.shape[1]):
+        raise ShapeError("in-place shift needs a square complex128 array, got "
+                         f"{type(m).__name__} {getattr(m, 'shape', '')}")
+    idx = np.arange(m.shape[0])
+    diagonal = m[idx, idx]
+    m[idx, idx] -= z
+    try:
+        yield m
+    finally:
+        m[idx, idx] = diagonal
+
+
 def log_abs_det_lu(a) -> tuple[float, bool]:
     """log|det| from a pivoted LU factorization; (value, singular)."""
     m = _as_matrix(a)

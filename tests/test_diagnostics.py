@@ -29,6 +29,7 @@ from circlaw import (
     sample_matrix,
     verify_rank_inequality,
 )
+from circlaw import spectral
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -106,6 +107,61 @@ def test_delta_rank_one_perturbation():
     assert d.rank_inequality_ok
     assert d.chain_bound_ok
     assert abs(d.delta) <= d.ibp_bound + 1e-8
+
+
+def test_delta_at_allocates_no_shifted_copy(traced_peak):
+    """A - zI and B - zI are formed in the pair's arrays: delta_at allocates
+    well under one n-by-n complex array, where two shifted copies took 2."""
+    n = 200
+    pair = make_pair(n, seed=3)
+    assert traced_peak(delta_at, pair, 0.3 + 0.2j) < n * n * 16 / 4
+
+
+def test_delta_at_leaves_pair_bitwise_unchanged():
+    pair = make_pair(30, seed=6)
+    a, b = pair.a_matrix.tobytes(), pair.b_matrix.tobytes()
+    for z in (0.3 + 0.2j, -1.0 - 0.0j, 2.5j):
+        delta_at(pair, z)
+    assert pair.a_matrix.tobytes() == a
+    assert pair.b_matrix.tobytes() == b
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
+    """The first SVD is of A - zI, the second of B - zI; either may raise
+    while its matrix is shifted."""
+    pair = make_pair(12, seed=4)
+    a, b = pair.a_matrix.tobytes(), pair.b_matrix.tobytes()
+    singular_values = spectral.singular_values
+    calls = []
+
+    def failing(m):
+        calls.append(m)
+        if len(calls) == failing_call:
+            raise InvalidValueError("injected")
+        return singular_values(m)
+
+    monkeypatch.setattr(spectral, "singular_values", failing)
+    with pytest.raises(InvalidValueError, match="injected"):
+        delta_at(pair, 0.3 + 0.1j)
+    assert calls[-1] is (pair.a_matrix, pair.b_matrix)[failing_call - 1]
+    assert pair.a_matrix.tobytes() == a
+    assert pair.b_matrix.tobytes() == b
+
+
+def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch):
+    """The SVD and LU inputs are bitwise spectral.shifted's copies."""
+    pair = make_pair(16, seed=8)
+    z = -0.7 + 0.4j
+    seen = []
+    for name in ("singular_values", "log_abs_det_lu"):
+        fn = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda m, fn=fn: seen.append(m.tobytes()) or fn(m))
+    delta_at(pair, z)
+    shifted_a = spectral.shifted(pair.a_matrix, z).tobytes()
+    shifted_b = spectral.shifted(pair.b_matrix, z).tobytes()
+    assert seen == [shifted_a, shifted_a, shifted_b, shifted_b]
 
 
 def test_delta_singular_point_is_flagged():

@@ -447,6 +447,49 @@ def test_assemble_generic_linearity(tmp_path):
     assert np.allclose(shifted - base, m / np.sqrt(10.0), rtol=1e-13, atol=0)
 
 
+def _low_rank_spec(n, k=2, seed=7, **budgets):
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, k, n)) + 1j * rng.standard_normal((2, k, n))
+    return PerturbationSpec.low_rank(u, v, **budgets)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda n: PerturbationSpec.zero(),
+    lambda n: PerturbationSpec.all_ones(2.0),
+    _low_rank_spec,
+], ids=["zero", "all-ones", "low-rank"])
+def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
+    """Rank and HS norm come from the structure; only a file M is dense."""
+    n = 200
+    spec = make_spec(n)
+    assert traced_peak(build_perturbation, spec, n) < n * n * 16 / 4
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda n, c: PerturbationSpec("all-ones", scale=-1.5, hs_budget_coefficient=c),
+    lambda n, c: _low_rank_spec(n, hs_budget_coefficient=c),
+], ids=["all-ones", "low-rank"])
+def test_structural_hs_norm_matches_dense(make_spec):
+    """The HS budget binds where the dense ||M||^2 says it should."""
+    n = 30
+    m = build_perturbation(make_spec(n, None), n).matrix()
+    c = float(np.sum(np.abs(m) ** 2)) / (n * n)
+    build_perturbation(make_spec(n, c * (1 + 1e-9)), n)
+    with pytest.raises(BudgetViolationError, match=r"exceeds c\*n\^2"):
+        build_perturbation(make_spec(n, c * (1 - 1e-9)), n)
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "real-gaussian"])
+@pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, 1e-3])
+def test_assemble_all_ones_bytes_match_dense_sum(dist, scale):
+    """Adding the all-ones scale as a scalar gives the bytes of X + M."""
+    n = 9
+    x = sample_matrix(EntryDistribution.parse(dist), n, seed=3)
+    p = build_perturbation(PerturbationSpec.all_ones(scale), n)
+    dense = (x.entries + p.matrix()) * (1.0 / np.sqrt(float(n)))
+    assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
+
+
 if __name__ == "__main__":
     import sys
 

@@ -593,6 +593,52 @@ def test_cli_run_without_openblas_symbols_does_not_pin(
     assert blas_threads_two() == 2
 
 
+@pytest.mark.parametrize("kind", sorted(CONFIGS) + ["all-ones-scale-0"])
+def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
+    """lapack_work is the n^3 summed over the units' n-by-n SVDs, LUs and
+    eigensolves; a file M's own SVD per dim comes on top."""
+    if kind == "all-ones-scale-0":
+        cfg = small_config(tmp_path, perturbation=PerturbationSpec.all_ones(0.0))
+    else:
+        cfg = CONFIGS[kind](tmp_path)
+    work = []
+    for name in ("svd", "eigvals", "slogdet"):
+        fn = getattr(np.linalg, name)
+
+        def counting(a, *args, fn=fn, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] in cfg.dims:
+                work.append(np.shape(a)[0] ** 3)
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    harness.run_units(cfg, harness.STAGES)
+    m_svd = sum(n**3 for n in cfg.dims) if kind == "file" else 0
+    assert sum(work) == harness.lapack_work(cfg) + m_svd
+
+
+def test_cli_run_prints_preflight_before_units_outside_reports(
+    tmp_path, capsys, monkeypatch
+):
+    """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
+    LAPACK calls on the grid, 1 eigensolve and 1 SVD of A."""
+    path = write_config(tmp_path, replicates=1)
+    printed = []
+    build_pair = harness.build_pair
+
+    def recording(*args):
+        printed.append(capsys.readouterr().out)
+        return build_pair(*args)
+
+    monkeypatch.setattr(harness, "build_pair", recording)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    line = ("preflight: 2 units, LAPACK work 7280 n^3; one unit at n=8 holds "
+            "0.00293 MiB dense (A, B and LAPACK's working copy)\n")
+    assert printed[0] == line
+    assert line not in capsys.readouterr().out
+    for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
+        assert "LAPACK work" not in (tmp_path / "out" / name).read_text()
+
+
 def test_cli_run_missing_config(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "absent.json")])
     err = capsys.readouterr().err

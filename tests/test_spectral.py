@@ -20,6 +20,35 @@ from circlaw import (
 from circlaw import spectral
 
 
+def test_shifted_in_place_matches_shifted_and_restores():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    before = m.tobytes()
+    z = 0.3 - 0.7j
+    expected = shifted(m, z).tobytes()
+    with spectral._shifted_in_place(m, z) as s:
+        assert s is m
+        assert m.tobytes() == expected
+    assert m.tobytes() == before
+    with pytest.raises(RuntimeError, match="block failed"):
+        with spectral._shifted_in_place(m, z):
+            raise RuntimeError("block failed")
+    assert m.tobytes() == before
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((2, 3), dtype=complex),
+    np.zeros(4, dtype=complex),
+    np.zeros((3, 3)),
+    np.zeros((3, 3), dtype=np.complex64),
+    [[1.0 + 0j]],
+])
+def test_shifted_in_place_rejects_other_than_square_complex128(m):
+    with pytest.raises(ShapeError, match="square complex128"):
+        with spectral._shifted_in_place(m, 1.0):
+            pass
+
+
 def test_eigenvalues_diagonal_order():
     """Modulus-descending order, so 2i comes before 1."""
     vals = eigenvalues(np.diag([1.0, 2.0j]))
