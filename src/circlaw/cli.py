@@ -103,6 +103,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_sample(args) -> int:
     dist = ensemble.EntryDistribution.parse(args.dist)
+    spectral.check_dimension(args.n)
     sample = ensemble.sample_matrix(dist, args.n, args.seed)
     mean = complex(np.mean(sample.entries))
     second = float(np.mean(np.abs(sample.entries) ** 2))

@@ -371,7 +371,7 @@ def constant_case(
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     spectral.check_dimension(n)
-    perturbation = ensemble.build_perturbation(ensemble.PerturbationSpec.all_ones(), n)
+    perturbation = ensemble.build_perturbation(ensemble.PerturbationSpec("all-ones"), n)
     pair = ensemble.assemble(ensemble.sample_matrix(dist, n, seed), perturbation)
     return constant_case_record(pair, 0, spectral.eigenvalues(pair.b_matrix))
 

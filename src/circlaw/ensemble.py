@@ -24,6 +24,7 @@ from .errors import (
 
 __all__ = [
     "DISTRIBUTION_KINDS",
+    "PERTURBATION_KEYS",
     "PERTURBATION_KINDS",
     "EntryDistribution",
     "PerturbationSpec",
@@ -48,7 +49,16 @@ DISTRIBUTION_KINDS = (
     "centered-uniform",
 )
 
-PERTURBATION_KINDS = ("zero", "all-ones", "low-rank", "file")
+# The config keys of each perturbation kind, each a PerturbationSpec
+# attribute (k is the number of factor pairs); the kinds are its keys.
+_BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
+PERTURBATION_KEYS = {
+    "zero": ("kind", *_BUDGET_KEYS),
+    "all-ones": ("kind", "scale", *_BUDGET_KEYS),
+    "low-rank": ("kind", "k", "left_factors", "right_factors", *_BUDGET_KEYS),
+    "file": ("kind", "path", *_BUDGET_KEYS),
+}
+PERTURBATION_KINDS = tuple(PERTURBATION_KEYS)
 
 # Singular values at or below this fraction of s1 count as numerically zero.
 RANK_TOLERANCE = 1e-10
@@ -175,8 +185,11 @@ class PerturbationSpec:
 
     build_perturbation enforces ``rank_budget`` (a nonnegative int) and
     ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf for no
-    bound) once per dim. None means "infer from the realized matrix", which
-    makes the constraint vacuous. Scales and factor entries must be finite.
+    bound) once per dim. A budget left None is the kind's structural bound:
+    rank 0 and c = 0 for ``zero``, rank 1 and c = scale^2 for ``all-ones``,
+    rank k for ``low-rank``; a bound that stays None is not checked. Factors
+    become tuples of complex and ``path`` a str. Scales and factor entries
+    must be finite.
     """
 
     kind: str
@@ -193,6 +206,10 @@ class PerturbationSpec:
                 f"unknown perturbation kind {self.kind!r}; "
                 f"expected one of {', '.join(PERTURBATION_KINDS)}"
             )
+        for side in ("left_factors", "right_factors"):
+            object.__setattr__(self, side, _complex_factors(getattr(self, side), side))
+        if self.path is not None:
+            object.__setattr__(self, "path", str(self.path))
         if self.kind == "file" and not self.path:
             raise ValidationError("file perturbation requires a path")
         if self.kind == "low-rank":
@@ -209,61 +226,19 @@ class PerturbationSpec:
                    for vec in factors for v in vec):
             raise ValidationError("low-rank factor entries must be finite")
         budget = self.rank_budget
-        if budget is not None and (not isinstance(budget, int)
-                                   or isinstance(budget, bool) or budget < 0):
+        if budget is None:
+            budget = {"zero": 0, "all-ones": 1, "low-rank": self.k}.get(self.kind)
+            object.__setattr__(self, "rank_budget", budget)
+        elif not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
             raise ValidationError(
                 f"rank_budget must be a nonnegative integer, got {budget!r}")
         c = self.hs_budget_coefficient
-        if c is not None and not c >= 0:
+        if c is None:
+            c = {"zero": 0.0, "all-ones": self.scale * self.scale}.get(self.kind)
+            object.__setattr__(self, "hs_budget_coefficient", c)
+        elif not c >= 0:
             raise ValidationError(
                 f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
-
-    @classmethod
-    def zero(cls) -> "PerturbationSpec":
-        return cls("zero", rank_budget=0, hs_budget_coefficient=0.0)
-
-    @classmethod
-    def all_ones(cls, scale: float = 1.0) -> "PerturbationSpec":
-        return cls(
-            "all-ones",
-            scale=scale,
-            rank_budget=1,
-            hs_budget_coefficient=scale * scale,
-        )
-
-    @classmethod
-    def low_rank(
-        cls,
-        left_factors,
-        right_factors,
-        rank_budget: int | None = None,
-        hs_budget_coefficient: float | None = None,
-    ) -> "PerturbationSpec":
-        left = _complex_factors(left_factors, "left_factors")
-        right = _complex_factors(right_factors, "right_factors")
-        if rank_budget is None:
-            rank_budget = len(left)
-        return cls(
-            "low-rank",
-            left_factors=left,
-            right_factors=right,
-            rank_budget=rank_budget,
-            hs_budget_coefficient=hs_budget_coefficient,
-        )
-
-    @classmethod
-    def from_file(
-        cls,
-        path,
-        rank_budget: int | None = None,
-        hs_budget_coefficient: float | None = None,
-    ) -> "PerturbationSpec":
-        return cls(
-            "file",
-            path=str(path),
-            rank_budget=rank_budget,
-            hs_budget_coefficient=hs_budget_coefficient,
-        )
 
     @property
     def k(self) -> int:
@@ -450,10 +425,11 @@ def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
-    # An all-ones M is added as the scalar it repeats: the same sums, with
-    # no n-by-n M.
+    # A zero or all-ones M is added as the scalar it repeats: the same sums,
+    # with no n-by-n M.
     spec = perturbation.spec
-    m = complex(spec.scale) if spec.kind == "all-ones" else perturbation.matrix()
+    m = (0j if spec.kind == "zero" else complex(spec.scale)
+         if spec.kind == "all-ones" else perturbation.matrix())
     return AssembledPair(
         a_matrix=x.entries * inv_sqrt_n,
         b_matrix=(x.entries + m) * inv_sqrt_n,

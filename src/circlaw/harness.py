@@ -25,6 +25,7 @@ import numpy as np
 from . import diagnostics, ensemble, measures, spectral
 from .diagnostics import ConstantCaseRecord, DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
+    PERTURBATION_KEYS,
     PERTURBATION_KINDS,
     EntryDistribution,
     PerturbationSpec,
@@ -55,10 +56,11 @@ __all__ = [
 
 DEFAULT_REFERENCE_EXPONENT = 3.0
 
-# delta.csv is not one record's fields: z is split into its two parts.
-_DELTA_COLUMNS = (
-    "n", "replicate", "z_re", "z_im", "delta", "ks", "rank_bound", "ibp_bound",
-    "s_min_a", "s_min_b", "s_max_a", "s_max_b", "singular_flag",
+# The DeltaDiagnostics fields written to delta.csv, after the unit's n and
+# replicate and z split into its two parts.
+_DELTA_FIELDS = (
+    "delta", "ks", "rank_bound", "ibp_bound", "s_min_a", "s_min_b", "s_max_a",
+    "s_max_b", "singular_flag",
 )
 # The DimScalingStats fields written to scaling.csv.
 _SCALING_FIELDS = ("dim", "median_abs_delta", "median_ks", "min_smin", "max_smax")
@@ -136,15 +138,7 @@ class ExperimentConfig:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
 
 
-# The config keys of each perturbation kind; each is a PerturbationSpec attribute.
-_BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
-_PERTURBATION_KEYS_BY_KIND = {
-    "zero": ("kind", *_BUDGET_KEYS),
-    "all-ones": ("kind", "scale", *_BUDGET_KEYS),
-    "low-rank": ("kind", "k", "left_factors", "right_factors", *_BUDGET_KEYS),
-    "file": ("kind", "path", *_BUDGET_KEYS),
-}
-_PERTURBATION_KEYS = set().union(*_PERTURBATION_KEYS_BY_KIND.values())
+_PERTURBATION_KEYS = set().union(*PERTURBATION_KEYS.values())
 
 
 def _real(value, label: str) -> float:
@@ -179,6 +173,30 @@ def _complex_vector(values, label: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _factor_list(label: str):
+    return lambda value: [_complex_vector(v, label) for v in _list(value, label)]
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"perturbation path must be a string, got {value!r}")
+    return value
+
+
+# The perturbation keys whose JSON value is not the field value; k is checked
+# against the spec, and PerturbationSpec checks every other value.
+_PERTURBATION_READERS = {
+    "scale": lambda value: _real(value, "perturbation scale"),
+    "left_factors": _factor_list("left_factors"),
+    "right_factors": _factor_list("right_factors"),
+    "path": _path,
+    # null, like inf, means no bound
+    "hs_budget_coefficient": lambda value: (
+        math.inf if value is None
+        else _real(value, "perturbation hs_budget_coefficient")),
+}
+
+
 def _parse_perturbation(obj) -> PerturbationSpec:
     if not isinstance(obj, dict):
         raise ValidationError("perturbation must be a JSON object")
@@ -192,8 +210,7 @@ def _parse_perturbation(obj) -> PerturbationSpec:
         )
     if problems:
         raise ValidationError("; ".join(problems))
-    allowed = _PERTURBATION_KEYS_BY_KIND[kind]
-    stray = [key for key in obj if key not in allowed]
+    stray = [key for key in obj if key not in PERTURBATION_KEYS[kind]]
     if stray:
         raise ValidationError(
             "; ".join(
@@ -201,33 +218,13 @@ def _parse_perturbation(obj) -> PerturbationSpec:
                 for key in stray
             )
         )
-    if kind == "zero":
-        spec = PerturbationSpec.zero()
-    elif kind == "all-ones":
-        spec = PerturbationSpec.all_ones(
-            _real(obj.get("scale", 1.0), "perturbation scale"))
-    elif kind == "low-rank":
-        left = [_complex_vector(v, "left_factors")
-                for v in _list(obj.get("left_factors", []), "left_factors")]
-        right = [_complex_vector(v, "right_factors")
-                 for v in _list(obj.get("right_factors", []), "right_factors")]
-        spec = PerturbationSpec.low_rank(left, right)
-        if "k" in obj and not (_is_int(obj["k"]) and obj["k"] == spec.k):
-            raise ValidationError(
-                f"perturbation k must be the integer {spec.k}, the number of "
-                f"factor pairs, got {obj['k']!r}")
-    else:
-        spec = PerturbationSpec.from_file(obj.get("path") or "")
-    # PerturbationSpec checks both budgets.
-    overrides = {}
-    if "rank_budget" in obj:
-        overrides["rank_budget"] = obj["rank_budget"]
-    if "hs_budget_coefficient" in obj:  # null, like inf, means no bound
-        c = obj["hs_budget_coefficient"]
-        overrides["hs_budget_coefficient"] = (
-            math.inf if c is None else _real(c, "perturbation hs_budget_coefficient"))
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = PerturbationSpec(**{
+        key: _PERTURBATION_READERS.get(key, lambda value: value)(value)
+        for key, value in obj.items() if key != "k"})
+    if "k" in obj and not (_is_int(obj["k"]) and obj["k"] == spec.k):
+        raise ValidationError(
+            f"perturbation k must be the integer {spec.k}, the number of "
+            f"factor pairs, got {obj['k']!r}")
     return spec
 
 
@@ -313,9 +310,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _perturbation_to_obj(spec: PerturbationSpec) -> dict:
-    """The spec's keys for its kind; unset budgets are left out."""
+    """The spec's keys for its kind; a budget that stays None is left out."""
     return {key: _json(getattr(spec, key))
-            for key in _PERTURBATION_KEYS_BY_KIND[spec.kind]
+            for key in PERTURBATION_KEYS[spec.kind]
             if getattr(spec, key) is not None}
 
 
@@ -578,9 +575,8 @@ def _write_records_csv(path, names: Sequence[str], records) -> None:
 
 
 def write_delta_csv(path, rows: Sequence[tuple[int, int, DeltaDiagnostics]]) -> None:
-    _write_csv(path, _DELTA_COLUMNS, (
-        (dim, replicate, d.z.real, d.z.imag, d.delta, d.ks, d.rank_bound,
-         d.ibp_bound, d.s_min_a, d.s_min_b, d.s_max_a, d.s_max_b, d.singular_flag)
+    _write_csv(path, ("n", "replicate", "z_re", "z_im", *_DELTA_FIELDS), (
+        (dim, replicate, d.z.real, d.z.imag, *(getattr(d, f) for f in _DELTA_FIELDS))
         for dim, replicate, d in rows
     ))
 

@@ -43,7 +43,7 @@ def _line(tag: str, ok: bool, detail: str) -> None:
 
 def _pair(n, seed, dist=CG):
     x = sample_matrix(dist, n, seed)
-    return assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
+    return assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def decay_run(tmp_path_factory):
         name="delta-decay",
         dims=(50, 100, 200, 400),
         distribution=CG,
-        perturbation=PerturbationSpec.all_ones(),
+        perturbation=PerturbationSpec("all-ones"),
         z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0),
         replicates=20,
         master_seed=3,

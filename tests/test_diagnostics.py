@@ -36,7 +36,7 @@ CG = EntryDistribution.parse("complex-gaussian")
 
 def make_pair(n, seed, spec=None, dist=CG):
     x = sample_matrix(dist, n, seed)
-    return assemble(x, build_perturbation(spec or PerturbationSpec.all_ones(), n))
+    return assemble(x, build_perturbation(spec or PerturbationSpec("all-ones"), n))
 
 
 def test_zgrid_points_order_and_count():
@@ -75,7 +75,7 @@ def test_zgrid_point_bound():
 
 
 def test_delta_zero_perturbation_is_exactly_zero():
-    pair = make_pair(20, seed=1, spec=PerturbationSpec.zero())
+    pair = make_pair(20, seed=1, spec=PerturbationSpec("zero"))
     d = delta_at(pair, 0.3 + 0.2j)
     assert d.delta == 0.0
     assert d.ks == 0.0
@@ -88,7 +88,7 @@ def test_delta_one_by_one_analytic():
     """n = 1: delta is log|x - z| - log|x + m - z| exactly."""
     x_val = 0.3 + 0.4j
     x = MatrixSample(dim=1, entries=np.array([[x_val]]), seed=0, distribution=CG)
-    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 1))
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 1))
     z = 0.1 - 0.2j
     d = delta_at(pair, z)
     expected = math.log(abs(x_val - z)) - math.log(abs(x_val + 1.0 - z))
@@ -169,7 +169,7 @@ def test_delta_singular_point_is_flagged():
     n = 4
     x = MatrixSample(dim=n, entries=2.0 * np.eye(n, dtype=complex), seed=0,
                      distribution=CG)
-    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
     d = delta_at(pair, 1.0 + 0.0j)
     assert d.singular_flag
     assert math.isnan(d.delta)
@@ -224,7 +224,7 @@ def test_verify_rank_inequality_shape_mismatch():
 
 
 def test_delta_scan_zero_perturbation():
-    pair = make_pair(15, seed=3, spec=PerturbationSpec.zero())
+    pair = make_pair(15, seed=3, spec=PerturbationSpec("zero"))
     rows = delta_scan(pair, ZGrid((-1.0, 1.0), (-1.0, 1.0), 1.0))
     assert len(rows) == 9
     assert all(r.delta == 0.0 for r in rows)
@@ -302,7 +302,7 @@ def test_constant_case_deterministic_skeleton():
     n = 16
     x = MatrixSample(dim=n, entries=np.zeros((n, n), dtype=complex), seed=0,
                      distribution=CG)
-    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
     from circlaw import eigenvalues
 
     eig = eigenvalues(pair.b_matrix)

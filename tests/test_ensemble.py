@@ -9,6 +9,7 @@ from circlaw import (
     BudgetViolationError,
     EntryDistribution,
     InvalidValueError,
+    MatrixSample,
     PerturbationSpec,
     ShapeError,
     ValidationError,
@@ -158,7 +159,7 @@ def test_numerical_rank_examples():
 
 
 def test_zero_perturbation():
-    p = build_perturbation(PerturbationSpec.zero(), 5)
+    p = build_perturbation(PerturbationSpec("zero"), 5)
     m = p.matrix()
     assert (p.dim, p.rank) == (5, 0)
     assert p.dense is None
@@ -169,7 +170,7 @@ def test_zero_perturbation():
 
 def test_all_ones_perturbation_budgets():
     n = 7
-    p = build_perturbation(PerturbationSpec.all_ones(), n)
+    p = build_perturbation(PerturbationSpec("all-ones"), n)
     m = p.matrix()
     assert p.rank == 1
     assert p.dense is None
@@ -182,14 +183,15 @@ def test_all_ones_perturbation_budgets():
 
 
 def test_all_ones_scale():
-    m = build_perturbation(PerturbationSpec.all_ones(scale=2.5), 4).matrix()
+    m = build_perturbation(PerturbationSpec("all-ones", scale=2.5), 4).matrix()
     assert np.all(m == 2.5)
 
 
 def test_low_rank_perturbation():
     left = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
     right = [(0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 3.0)]
-    p = build_perturbation(PerturbationSpec.low_rank(left, right), 4)
+    spec = PerturbationSpec("low-rank", left_factors=left, right_factors=right)
+    p = build_perturbation(spec, 4)
     m = p.matrix()
     assert p.rank == 2
     assert p.dense is None
@@ -203,16 +205,17 @@ def test_low_rank_perturbation():
 
 
 def test_low_rank_factor_length_mismatch():
-    spec = PerturbationSpec.low_rank([(1.0, 2.0)], [(1.0, 2.0)])
+    spec = PerturbationSpec("low-rank", left_factors=[(1.0, 2.0)],
+                            right_factors=[(1.0, 2.0)])
     with pytest.raises(ShapeError):
         build_perturbation(spec, 3)
 
 
 def test_low_rank_requires_matching_factor_lists():
     with pytest.raises(ValidationError):
-        PerturbationSpec.low_rank([(1.0,)], [])
+        PerturbationSpec("low-rank", left_factors=[(1.0,)], right_factors=[])
     with pytest.raises(ValidationError):
-        PerturbationSpec.low_rank([], [])
+        PerturbationSpec("low-rank", left_factors=[], right_factors=[])
 
 
 def test_file_requires_path():
@@ -225,7 +228,8 @@ def test_negative_rank_budget_rejected():
         with pytest.raises(ValidationError, match="rank_budget"):
             PerturbationSpec("zero", rank_budget=budget)
     with pytest.raises(ValidationError, match="rank_budget"):
-        PerturbationSpec.low_rank([(1.0,)], [(1.0,)], rank_budget=1.5)
+        PerturbationSpec("low-rank", left_factors=[(1.0,)], right_factors=[(1.0,)],
+                         rank_budget=1.5)
 
 
 @pytest.mark.parametrize("c", [float("nan"), -1.0, -float("inf")])
@@ -233,7 +237,7 @@ def test_hs_budget_coefficient_must_be_nonnegative(c):
     with pytest.raises(ValidationError, match="hs_budget_coefficient"):
         PerturbationSpec("zero", hs_budget_coefficient=c)
     with pytest.raises(ValidationError, match="hs_budget_coefficient"):
-        PerturbationSpec.from_file("m.csv", hs_budget_coefficient=c)
+        PerturbationSpec("file", path="m.csv", hs_budget_coefficient=c)
 
 
 def test_hs_budget_coefficient_inf_is_unbounded():
@@ -284,10 +288,10 @@ def test_file_perturbation_rank_budget_enforced(tmp_path):
     m[0, 0] = 1.0
     m[1, 1] = 1.0
     write_matrix_csv(path, m)
-    spec = PerturbationSpec.from_file(path, rank_budget=1)
+    spec = PerturbationSpec("file", path=path, rank_budget=1)
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, 3)
-    ok = PerturbationSpec.from_file(path, rank_budget=2)
+    ok = PerturbationSpec("file", path=path, rank_budget=2)
     realized = build_perturbation(ok, 3)
     assert np.array_equal(realized.matrix(), m)
     assert realized.rank == 2
@@ -299,10 +303,10 @@ def test_hs_budget_enforced(tmp_path):
     m = np.full((n, n), 2.0, dtype=complex)
     write_matrix_csv(path, m)
     # ||M||^2 = 4 n^2 exceeds c n^2 for c = 1
-    spec = PerturbationSpec.from_file(path, hs_budget_coefficient=1.0)
+    spec = PerturbationSpec("file", path=path, hs_budget_coefficient=1.0)
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, n)
-    ok = PerturbationSpec.from_file(path, hs_budget_coefficient=4.0)
+    ok = PerturbationSpec("file", path=path, hs_budget_coefficient=4.0)
     assert np.array_equal(build_perturbation(ok, n).matrix(), m)
 
 
@@ -315,7 +319,7 @@ def _rank2_file(tmp_path):
     u, v = _complex_vectors(11, 2, 5), _complex_vectors(12, 2, 5)
     path = tmp_path / "rank2.csv"
     write_matrix_csv(path, u.T @ v.conj())
-    return PerturbationSpec.from_file(path)
+    return PerturbationSpec("file", path=path)
 
 
 _U, _V = _complex_vectors(3, 2, 6)
@@ -323,19 +327,21 @@ _U, _V = _complex_vectors(3, 2, 6)
 
 def _low_rank(seed, k, n):
     left, right = np.split(_complex_vectors(seed, 2 * k, n), 2)
-    return PerturbationSpec.low_rank(left, right)
+    return PerturbationSpec("low-rank", left_factors=left, right_factors=right)
 
 
 # case -> (spec from tmp_path, n, rank of the realized M)
 STRUCTURAL_CASES = {
-    "zero": (lambda tmp: PerturbationSpec.zero(), 6, 0),
-    "ones-scale-0": (lambda tmp: PerturbationSpec.all_ones(0.0), 6, 0),
-    "ones-scale-neg-0": (lambda tmp: PerturbationSpec.all_ones(-0.0), 6, 0),
-    "ones-scale-2.5": (lambda tmp: PerturbationSpec.all_ones(2.5), 6, 1),
-    "ones-scale-1e-300": (lambda tmp: PerturbationSpec.all_ones(1e-300), 6, 1),
+    "zero": (lambda tmp: PerturbationSpec("zero"), 6, 0),
+    "ones-scale-0": (lambda tmp: PerturbationSpec("all-ones", scale=0.0), 6, 0),
+    "ones-scale-neg-0": (lambda tmp: PerturbationSpec("all-ones", scale=-0.0), 6, 0),
+    "ones-scale-2.5": (lambda tmp: PerturbationSpec("all-ones", scale=2.5), 6, 1),
+    "ones-scale-1e-300": (lambda tmp: PerturbationSpec("all-ones", scale=1e-300), 6, 1),
     "low-rank-independent": (lambda tmp: _low_rank(4, 2, 6), 6, 2),
     "low-rank-parallel": (
-        lambda tmp: PerturbationSpec.low_rank([_U, (1 - 2j) * _U], [_V, _V]), 6, 1
+        lambda tmp: PerturbationSpec(
+            "low-rank", left_factors=[_U, (1 - 2j) * _U], right_factors=[_V, _V]),
+        6, 1
     ),
     "low-rank-k-equals-n": (lambda tmp: _low_rank(5, 6, 6), 6, 6),
     "file": (_rank2_file, 5, 2),
@@ -369,20 +375,22 @@ def test_rank_budget_checked_against_structural_rank():
     rank2 = dataclasses.replace(_low_rank(6, 2, 5), rank_budget=1)
     with pytest.raises(BudgetViolationError, match="rank 2, declared budget 1"):
         build_perturbation(rank2, 5)
-    parallel = PerturbationSpec.low_rank([_U, 2 * _U], [_V, _V], rank_budget=1)
+    parallel = PerturbationSpec("low-rank", left_factors=[_U, 2 * _U],
+                                right_factors=[_V, _V], rank_budget=1)
     assert build_perturbation(parallel, 6).rank == 1
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_scale_rejected(scale):
     with pytest.raises(ValidationError, match="finite"):
-        PerturbationSpec.all_ones(scale)
+        PerturbationSpec("all-ones", scale=scale)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("inf"))])
 def test_non_finite_factor_entry_rejected(bad):
     with pytest.raises(ValidationError, match="finite"):
-        PerturbationSpec.low_rank([(1.0, bad)], [(1.0, 1.0)])
+        PerturbationSpec("low-rank", left_factors=[(1.0, bad)],
+                         right_factors=[(1.0, 1.0)])
 
 
 @pytest.mark.parametrize("side", ["left_factors", "right_factors"])
@@ -391,7 +399,7 @@ def test_bad_factor_entry_rejected(side, bad):
     factors = {"left_factors": [(1.0, 1.0)], "right_factors": [(1.0, 1.0)]}
     factors[side] = [(1.0, bad)]
     with pytest.raises(ValidationError, match=side):
-        PerturbationSpec.low_rank(**factors)
+        PerturbationSpec("low-rank", **factors)
 
 
 def test_assemble_scaling_and_shift():
@@ -400,7 +408,7 @@ def test_assemble_scaling_and_shift():
     x = sample_matrix(d, 4, seed=0)
     x = type(x)(dim=4, entries=np.zeros((4, 4), dtype=complex), seed=0,
                 distribution=d)
-    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 4))
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 4))
     assert np.all(pair.a_matrix == 0.0)
     assert np.all(pair.b_matrix == 0.5)
     assert pair.perturbation_rank == 1
@@ -412,7 +420,7 @@ def test_assemble_scaling_and_shift():
 def test_assemble_zero_perturbation_identity():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 6, seed=2)
-    pair = assemble(x, build_perturbation(PerturbationSpec.zero(), 6))
+    pair = assemble(x, build_perturbation(PerturbationSpec("zero"), 6))
     assert np.array_equal(pair.a_matrix, pair.b_matrix)
     assert pair.perturbation_rank == 0
 
@@ -421,7 +429,7 @@ def test_assemble_rejects_shape_mismatch():
     d = EntryDistribution.parse("complex-gaussian")
     x = sample_matrix(d, 4, seed=2)
     with pytest.raises(ShapeError, match="perturbation dim 3"):
-        assemble(x, build_perturbation(PerturbationSpec.all_ones(), 3))
+        assemble(x, build_perturbation(PerturbationSpec("all-ones"), 3))
 
 
 def test_assemble_exact_linearity_in_perturbation():
@@ -429,8 +437,8 @@ def test_assemble_exact_linearity_in_perturbation():
     perturbation shifts b by exactly m/4."""
     d = EntryDistribution.parse("rademacher")
     x = sample_matrix(d, 16, seed=5)
-    p1 = assemble(x, build_perturbation(PerturbationSpec.all_ones(), 16))
-    p2 = assemble(x, build_perturbation(PerturbationSpec.all_ones(2.0), 16))
+    p1 = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 16))
+    p2 = assemble(x, build_perturbation(PerturbationSpec("all-ones", scale=2.0), 16))
     assert np.all(p2.b_matrix - p1.b_matrix == 0.25)
     assert np.array_equal(p2.a_matrix, p1.a_matrix)
 
@@ -441,8 +449,8 @@ def test_assemble_generic_linearity(tmp_path):
     rng = np.random.default_rng(4)
     m = (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
     write_matrix_csv(tmp_path / "m.csv", m)
-    dense = build_perturbation(PerturbationSpec.from_file(tmp_path / "m.csv"), 10)
-    base = assemble(x, build_perturbation(PerturbationSpec.zero(), 10)).b_matrix
+    dense = build_perturbation(PerturbationSpec("file", path=tmp_path / "m.csv"), 10)
+    base = assemble(x, build_perturbation(PerturbationSpec("zero"), 10)).b_matrix
     shifted = assemble(x, dense).b_matrix
     assert np.allclose(shifted - base, m / np.sqrt(10.0), rtol=1e-13, atol=0)
 
@@ -450,12 +458,12 @@ def test_assemble_generic_linearity(tmp_path):
 def _low_rank_spec(n, k=2, seed=7, **budgets):
     rng = np.random.default_rng(seed)
     u, v = rng.standard_normal((2, k, n)) + 1j * rng.standard_normal((2, k, n))
-    return PerturbationSpec.low_rank(u, v, **budgets)
+    return PerturbationSpec("low-rank", left_factors=u, right_factors=v, **budgets)
 
 
 @pytest.mark.parametrize("make_spec", [
-    lambda n: PerturbationSpec.zero(),
-    lambda n: PerturbationSpec.all_ones(2.0),
+    lambda n: PerturbationSpec("zero"),
+    lambda n: PerturbationSpec("all-ones", scale=2.0),
     _low_rank_spec,
 ], ids=["zero", "all-ones", "low-rank"])
 def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
@@ -463,6 +471,30 @@ def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
     n = 200
     spec = make_spec(n)
     assert traced_peak(build_perturbation, spec, n) < n * n * 16 / 4
+
+
+@pytest.mark.parametrize("spec", [
+    PerturbationSpec("zero"), PerturbationSpec("all-ones", scale=2.0),
+], ids=["zero", "all-ones"])
+def test_assemble_adds_no_dense_structured_matrix(traced_peak, spec):
+    """A zero or all-ones M is added as a scalar: assemble's peak is A and
+    B, with no n-by-n M beside them."""
+    n = 200
+    x = sample_matrix(EntryDistribution.parse("complex-gaussian"), n, seed=1)
+    p = build_perturbation(spec, n)
+    assert traced_peak(assemble, x, p) < 2.5 * n * n * 16
+
+
+def test_assemble_zero_bytes_match_dense_sum():
+    """X + 0j rounds like X + zeros: both turn a -0.0 part into +0.0."""
+    n = 4
+    d = EntryDistribution.parse("real-gaussian")
+    entries = sample_matrix(d, n, seed=3).entries.copy()
+    entries[0, 0] = complex(-0.0, -0.0)
+    x = MatrixSample(dim=n, entries=entries, seed=3, distribution=d)
+    p = build_perturbation(PerturbationSpec("zero"), n)
+    dense = (x.entries + np.zeros((n, n), dtype=complex)) * (1.0 / np.sqrt(float(n)))
+    assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -485,7 +517,7 @@ def test_assemble_all_ones_bytes_match_dense_sum(dist, scale):
     """Adding the all-ones scale as a scalar gives the bytes of X + M."""
     n = 9
     x = sample_matrix(EntryDistribution.parse(dist), n, seed=3)
-    p = build_perturbation(PerturbationSpec.all_ones(scale), n)
+    p = build_perturbation(PerturbationSpec("all-ones", scale=scale), n)
     dense = (x.entries + p.matrix()) * (1.0 / np.sqrt(float(n)))
     assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
 

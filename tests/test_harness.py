@@ -49,7 +49,7 @@ def small_config(tmp_path, **overrides):
         name="small",
         dims=(6, 8),
         distribution=CG,
-        perturbation=PerturbationSpec.all_ones(),
+        perturbation=PerturbationSpec("all-ones"),
         z_grid=ZGrid((0.0, 0.5), (0.0, 0.0), 0.5),
         replicates=2,
         master_seed=13,
@@ -178,16 +178,16 @@ def _no_constant(token):
 
 def test_serialize_round_trip_handcrafted():
     specs = [
-        PerturbationSpec.zero(),
-        PerturbationSpec.all_ones(scale=0.5),
-        PerturbationSpec.low_rank([(1.0, 2.0j)], [(0.0, 1.0)],
-                                  hs_budget_coefficient=9.0),
-        PerturbationSpec.from_file("/tmp/m.csv", rank_budget=3),
-        PerturbationSpec.from_file("/tmp/m.csv", hs_budget_coefficient=math.inf),
-        dataclasses.replace(PerturbationSpec.all_ones(),
+        PerturbationSpec("zero"),
+        PerturbationSpec("all-ones", scale=0.5),
+        PerturbationSpec("low-rank", left_factors=[(1.0, 2.0j)],
+                         right_factors=[(0.0, 1.0)], hs_budget_coefficient=9.0),
+        PerturbationSpec("file", path="/tmp/m.csv", rank_budget=3),
+        PerturbationSpec("file", path="/tmp/m.csv", hs_budget_coefficient=math.inf),
+        dataclasses.replace(PerturbationSpec("all-ones"),
                             hs_budget_coefficient=math.inf),
-        PerturbationSpec.low_rank([(1.0, 2.0j)], [(0.0, 1.0)],
-                                  hs_budget_coefficient=math.inf),
+        PerturbationSpec("low-rank", left_factors=[(1.0, 2.0j)],
+                         right_factors=[(0.0, 1.0)], hs_budget_coefficient=math.inf),
     ]
     for spec in specs:
         c = ExperimentConfig(
@@ -199,6 +199,49 @@ def test_serialize_round_trip_handcrafted():
         text = serialize_config(c)
         json.loads(text, parse_constant=_no_constant)
         assert parse_config(text) == c
+
+
+# kind -> (constructor keywords, the (rank_budget, hs_budget_coefficient) a
+# spec that leaves both budgets out takes: the kind's structural bound)
+STRUCTURAL_BUDGETS = {
+    "zero": ({}, (0, 0.0)),
+    "all-ones": ({"scale": -1.5}, (1, 2.25)),
+    "low-rank": ({"left_factors": [(1.0, 2.0j), (0.0, 1.0)],
+                  "right_factors": [(0.0, 1.0), (1.0, -1.0)]}, (2, None)),
+    "file": ({"path": "/tmp/m.csv"}, (None, None)),
+}
+
+
+def _echoed_perturbation(spec):
+    """The config's perturbation spec and its report.json echo."""
+    c = ExperimentConfig(name="rt", dims=(2, 4), distribution=CG, perturbation=spec,
+                         replicates=1, master_seed=5, output_dir="out")
+    text = serialize_config(c)
+    assert parse_config(text) == c
+    return json.loads(text, parse_constant=_no_constant)["perturbation"]
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURAL_BUDGETS))
+def test_spec_budget_left_out_is_structural_bound(kind):
+    """The budgets are typed as written, so the echo pins 0 against 0.0;
+    a bound that stays None is left out of the echo."""
+    keywords, budgets = STRUCTURAL_BUDGETS[kind]
+    spec = PerturbationSpec(kind, **keywords)
+    assert repr((spec.rank_budget, spec.hs_budget_coefficient)) == repr(budgets)
+    echo = _echoed_perturbation(spec)
+    assert (echo.get("rank_budget"), echo.get("hs_budget_coefficient")) == budgets
+
+
+@pytest.mark.parametrize("budgets", [
+    {}, {"rank_budget": 5}, {"hs_budget_coefficient": 7.5},
+    {"rank_budget": 3, "hs_budget_coefficient": math.inf},
+], ids=["structural", "rank", "hs", "rank-and-unbounded-hs"])
+@pytest.mark.parametrize("kind", sorted(STRUCTURAL_BUDGETS))
+def test_serialize_round_trip_every_kind(kind, budgets):
+    keywords, _ = STRUCTURAL_BUDGETS[kind]
+    echo = _echoed_perturbation(PerturbationSpec(kind, **keywords, **budgets))
+    for key, value in budgets.items():
+        assert echo[key] == (None if value == math.inf else value)
 
 
 def test_serialize_is_deterministic():
@@ -221,7 +264,7 @@ def test_config_round_trip_property(name, dims, kind, replicates, seed, scale):
         name=name,
         dims=tuple(sorted(dims)),
         distribution=EntryDistribution.parse(kind),
-        perturbation=PerturbationSpec.all_ones(scale=scale),
+        perturbation=PerturbationSpec("all-ones", scale=scale),
         replicates=replicates,
         master_seed=seed,
         output_dir="out",
@@ -244,7 +287,7 @@ def test_config_validation_collects_problems():
     with pytest.raises(ValidationError) as exc:
         ExperimentConfig(
             name="", dims=(), distribution=CG,
-            perturbation=PerturbationSpec.zero(),
+            perturbation=PerturbationSpec("zero"),
             replicates=0, master_seed=1, output_dir="out",
         )
     msg = str(exc.value)
@@ -257,7 +300,7 @@ def test_config_b0_too_large_for_a_float_rejected():
     with pytest.raises(ValidationError, match="reference_exponent_b0"):
         ExperimentConfig(
             name="b0", dims=(4,), distribution=CG,
-            perturbation=PerturbationSpec.zero(), replicates=1, master_seed=1,
+            perturbation=PerturbationSpec("zero"), replicates=1, master_seed=1,
             output_dir="out", reference_exponent_b0=10**400,
         )
 
@@ -281,7 +324,7 @@ def test_run_units_rejects_unknown_stages(tmp_path, monkeypatch, stages):
 
 
 def test_run_experiment_zero_perturbation(tmp_path):
-    cfg = small_config(tmp_path, perturbation=PerturbationSpec.zero())
+    cfg = small_config(tmp_path, perturbation=PerturbationSpec("zero"))
     report = run_experiment(cfg)
     assert report.consistency_ok
     assert report.flagged_points == 0
@@ -323,7 +366,9 @@ def low_rank_config(tmp_path, n=8):
     rng = np.random.default_rng(21)
     left, right = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
     return small_config(
-        tmp_path, dims=(n,), perturbation=PerturbationSpec.low_rank(left, right)
+        tmp_path, dims=(n,),
+        perturbation=PerturbationSpec("low-rank", left_factors=left,
+                                      right_factors=right),
     )
 
 
@@ -349,7 +394,7 @@ def file_config(tmp_path):
     u, v = rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))
     path = tmp_path / "m.csv"
     ensemble.write_matrix_csv(path, u @ v.conj().T)
-    return small_config(tmp_path, perturbation=PerturbationSpec.from_file(path))
+    return small_config(tmp_path, perturbation=PerturbationSpec("file", path=path))
 
 
 CONFIGS = {"all-ones": small_config, "low-rank": low_rank_config, "file": file_config}
@@ -381,7 +426,7 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
 
 def test_run_experiment_scaling_zero_perturbation(tmp_path):
     cfg = small_config(
-        tmp_path, dims=(8, 12, 16), perturbation=PerturbationSpec.zero(),
+        tmp_path, dims=(8, 12, 16), perturbation=PerturbationSpec("zero"),
         z_grid=ZGrid((0.5, 0.5), (0.0, 0.0), 1.0), master_seed=21,
     )
     rep = run_experiment(cfg).scaling
@@ -598,7 +643,8 @@ def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
     """lapack_work is the n^3 summed over the units' n-by-n SVDs, LUs and
     eigensolves; a file M's own SVD per dim comes on top."""
     if kind == "all-ones-scale-0":
-        cfg = small_config(tmp_path, perturbation=PerturbationSpec.all_ones(0.0))
+        cfg = small_config(tmp_path,
+                           perturbation=PerturbationSpec("all-ones", scale=0.0))
     else:
         cfg = CONFIGS[kind](tmp_path)
     work = []
@@ -729,10 +775,16 @@ def test_cli_run_consistency_failure_names_first_row(
     ("perturbation k", {"dims": [3], "perturbation": {
         "kind": "low-rank", "k": 1.0, "left_factors": [[1.0, 0.0, 0.0]],
         "right_factors": [[0.0, 1.0, 0.0]]}}),
+    ("perturbation path must be a string",
+     {"perturbation": {"kind": "file", "path": 5}}),
+    ("perturbation path must be a string",
+     {"perturbation": {"kind": "file", "path": True}}),
+    ("perturbation path must be a string",
+     {"perturbation": {"kind": "file", "path": ["m.csv"]}}),
 ], ids=["scale", "hs", "rank-str", "rank-float", "rank-bool", "factors", "step",
         "step-nan", "step-inf", "re-range", "hs-nan", "hs-negative", "scale-huge",
         "hs-huge", "b0-huge", "step-huge", "re-range-huge", "step-tiny", "span-inf",
-        "factor-huge", "k-bool", "k-float"])
+        "factor-huge", "k-bool", "k-float", "path-int", "path-bool", "path-list"])
 def test_cli_malformed_config_value_exits_one(tmp_path, capsys, command, key, overrides):
     path = write_config(tmp_path, **overrides)
     code = cli.main([command, "--config", str(path)])
@@ -764,7 +816,8 @@ def test_cli_run_hs_budget_null_is_unbounded(tmp_path, capsys):
     ["delta-scan", "--config", "{config}", "--n", "20"],
     ["constant-case", "--n", "20"],
     ["spectrum", "--n", "20"],
-], ids=["run-dims", "run-n", "delta-scan-n", "constant-case", "spectrum"])
+    ["sample", "--n", "20"],
+], ids=["run-dims", "run-n", "delta-scan-n", "constant-case", "spectrum", "sample"])
 def test_cli_dimension_cap_checked_before_sampling(
     tmp_path, capsys, monkeypatch, sample_calls, argv
 ):

@@ -215,7 +215,7 @@ def test_log_integral_matches_log_det_gap():
     d = EntryDistribution.parse("complex-gaussian")
     n = 10
     x = sample_matrix(d, n, seed=6)
-    pair = assemble(x, build_perturbation(PerturbationSpec.all_ones(), n))
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
     mu = m1(*singular_values(pair.a_matrix))
     nu = m1(*singular_values(pair.b_matrix))
     lhs = log_integral_diff(mu, nu)

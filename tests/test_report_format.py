@@ -40,8 +40,9 @@ def low_rank_report() -> RunReport:
         name="golden",
         dims=(5, 12),
         distribution=EntryDistribution.parse("centered-bernoulli(0.25)"),
-        perturbation=PerturbationSpec.low_rank(
-            [(1.0, 2j)], [(-0.5, 1e16)], rank_budget=2, hs_budget_coefficient=4.5),
+        perturbation=PerturbationSpec(
+            "low-rank", left_factors=[(1.0, 2j)], right_factors=[(-0.5, 1e16)],
+            rank_budget=2, hs_budget_coefficient=4.5),
         replicates=2,
         master_seed=7,
         output_dir="out",
@@ -84,7 +85,7 @@ def file_report() -> RunReport:
         name="file-echo",
         dims=(4,),
         distribution=EntryDistribution.parse("complex-gaussian"),
-        perturbation=PerturbationSpec.from_file("m.csv", hs_budget_coefficient=INF),
+        perturbation=PerturbationSpec("file", path="m.csv", hs_budget_coefficient=INF),
         replicates=1,
         master_seed=0,
         output_dir="out",
