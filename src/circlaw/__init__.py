@@ -43,7 +43,6 @@ from .spectral import (
     log_abs_det_lu,
     logdet_agree,
     max_dimension,
-    shifted,
     singular_values,
     summarize,
 )
@@ -71,7 +70,6 @@ from .diagnostics import (
     ZGrid,
     aggregate_scaling,
     constant_case,
-    constant_case_record,
     delta_at,
     delta_scan,
     green_identity_residual,

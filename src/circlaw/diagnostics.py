@@ -38,7 +38,6 @@ __all__ = [
     "delta_at",
     "verify_rank_inequality",
     "delta_scan",
-    "constant_case_record",
     "constant_case",
     "green_identity_residual",
     "aggregate_scaling",
@@ -352,28 +351,21 @@ class ConstantCaseRecord:
     s1_central: float
 
 
-def constant_case_record(
-    pair: ensemble.AssembledPair, replicate: int, eigenvalues: np.ndarray
-) -> ConstantCaseRecord:
-    """The two largest-modulus eigenvalues of B, taken from its sorted
-    ``eigenvalues``, and the operator norm of A (one SVD)."""
-    return ConstantCaseRecord(
-        dim=pair.dim, replicate=replicate, lambda1=complex(eigenvalues[0]),
-        lambda2=complex(eigenvalues[1]),
-        s1_central=float(spectral.singular_values(pair.a_matrix)[0]))
-
-
 def constant_case(
     n: int, dist: ensemble.EntryDistribution, seed: int
 ) -> ConstantCaseRecord:
     """Sample X from the raw seed, perturb by the all-ones matrix, and
-    report the outlier as the record of replicate 0."""
+    report as the record of replicate 0 the two largest-modulus eigenvalues
+    of B (one eigensolve) and the operator norm of A (one SVD)."""
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     spectral.check_dimension(n)
     perturbation = ensemble.build_perturbation(ensemble.PerturbationSpec("all-ones"), n)
     pair = ensemble.assemble(ensemble.sample_matrix(dist, n, seed), perturbation)
-    return constant_case_record(pair, 0, spectral.eigenvalues(pair.b_matrix))
+    eig = spectral.eigenvalues(pair.b_matrix)
+    return ConstantCaseRecord(
+        dim=n, replicate=0, lambda1=complex(eig[0]), lambda2=complex(eig[1]),
+        s1_central=float(spectral.singular_values(pair.a_matrix)[0]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +189,9 @@ class PerturbationSpec:
     rank 0 and c = 0 for ``zero``, rank 1 and c = scale^2 for ``all-ones``,
     rank k for ``low-rank``; a bound that stays None is not checked. Factors
     become tuples of complex and ``path`` a str. Scales and factor entries
-    must be finite.
+    must be finite. A field outside the kind's PERTURBATION_KEYS must keep
+    its default, so the config echo, which writes only those keys, loses
+    nothing.
     """
 
     kind: str
@@ -210,6 +212,13 @@ class PerturbationSpec:
             object.__setattr__(self, side, _complex_factors(getattr(self, side), side))
         if self.path is not None:
             object.__setattr__(self, "path", str(self.path))
+        stray = [f.name for f in fields(self)
+                 if f.name not in PERTURBATION_KEYS[self.kind]
+                 and getattr(self, f.name) != f.default]
+        if stray:
+            raise ValidationError("; ".join(
+                f"key {key!r} not applicable to perturbation kind {self.kind!r}"
+                for key in stray))
         if self.kind == "file" and not self.path:
             raise ValidationError("file perturbation requires a path")
         if self.kind == "low-rank":

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import diagnostics, ensemble, measures, spectral
-from .diagnostics import ConstantCaseRecord, DeltaDiagnostics, ScalingReport, ZGrid
+from .diagnostics import DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
     PERTURBATION_KEYS,
     PERTURBATION_KINDS,
@@ -65,8 +65,8 @@ _DELTA_FIELDS = (
 # The DimScalingStats fields written to scaling.csv.
 _SCALING_FIELDS = ("dim", "median_abs_delta", "median_ks", "min_smin", "max_smax")
 
-# Per-unit products: delta_scan rows, disc-law record, all-ones outlier record.
-STAGES = ("delta", "disk", "constant")
+# Per-unit products: delta_scan rows and the disc-law record.
+STAGES = ("delta", "disk")
 
 
 DEFAULT_Z_GRID = ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
@@ -332,13 +332,15 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class DiskRecord:
-    """Disc-law distances for one replicate; NaN top modulus when rank 0."""
+    """Disc-law distances for one replicate, the outlier's modulus (NaN when
+    rank 0) and the largest modulus of the bulk (NaN when it is empty)."""
 
     dim: int
     replicate: int
     radial_ks: float
     angular_ks: float
     top_eigen_modulus: float
+    bulk_max_modulus: float
 
 
 @dataclass(frozen=True)
@@ -349,7 +351,6 @@ class UnitResult:
     replicate: int
     diagnostics: tuple[DeltaDiagnostics, ...]
     disk: DiskRecord | None
-    constant: ConstantCaseRecord | None
 
 
 @dataclass(frozen=True)
@@ -359,7 +360,6 @@ class RunReport:
     config: ExperimentConfig
     delta_rows: tuple[tuple[int, int, DeltaDiagnostics], ...]
     disk_rows: tuple[DiskRecord, ...]
-    constant_rows: tuple[ConstantCaseRecord, ...]
     scaling: ScalingReport
     timings: dict[str, float]
 
@@ -376,15 +376,15 @@ class RunReport:
         )
 
 
-def disk_record(
-    pair, dim: int, replicate: int, eigenvalues: np.ndarray | None = None
-) -> DiskRecord:
+def disk_record(pair, dim: int, replicate: int) -> DiskRecord:
     """Disc-law distances of the perturbed ESD for one assembled pair.
 
     When the perturbation has rank >= 1 the single largest-modulus eigenvalue
-    is excluded from the distances and reported as top_eigen_modulus.
+    is excluded from the distances and reported as top_eigen_modulus. The
+    eigenvalues are sorted by nonincreasing modulus, so the bulk's first one
+    has its largest modulus.
     """
-    eig = spectral.eigenvalues(pair.b_matrix) if eigenvalues is None else eigenvalues
+    eig = spectral.eigenvalues(pair.b_matrix)
     if pair.perturbation_rank >= 1:
         top_modulus = float(np.abs(eig[0]))
         bulk = eig[1:]
@@ -392,8 +392,9 @@ def disk_record(
         top_modulus = float("nan")
         bulk = eig
     if bulk.size == 0:
-        radial = angular = float("nan")
+        radial = angular = bulk_max = float("nan")
     else:
+        bulk_max = float(np.abs(bulk[0]))
         cloud = measures.EmpiricalMeasure2D(bulk)
         radial = measures.radial_disk_distance(cloud)
         try:
@@ -406,6 +407,7 @@ def disk_record(
         radial_ks=radial,
         angular_ks=angular,
         top_eigen_modulus=top_modulus,
+        bulk_max_modulus=bulk_max,
     )
 
 
@@ -422,20 +424,12 @@ def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     return ensemble.assemble(x, perturbation)
 
 
-def _takes_constant(spec: PerturbationSpec, dim: int) -> bool:
-    """The constant stage applies: an all-ones M of rank >= 1 (scale not 0)
-    at dim >= 2."""
-    return spec.kind == "all-ones" and spec.scale != 0.0 and dim >= 2
-
-
 def lapack_work(config: ExperimentConfig) -> int:
     """The units' dense LAPACK work in n^3, known at load: per unit, an SVD
-    and an LU of A - zI and of B - zI at every grid point, one eigensolve of
-    B, and one SVD of A where the constant stage applies."""
+    and an LU of A - zI and of B - zI at every grid point and one eigensolve
+    of B."""
     per_unit = 4 * len(config.z_grid) + 1
-    return config.replicates * sum(
-        n**3 * (per_unit + _takes_constant(config.perturbation, n))
-        for n in config.dims)
+    return config.replicates * per_unit * sum(n**3 for n in config.dims)
 
 
 def unit_dense_bytes(n: int) -> int:
@@ -446,13 +440,11 @@ def unit_dense_bytes(n: int) -> int:
 
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
               replicate: int, stages) -> UnitResult:
-    """One unit from one build_pair, computing only the requested stages.
-
-    "disk" and "constant" share one eigensolve of B; "constant" adds one SVD
-    of A and applies to all-ones perturbations of rank >= 1 with dim >= 2.
-    The whole unit runs under spectral._blas_threads(dim), so a unit at
-    dim <= spectral.BLAS_PIN_MAX_DIM computes on one BLAS thread wherever
-    it runs.
+    """One unit from one build_pair, computing only the requested stages:
+    "delta" factors A - zI and B - zI on the grid, "disk" takes the one
+    eigensolve of B. The whole unit runs under spectral._blas_threads(dim),
+    so a unit at dim <= spectral.BLAS_PIN_MAX_DIM computes on one BLAS
+    thread wherever it runs.
     """
     dim = perturbation.dim
     with spectral._blas_threads(dim):
@@ -460,19 +452,8 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
         diags = ()
         if "delta" in stages:
             diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-        with_constant = ("constant" in stages
-                         and _takes_constant(config.perturbation, dim))
-        eig = disk = constant = None
-        if "disk" in stages or with_constant:
-            eig = spectral.eigenvalues(pair.b_matrix)
-        if "disk" in stages:
-            disk = disk_record(pair, dim, replicate, eigenvalues=eig)
-        if with_constant:
-            constant = diagnostics.constant_case_record(pair, replicate, eig)
-    return UnitResult(
-        dim=dim, replicate=replicate, diagnostics=diags, disk=disk,
-        constant=constant,
-    )
+        disk = disk_record(pair, dim, replicate) if "disk" in stages else None
+    return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
@@ -534,7 +515,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
         config=config,
         delta_rows=delta_rows,
         disk_rows=tuple(u.disk for u in units),
-        constant_rows=tuple(u.constant for u in units if u.constant is not None),
         scaling=scaling,
         timings={},
     )
@@ -624,7 +604,6 @@ def report_to_obj(report: RunReport) -> dict:
             "max_cross_check_gap": _jf(max(cross_gaps)) if cross_gaps else None,
         },
         "disk": _json(report.disk_rows),
-        "constant_case": _json(report.constant_rows),
         "scaling": _json(report.scaling),
     }
 

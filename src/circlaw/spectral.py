@@ -33,7 +33,6 @@ __all__ = [
     "eigenvalues",
     "singular_values",
     "summarize",
-    "shifted",
     "check_weyl",
     "log_abs_det_lu",
     "logdet_agree",
@@ -192,21 +191,13 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def shifted(a, z: complex) -> np.ndarray:
-    """Return a - z*I."""
-    m = _as_matrix(a)
-    out = m.copy()
-    idx = np.arange(m.shape[0])
-    out[idx, idx] -= z
-    return out
-
-
 @contextlib.contextmanager
 def _shifted_in_place(m: np.ndarray, z: complex):
     """Shift a square complex128 array to m - z*I for the block, without an
-    n-by-n copy: the block sees the bytes shifted(m, z) returns. The saved
-    diagonal is written back on exit, also when the block raises, so m comes
-    back bit for bit. Callers pass the array to the checked public functions."""
+    n-by-n copy: only the diagonal changes, by the one subtraction a shifted
+    copy would make. The saved diagonal is written back on exit, also when
+    the block raises, so m comes back bit for bit. Callers pass the array to
+    the checked public functions."""
     if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
             and m.ndim == 2 and m.shape[0] == m.shape[1]):
         raise ShapeError("in-place shift needs a square complex128 array, got "

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -20,3 +21,17 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def shifted():
+    """The copy-based oracle for the in-place shift: a new complex128 array
+    a - z*I, with a left as it was."""
+
+    def shift(a, z):
+        out = np.array(a, dtype=np.complex128)
+        idx = np.arange(out.shape[0])
+        out[idx, idx] -= z
+        return out
+
+    return shift

@@ -21,9 +21,10 @@ from circlaw import (
     assemble,
     build_perturbation,
     constant_case,
-    constant_case_record,
     delta_at,
     delta_scan,
+    disk_record,
+    eigenvalues,
     green_identity_residual,
     run_lemma_trials,
     sample_matrix,
@@ -149,8 +150,8 @@ def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
     assert pair.b_matrix.tobytes() == b
 
 
-def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch):
-    """The SVD and LU inputs are bitwise spectral.shifted's copies."""
+def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted):
+    """The SVD and LU inputs are bitwise the copy-based oracle's a - z*I."""
     pair = make_pair(16, seed=8)
     z = -0.7 + 0.4j
     seen = []
@@ -159,8 +160,8 @@ def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch):
         monkeypatch.setattr(spectral, name,
                             lambda m, fn=fn: seen.append(m.tobytes()) or fn(m))
     delta_at(pair, z)
-    shifted_a = spectral.shifted(pair.a_matrix, z).tobytes()
-    shifted_b = spectral.shifted(pair.b_matrix, z).tobytes()
+    shifted_a = shifted(pair.a_matrix, z).tobytes()
+    shifted_b = shifted(pair.b_matrix, z).tobytes()
     assert seen == [shifted_a, shifted_a, shifted_b, shifted_b]
 
 
@@ -298,22 +299,21 @@ def test_aggregate_scaling_counts_smin_violations():
 
 def test_constant_case_deterministic_skeleton():
     """X = 0: the perturbed matrix is ones/sqrt(n) with eigenvalues
-    {sqrt(n), 0, ..., 0}."""
+    {sqrt(n), 0, ..., 0}; the disc record reads the outlier and the bulk's
+    largest modulus from them."""
     n = 16
     x = MatrixSample(dim=n, entries=np.zeros((n, n), dtype=complex), seed=0,
                      distribution=CG)
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
-    from circlaw import eigenvalues
 
     eig = eigenvalues(pair.b_matrix)
     assert abs(eig[0] - 4.0) <= 1e-12
     assert np.all(np.abs(eig[1:]) <= 1e-12)
 
-    record = constant_case_record(pair, 3, eig)
+    record = disk_record(pair, n, 3)
     assert (record.dim, record.replicate) == (n, 3)
-    assert abs(record.lambda1 - 4.0) <= 1e-12
-    assert abs(record.lambda2) <= 1e-12
-    assert record.s1_central == 0.0
+    assert abs(record.top_eigen_modulus - 4.0) <= 1e-12
+    assert record.bulk_max_modulus <= 1e-12
 
 
 def test_constant_case_outlier_near_sqrt_n():

@@ -244,6 +244,31 @@ def test_serialize_round_trip_every_kind(kind, budgets):
         assert echo[key] == (None if value == math.inf else value)
 
 
+# kind -> a non-default value of each of a few keys the kind does not take
+STRAY_KEYS = {
+    "zero": {"scale": 5.0, "path": "m.csv"},
+    "all-ones": {"path": "m.csv"},
+    "low-rank": {"scale": 2.0},
+    "file": {"left_factors": [(1.0,)], "right_factors": [(1.0,)]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRAY_KEYS))
+def test_spec_rejects_a_key_its_kind_does_not_take(kind):
+    """The echo writes only the kind's keys, so a spec that set another one
+    would not survive parse(serialize(c)); at its default it does."""
+    keywords, _ = STRUCTURAL_BUDGETS[kind]
+    stray = STRAY_KEYS[kind]
+    with pytest.raises(ValidationError) as exc:
+        PerturbationSpec(kind, **keywords, **stray)
+    for key in stray:
+        assert f"key {key!r} not applicable to perturbation kind {kind!r}" \
+            in str(exc.value)
+    defaults = {f.name: f.default for f in dataclasses.fields(PerturbationSpec)}
+    _echoed_perturbation(
+        PerturbationSpec(kind, **keywords, **{key: defaults[key] for key in stray}))
+
+
 def test_serialize_is_deterministic():
     c = parse_config(cfg_json())
     assert serialize_config(c) == serialize_config(parse_config(serialize_config(c)))
@@ -334,8 +359,9 @@ def test_run_experiment_zero_perturbation(tmp_path):
     assert all(float(r["delta"]) == 0.0 for r in rows)
     assert all(float(r["ks"]) == 0.0 for r in rows)
     assert all(r["singular_flag"] == "0" for r in rows)
-    # zero perturbation produces no outlier records
-    assert len(report.constant_rows) == 0
+    # zero perturbation produces no outlier: the whole spectrum is the bulk
+    assert all(math.isnan(r.top_eigen_modulus) and r.bulk_max_modulus > 0.0
+               for r in report.disk_rows)
     disk = read_csv(tmp_path / "out" / "disk.csv")
     assert len(disk) == 4
     assert all(r["top_eigen_modulus"] == "nan" for r in disk)
@@ -354,12 +380,34 @@ def test_run_experiment_all_ones(tmp_path):
         assert 0.0 <= float(r["radial_ks"]) <= 1.0
         assert 0.0 <= float(r["angular_ks"]) <= 1.0
         assert float(r["top_eigen_modulus"]) > 1.0
-    assert len(report.constant_rows) == 4
+    # one outlier per unit, above the bulk it was taken from
+    assert len(report.disk_rows) == 4
+    assert all(r.top_eigen_modulus > r.bulk_max_modulus > 0.0
+               for r in report.disk_rows)
     scaling = read_csv(tmp_path / "out" / "scaling.csv")
     assert [r["n"] for r in scaling] == ["6", "8"]
     report_obj = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report_obj["consistency"]["flagged_points"] == 0
     assert report_obj["config"]["name"] == "small"
+
+
+@pytest.mark.parametrize("kind, outliers", [("all-ones", 1), ("zero", 0)])
+def test_disk_csv_bulk_max_modulus_is_the_units_largest_bulk_modulus(
+    tmp_path, kind, outliers
+):
+    """The column is the largest modulus of B's eigenvalues once the
+    outlier, if any, is set aside, computed here from the unit's own pair."""
+    cfg = small_config(tmp_path, perturbation=PerturbationSpec(kind))
+    run_experiment(cfg)
+    disk = read_csv(tmp_path / "out" / "disk.csv")
+    assert len(disk) == 4
+    for row in disk:
+        n, replicate = int(row["n"]), int(row["replicate"])
+        perturbation = ensemble.build_perturbation(cfg.perturbation, n)
+        with spectral._blas_threads(n):
+            pair = harness.build_pair(cfg, perturbation, replicate)
+            bulk = spectral.eigenvalues(pair.b_matrix)[outliers:]
+        assert row["bulk_max_modulus"] == repr(float(np.max(np.abs(bulk))))
 
 
 def low_rank_config(tmp_path, n=8):
@@ -376,7 +424,9 @@ def test_run_experiment_low_rank_end_to_end(tmp_path):
     cfg = low_rank_config(tmp_path)
     report = run_experiment(cfg, workers=1)
     assert report.consistency_ok
-    assert len(report.constant_rows) == 0
+    assert len(report.disk_rows) == 2
+    assert all(r.top_eigen_modulus >= r.bulk_max_modulus > 0.0
+               for r in report.disk_rows)
     names = ["delta.csv", "disk.csv", "scaling.csv", "report.json"]
     serial = {n: (tmp_path / "out" / n).read_bytes() for n in names}
     rows = read_csv(tmp_path / "out" / "delta.csv")
@@ -402,9 +452,9 @@ CONFIGS = {"all-ones": small_config, "low-rank": low_rank_config, "file": file_c
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
-    """The n-by-n SVDs are of A - zI and B - zI at each z, of A for the
-    all-ones outlier record, and of a file M once per dim. A low-rank M adds
-    one SVD of its k-by-k core per dim."""
+    """The n-by-n SVDs are of A - zI and B - zI at each z, for every kind,
+    and of a file M once per dim. A low-rank M adds one SVD of its k-by-k
+    core per dim."""
     cfg = CONFIGS[kind](tmp_path)
     shapes = []
     svd = np.linalg.svd
@@ -416,7 +466,7 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_experiment(cfg)
     units = len(cfg.dims) * cfg.replicates
-    per_unit = 2 * len(cfg.z_grid) + (kind == "all-ones")
+    per_unit = 2 * len(cfg.z_grid)
     per_dim = kind == "file"
     square = [s for s in shapes if s[0] == s[1] and s[0] in cfg.dims]
     assert len(square) == units * per_unit + len(cfg.dims) * per_dim
@@ -496,13 +546,17 @@ def test_run_experiment_single_dim_has_nan_exponents(tmp_path):
 
 
 def test_report_json_serializes_complex_and_nonfinite(tmp_path):
-    cfg = small_config(tmp_path)
-    report = run_experiment(cfg)
+    """The low-rank factors echo as [re, im] pairs; the disc records hold
+    the outlier and bulk moduli, and report.json has no constant_case."""
+    cfg = low_rank_config(tmp_path)
+    run_experiment(cfg)
     obj = json.loads((tmp_path / "out" / "report.json").read_text())
-    lam = obj["constant_case"][0]["lambda1"]
-    assert isinstance(lam, list) and len(lam) == 2
+    factor = obj["config"]["perturbation"]["left_factors"][0][0]
+    assert isinstance(factor, list) and len(factor) == 2
+    assert "constant_case" not in obj
+    assert all(r["top_eigen_modulus"] >= r["bulk_max_modulus"] for r in obj["disk"])
     cons = obj["consistency"]
-    assert cons["delta_rows"] == 8
+    assert cons["delta_rows"] == 4
     assert cons["cross_check_ok"] is True
     assert isinstance(cons["max_cross_check_gap"], float)
 
@@ -544,13 +598,15 @@ def test_cli_run(tmp_path, capsys):
 
 
 def test_cli_run_zero_scale_all_ones_has_no_constant_case(tmp_path, capsys):
-    """scale 0 gives M rank 0: no outlier, so no constant-case record."""
+    """scale 0 gives M rank 0: no outlier, so the whole spectrum is the
+    bulk; report.json has no constant_case section for any config."""
     path = write_config(tmp_path, dims=[50], replicates=1,
                         perturbation={"kind": "all-ones", "scale": 0.0})
     assert cli.main(["run", "--config", str(path)]) == 0
     obj = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert obj["constant_case"] == []
+    assert "constant_case" not in obj
     assert obj["disk"][0]["top_eigen_modulus"] is None
+    assert 0.5 < obj["disk"][0]["bulk_max_modulus"] < 2.0
 
 
 @pytest.fixture
@@ -641,7 +697,8 @@ def test_cli_run_without_openblas_symbols_does_not_pin(
 @pytest.mark.parametrize("kind", sorted(CONFIGS) + ["all-ones-scale-0"])
 def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
     """lapack_work is the n^3 summed over the units' n-by-n SVDs, LUs and
-    eigensolves; a file M's own SVD per dim comes on top."""
+    eigensolves, the same for every kind; a file M's own SVD per dim comes
+    on top."""
     if kind == "all-ones-scale-0":
         cfg = small_config(tmp_path,
                            perturbation=PerturbationSpec("all-ones", scale=0.0))
@@ -660,13 +717,15 @@ def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
     harness.run_units(cfg, harness.STAGES)
     m_svd = sum(n**3 for n in cfg.dims) if kind == "file" else 0
     assert sum(work) == harness.lapack_work(cfg) + m_svd
+    zero = dataclasses.replace(cfg, perturbation=PerturbationSpec("zero"))
+    assert harness.lapack_work(cfg) == harness.lapack_work(zero)
 
 
 def test_cli_run_prints_preflight_before_units_outside_reports(
     tmp_path, capsys, monkeypatch
 ):
     """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
-    LAPACK calls on the grid, 1 eigensolve and 1 SVD of A."""
+    LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all."""
     path = write_config(tmp_path, replicates=1)
     printed = []
     build_pair = harness.build_pair
@@ -677,7 +736,7 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
 
     monkeypatch.setattr(harness, "build_pair", recording)
     assert cli.main(["run", "--config", str(path)]) == 0
-    line = ("preflight: 2 units, LAPACK work 7280 n^3; one unit at n=8 holds "
+    line = ("preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds "
             "0.00293 MiB dense (A, B and LAPACK's working copy)\n")
     assert printed[0] == line
     assert line not in capsys.readouterr().out
@@ -893,9 +952,9 @@ def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kind):
     """n-by-n LAPACK calls per command: delta-scan takes 2 SVDs and 2 LUs per
-    z per unit, circular-law one eigensolve per unit, run both plus one SVD
-    of A per all-ones unit, and constant-case one eigensolve and one SVD.
-    A file M adds one SVD per dim to each config command."""
+    z per unit, circular-law one eigensolve per unit, run both and nothing
+    more for any kind, and constant-case one eigensolve and one SVD. A file
+    M adds one SVD per dim to each config command."""
     cfg = CONFIGS[kind](tmp_path)
     path = str(config_file(tmp_path, cfg))
     calls = []
@@ -912,7 +971,6 @@ def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kin
 
     units = len(cfg.dims) * cfg.replicates
     per_z = 2 * len(cfg.z_grid) * units
-    spike = units if kind == "all-ones" else 0
     m_svd = len(cfg.dims) if kind == "file" else 0
     expected = [
         (["delta-scan", "--config", path],
@@ -920,7 +978,7 @@ def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kin
         (["circular-law", "--config", path],
          {"svd": m_svd, "eigvals": units, "slogdet": 0}),
         (["run", "--config", path],
-         {"svd": per_z + spike + m_svd, "eigvals": units, "slogdet": per_z}),
+         {"svd": per_z + m_svd, "eigvals": units, "slogdet": per_z}),
         (["constant-case", "--n", str(cfg.dims[-1])],
          {"svd": 1, "eigvals": 1, "slogdet": 0}),
     ]

@@ -13,7 +13,6 @@ import pytest
 
 from circlaw import EntryDistribution, ExperimentConfig, PerturbationSpec, ZGrid
 from circlaw.diagnostics import (
-    ConstantCaseRecord,
     DeltaDiagnostics,
     DimScalingStats,
     ScalingReport,
@@ -34,8 +33,8 @@ def _delta(z, delta, delta_logdet, s_max_a, s_min_a, s_max_b, s_min_b, ks,
 
 def low_rank_report() -> RunReport:
     """NaN, +-inf, -0.0, the smallest subnormal and 1e16 in every file, a
-    complex with NaN parts, a singular-flagged delta row, and the config
-    echo of a low-rank spec with an explicit rank budget."""
+    singular-flagged delta row, and the config echo of a low-rank spec with
+    an explicit rank budget."""
     config = ExperimentConfig(
         name="golden",
         dims=(5, 12),
@@ -66,13 +65,9 @@ def low_rank_report() -> RunReport:
     return RunReport(
         config=config,
         delta_rows=delta_rows,
-        disk_rows=(DiskRecord(1, 0, NAN, NAN, 2.5),
-                   DiskRecord(5, 0, 0.1, -0.0, NAN),
-                   DiskRecord(12, 1, 5e-324, 1e16, INF)),
-        constant_rows=(
-            ConstantCaseRecord(5, 0, complex(5.0, NAN), complex(-INF, 0.5), 1e16),
-            ConstantCaseRecord(12, 1, complex(-0.0, 1e-300), complex(0.25, -0.25), 3.0),
-        ),
+        disk_rows=(DiskRecord(1, 0, NAN, NAN, 2.5, NAN),
+                   DiskRecord(5, 0, 0.1, -0.0, NAN, 1e-300),
+                   DiskRecord(12, 1, 5e-324, 1e16, INF, 0.25)),
         scaling=scaling,
         timings={},
     )
@@ -91,8 +86,8 @@ def file_report() -> RunReport:
         output_dir="out",
     )
     scaling = ScalingReport((), (), NAN, NAN, NAN, 3.0, 0.0)
-    return RunReport(config=config, delta_rows=(), disk_rows=(), constant_rows=(),
-                     scaling=scaling, timings={})
+    return RunReport(config=config, delta_rows=(), disk_rows=(), scaling=scaling,
+                     timings={})
 
 
 LOW_RANK_FILES = {
@@ -103,10 +98,10 @@ n,replicate,z_re,z_im,delta,ks,rank_bound,ibp_bound,s_min_a,s_min_b,s_max_a,s_ma
 12,0,2.5,-1.0,0.125,0.0,0.08333333333333333,0.0,0.5,0.5,4.0,4.0,0
 """,
     "disk.csv": """\
-n,replicate,radial_ks,angular_ks,top_eigen_modulus
-1,0,nan,nan,2.5
-5,0,0.1,-0.0,nan
-12,1,5e-324,1e+16,inf
+n,replicate,radial_ks,angular_ks,top_eigen_modulus,bulk_max_modulus
+1,0,nan,nan,2.5,nan
+5,0,0.1,-0.0,nan,1e-300
+12,1,5e-324,1e+16,inf,0.25
 """,
     "scaling.csv": """\
 n,median_abs_delta,median_ks,min_smin,max_smax
@@ -176,37 +171,10 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     "max_cross_check_gap": 9.094947017729282e-13,
     "rank_inequality_ok": false
   },
-  "constant_case": [
-    {
-      "lambda1": [
-        5.0,
-        null
-      ],
-      "lambda2": [
-        null,
-        0.5
-      ],
-      "n": 5,
-      "replicate": 0,
-      "s1_central": 1e+16
-    },
-    {
-      "lambda1": [
-        -0.0,
-        1e-300
-      ],
-      "lambda2": [
-        0.25,
-        -0.25
-      ],
-      "n": 12,
-      "replicate": 1,
-      "s1_central": 3.0
-    }
-  ],
   "disk": [
     {
       "angular_ks": null,
+      "bulk_max_modulus": null,
       "n": 1,
       "radial_ks": null,
       "replicate": 0,
@@ -214,6 +182,7 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     },
     {
       "angular_ks": -0.0,
+      "bulk_max_modulus": 1e-300,
       "n": 5,
       "radial_ks": 0.1,
       "replicate": 0,
@@ -221,6 +190,7 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     },
     {
       "angular_ks": 1e+16,
+      "bulk_max_modulus": 0.25,
       "n": 12,
       "radial_ks": 5e-324,
       "replicate": 1,
@@ -267,7 +237,7 @@ FILE_FILES = {
 n,replicate,z_re,z_im,delta,ks,rank_bound,ibp_bound,s_min_a,s_min_b,s_max_a,s_max_b,singular_flag
 """,
     "disk.csv": """\
-n,replicate,radial_ks,angular_ks,top_eigen_modulus
+n,replicate,radial_ks,angular_ks,top_eigen_modulus,bulk_max_modulus
 """,
     "scaling.csv": """\
 n,median_abs_delta,median_ks,min_smin,max_smax
@@ -309,7 +279,6 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     "max_cross_check_gap": null,
     "rank_inequality_ok": true
   },
-  "constant_case": [],
   "disk": [],
   "scaling": {
     "a_hat": null,

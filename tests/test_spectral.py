@@ -13,14 +13,13 @@ from circlaw import (
     log_abs_det_lu,
     logdet_agree,
     max_dimension,
-    shifted,
     singular_values,
     summarize,
 )
 from circlaw import spectral
 
 
-def test_shifted_in_place_matches_shifted_and_restores():
+def test_shifted_in_place_matches_shifted_and_restores(shifted):
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     before = m.tobytes()
@@ -89,7 +88,7 @@ def test_singular_values_rectangular():
     assert np.allclose(s, [2.0, 1.0], atol=1e-14)
 
 
-def test_shifted_examples():
+def test_shifted_examples(shifted):
     a = np.zeros((2, 2), dtype=complex)
     out = shifted(a, 1.0 + 2.0j)
     assert np.array_equal(out, np.diag([-1.0 - 2.0j, -1.0 - 2.0j]))
@@ -172,7 +171,7 @@ def test_singular_values_unitary_invariance():
         assert np.allclose(s0, s2, rtol=1e-8, atol=1e-8)
 
 
-def test_eigenvalue_shift_consistency():
+def test_eigenvalue_shift_consistency(shifted):
     """Spectrum of A - zI is the spectrum of A shifted by -z."""
     rng = np.random.default_rng(19)
     for n in [2, 6, 20]:
