@@ -211,6 +211,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    harness._check_workers(args.workers)
     n = config.dims[-1]
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ensemble, measures, spectral
+from .ensemble import _real
 from .errors import (
     DomainError,
     InvalidValueError,
@@ -55,19 +56,31 @@ MAX_Z_GRID_POINTS = 10**6
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Finite rectangular grid of complex shift points."""
+    """Finite rectangular grid of complex shift points.
+
+    Each range is a [lo, hi] pair of numbers (a list or a tuple) and the step
+    a number, by ensemble's number rule; all are stored as floats. A config
+    file's z_grid object is read as ZGrid(**obj), so these are its rules.
+    """
 
     re_range: tuple[float, float]
     im_range: tuple[float, float]
     step: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValidationError(
-                f"grid step must be finite and positive, got {self.step}")
-        for name, (lo, hi) in (("re_range", self.re_range), ("im_range", self.im_range)):
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
+        step = _real(self.step, "grid step")
+        if not (math.isfinite(step) and step > 0):
+            raise ValidationError(f"grid step must be finite and positive, got {step}")
+        object.__setattr__(self, "step", step)
+        for name in ("re_range", "im_range"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValidationError(
+                    f"{name} must be a [lo, hi] pair of numbers, got {pair!r}")
+            lo, hi = (_real(v, name) for v in pair)
+            if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
                 raise ValidationError(f"{name} must be a finite ordered pair, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
         # Each span is checked first: an inf or huge span has no int count.
         if not all((hi - lo) / self.step < MAX_Z_GRID_POINTS
                    for lo, hi in (self.re_range, self.im_range)) \

@@ -9,6 +9,8 @@ realized as dense complex matrices.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -70,6 +72,22 @@ _U64_MASK = (1 << 64) - 1
 _BERNOULLI_RE = re.compile(r"^centered-bernoulli\((.+)\)$")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value, label: str) -> float:
+    """A number as a float. A number is a real (numpy's included) that is not
+    a bool, so never a string; an integer too large for a float is rejected
+    naming the key."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{label} is an integer too large for a float") from None
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """A scalar entry law with mean 0 and E|X|^2 = 1.
@@ -88,16 +106,18 @@ class EntryDistribution:
                 f"expected one of {', '.join(DISTRIBUTION_KINDS)}"
             )
         if self.kind == "centered-bernoulli":
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise ValidationError(
-                    f"centered-bernoulli requires p in (0, 1), got {self.p!r}"
-                )
+            p = _real(self.p, "centered-bernoulli p")
+            if not 0.0 < p < 1.0:
+                raise ValidationError(f"centered-bernoulli requires p in (0, 1), got {p!r}")
+            object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise ValidationError(f"{self.kind} takes no parameter, got p={self.p!r}")
 
     @classmethod
     def parse(cls, text: str) -> "EntryDistribution":
         """Parse the exact wire strings, e.g. ``"centered-bernoulli(0.3)"``."""
+        if not isinstance(text, str):
+            raise ValidationError(f"distribution must be a string, got {text!r}")
         m = _BERNOULLI_RE.match(text)
         if m:
             try:
@@ -171,12 +191,28 @@ class AssembledPair:
     perturbation_rank: int
 
 
+def _sequence(value, label: str):
+    """A list; a tuple or a numpy array of at least one axis stands for one."""
+    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        return value
+    raise ValidationError(f"{label} must be a list, got {value!r}")
+
+
+def _complex(value, label: str) -> complex:
+    """A factor entry: a number (not a bool) or an [re, im] pair of reals."""
+    if isinstance(value, numbers.Real):
+        return complex(_real(value, label), 0.0)
+    if isinstance(value, numbers.Complex):
+        return complex(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(value[0], label), _real(value[1], label))
+    raise ValidationError(
+        f"{label} entries must be numbers or [re, im] pairs, got {value!r}")
+
+
 def _complex_factors(vectors, label: str) -> tuple[tuple[complex, ...], ...]:
-    try:
-        return tuple(tuple(complex(v) for v in vec) for vec in vectors)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"low-rank {label} entries must be numbers: {exc}") from None
+    return tuple(tuple(_complex(v, label) for v in _sequence(vec, label))
+                 for vec in _sequence(vectors, label))
 
 
 @dataclass(frozen=True)
@@ -187,11 +223,16 @@ class PerturbationSpec:
     ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf for no
     bound) once per dim. A budget left None is the kind's structural bound:
     rank 0 and c = 0 for ``zero``, rank 1 and c = scale^2 for ``all-ones``,
-    rank k for ``low-rank``; a bound that stays None is not checked. Factors
-    become tuples of complex and ``path`` a str. Scales and factor entries
-    must be finite. A field outside the kind's PERTURBATION_KEYS must keep
-    its default, so the config echo, which writes only those keys, loses
-    nothing.
+    rank k for ``low-rank``; a bound that stays None is not checked.
+
+    Every value rule lives here, so a spec built in Python obeys the config
+    file's rules: ``scale`` and ``hs_budget_coefficient`` are numbers (not
+    bools or strings) that fit a float, and are stored as floats; a factor
+    entry is a number or an ``[re, im]`` pair of reals, and the factors
+    become tuples of complex; ``path`` is a str or ``os.PathLike``, stored as
+    a str. The scale and factor entries must be finite. A field outside the
+    kind's PERTURBATION_KEYS must keep its default, so the config echo, which
+    writes only those keys, loses nothing.
     """
 
     kind: str
@@ -208,9 +249,16 @@ class PerturbationSpec:
                 f"unknown perturbation kind {self.kind!r}; "
                 f"expected one of {', '.join(PERTURBATION_KINDS)}"
             )
+        scale = _real(self.scale, "perturbation scale")
+        if not math.isfinite(scale):
+            raise ValidationError(f"perturbation scale must be finite, got {scale!r}")
+        object.__setattr__(self, "scale", scale)
         for side in ("left_factors", "right_factors"):
             object.__setattr__(self, side, _complex_factors(getattr(self, side), side))
         if self.path is not None:
+            if not isinstance(self.path, (str, os.PathLike)):
+                raise ValidationError(
+                    f"perturbation path must be a string or os.PathLike, got {self.path!r}")
             object.__setattr__(self, "path", str(self.path))
         stray = [f.name for f in fields(self)
                  if f.name not in PERTURBATION_KEYS[self.kind]
@@ -226,10 +274,6 @@ class PerturbationSpec:
                 raise ValidationError(
                     "low-rank perturbation requires matching nonempty factor lists"
                 )
-        if not math.isfinite(self.scale):
-            raise ValidationError(
-                f"perturbation scale must be finite, got {self.scale!r}"
-            )
         factors = (*self.left_factors, *self.right_factors)
         if not all(math.isfinite(v.real) and math.isfinite(v.imag)
                    for vec in factors for v in vec):
@@ -238,16 +282,18 @@ class PerturbationSpec:
         if budget is None:
             budget = {"zero": 0, "all-ones": 1, "low-rank": self.k}.get(self.kind)
             object.__setattr__(self, "rank_budget", budget)
-        elif not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        elif not _is_int(budget) or budget < 0:
             raise ValidationError(
                 f"rank_budget must be a nonnegative integer, got {budget!r}")
         c = self.hs_budget_coefficient
         if c is None:
             c = {"zero": 0.0, "all-ones": self.scale * self.scale}.get(self.kind)
-            object.__setattr__(self, "hs_budget_coefficient", c)
-        elif not c >= 0:
-            raise ValidationError(
-                f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
+        else:
+            c = _real(c, "hs_budget_coefficient")
+            if not c >= 0:
+                raise ValidationError(
+                    f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
+        object.__setattr__(self, "hs_budget_coefficient", c)
 
     @property
     def k(self) -> int:
@@ -279,7 +325,7 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     prefix of it. Two calls with equal arguments return bitwise-identical
     matrices, and rows may be generated in any order.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     entries = np.empty((n, n), dtype=np.complex128)
     for j in range(n):
@@ -388,7 +434,7 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
     Only a ``file`` M is built densely and takes an SVD. Every rank uses
     RANK_TOLERANCE.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     m = None
     if spec.kind == "low-rank":

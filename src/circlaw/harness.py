@@ -29,6 +29,8 @@ from .ensemble import (
     PERTURBATION_KINDS,
     EntryDistribution,
     PerturbationSpec,
+    _is_int,
+    _real,
 )
 from .errors import MeasureError, ValidationError
 
@@ -72,21 +74,14 @@ STAGES = ("delta", "disk")
 DEFAULT_Z_GRID = ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one replicated scan experiment.
 
     The fields are the JSON config's top-level keys; a field with a default
-    is optional. A dim above the dense-solve cap is rejected here, before
-    any unit is sampled.
+    is optional. Every value is checked here or in its own type, and all
+    problems found here are reported together. A dim above the dense-solve
+    cap is rejected here, before any unit is sampled.
     """
 
     name: str
@@ -100,11 +95,14 @@ class ExperimentConfig:
     reference_exponent_b0: float = DEFAULT_REFERENCE_EXPONENT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
+        if isinstance(self.dims, list):
+            object.__setattr__(self, "dims", tuple(self.dims))
         problems: list[str] = []
         if not isinstance(self.name, str) or not self.name:
             problems.append("name must be a nonempty string")
-        if not self.dims:
+        if not isinstance(self.dims, tuple):
+            problems.append(f"dims must be a list, got {self.dims!r}")
+        elif not self.dims:
             problems.append("dims must be nonempty")
         elif not all(_is_int(d) and d >= 1 for d in self.dims):
             problems.append(f"dims must be positive integers, got {list(self.dims)}")
@@ -141,62 +139,6 @@ class ExperimentConfig:
 _PERTURBATION_KEYS = set().union(*PERTURBATION_KEYS.values())
 
 
-def _real(value, label: str) -> float:
-    """A number as a float; a non-number, or an integer too large for a
-    float, is rejected naming the key."""
-    if not _is_real(value):
-        raise ValidationError(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{label} is an integer too large for a float") from None
-
-
-def _list(value, label: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{label} must be a list, got {value!r}")
-    return value
-
-
-def _complex_vector(values, label: str) -> tuple[complex, ...]:
-    """Accepts a list of reals or [re, im] pairs."""
-    out = []
-    for v in _list(values, label):
-        if _is_real(v):
-            out.append(complex(_real(v, label), 0.0))
-        elif isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)):
-            out.append(complex(_real(v[0], label), _real(v[1], label)))
-        else:
-            raise ValidationError(
-                f"{label} entries must be reals or [re, im] pairs, got {v!r}"
-            )
-    return tuple(out)
-
-
-def _factor_list(label: str):
-    return lambda value: [_complex_vector(v, label) for v in _list(value, label)]
-
-
-def _path(value) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"perturbation path must be a string, got {value!r}")
-    return value
-
-
-# The perturbation keys whose JSON value is not the field value; k is checked
-# against the spec, and PerturbationSpec checks every other value.
-_PERTURBATION_READERS = {
-    "scale": lambda value: _real(value, "perturbation scale"),
-    "left_factors": _factor_list("left_factors"),
-    "right_factors": _factor_list("right_factors"),
-    "path": _path,
-    # null, like inf, means no bound
-    "hs_budget_coefficient": lambda value: (
-        math.inf if value is None
-        else _real(value, "perturbation hs_budget_coefficient")),
-}
-
-
 def _parse_perturbation(obj) -> PerturbationSpec:
     if not isinstance(obj, dict):
         raise ValidationError("perturbation must be a JSON object")
@@ -212,15 +154,12 @@ def _parse_perturbation(obj) -> PerturbationSpec:
         raise ValidationError("; ".join(problems))
     stray = [key for key in obj if key not in PERTURBATION_KEYS[kind]]
     if stray:
-        raise ValidationError(
-            "; ".join(
-                f"key {key!r} not applicable to perturbation kind {kind!r}"
-                for key in stray
-            )
-        )
-    spec = PerturbationSpec(**{
-        key: _PERTURBATION_READERS.get(key, lambda value: value)(value)
-        for key, value in obj.items() if key != "k"})
+        raise ValidationError("; ".join(
+            f"key {key!r} not applicable to perturbation kind {kind!r}" for key in stray))
+    values = {key: value for key, value in obj.items() if key != "k"}
+    if "hs_budget_coefficient" in obj and obj["hs_budget_coefficient"] is None:
+        values["hs_budget_coefficient"] = math.inf  # null, like inf, means no bound
+    spec = PerturbationSpec(**values)
     if "k" in obj and not (_is_int(obj["k"]) and obj["k"] == spec.k):
         raise ValidationError(
             f"perturbation k must be the integer {spec.k}, the number of "
@@ -248,29 +187,13 @@ def _parse_z_grid(obj) -> ZGrid:
     problems = _key_problems(ZGrid, obj, "z_grid ")
     if problems:
         raise ValidationError("; ".join(problems))
-
-    def _pair(key: str) -> tuple[float, float]:
-        v = obj[key]
-        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))):
-            raise ValidationError(
-                f"z_grid {key} must be a [lo, hi] pair of numbers, got {v!r}")
-        return _real(v[0], f"z_grid {key}"), _real(v[1], f"z_grid {key}")
-
-    return ZGrid(re_range=_pair("re_range"), im_range=_pair("im_range"),
-                 step=_real(obj["step"], "z_grid step"))
-
-
-def _parse_distribution(value) -> EntryDistribution:
-    if not isinstance(value, str):
-        raise ValidationError("distribution must be a string")
-    return EntryDistribution.parse(value)
+    return ZGrid(**obj)
 
 
 # The config keys whose JSON value is not the field value; ExperimentConfig
-# checks every value.
+# and the types it holds check every value.
 _CONFIG_READERS = {
-    "dims": lambda value: _list(value, "dims"),
-    "distribution": _parse_distribution,
+    "distribution": EntryDistribution.parse,
     "perturbation": _parse_perturbation,
     "z_grid": _parse_z_grid,
 }
@@ -280,9 +203,14 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration.
 
     The keys, required keys and defaults are ExperimentConfig's and ZGrid's
-    fields. Unknown keys are rejected by name at the top level and inside the
-    perturbation and z_grid objects. All schema-level problems are reported
-    together.
+    fields. The parser checks only what the JSON document adds: unknown and
+    missing keys (by name, at the top level and inside the perturbation and
+    z_grid objects), perturbation keys the kind does not take, the
+    perturbation's k, and null for hs_budget_coefficient, which means no
+    bound. Every value rule is the type's (ExperimentConfig,
+    PerturbationSpec, ZGrid, EntryDistribution), so a config built in Python
+    obeys the same rules. The top-level key problems and the first problem
+    of each of distribution, perturbation and z_grid are reported together.
     """
     try:
         doc = json.loads(text)
@@ -456,6 +384,12 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
+def _check_workers(workers) -> None:
+    """A worker count is an int, not a bool, and at least 1."""
+    if not _is_int(workers) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+
+
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
@@ -463,8 +397,7 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
     unit pins its BLAS threads the same way wherever it runs (see
     _run_unit), so the results do not depend on the worker count, nor, for
     dims <= spectral.BLAS_PIN_MAX_DIM, on the ambient BLAS thread count."""
-    if workers < 1:
-        raise ValidationError(f"workers must be positive, got {workers}")
+    _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
     if unknown or not stages:
         raise ValidationError(
@@ -494,8 +427,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
     """Execute the configured scan and write report files to output_dir.
 
     Every unit computes all STAGES (see run_units). Outputs are identical for
-    identical configs regardless of worker count.
+    identical configs regardless of worker count. A bad worker count is
+    rejected before output_dir is created.
     """
+    _check_workers(workers)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".write-probe"

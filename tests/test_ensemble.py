@@ -394,7 +394,8 @@ def test_non_finite_factor_entry_rejected(bad):
 
 
 @pytest.mark.parametrize("side", ["left_factors", "right_factors"])
-@pytest.mark.parametrize("bad", [10**400, "x"], ids=["huge", "str"])
+@pytest.mark.parametrize("bad", [10**400, "x", "1", True],
+                         ids=["huge", "str", "numeric-str", "bool"])
 def test_bad_factor_entry_rejected(side, bad):
     factors = {"left_factors": [(1.0, 1.0)], "right_factors": [(1.0, 1.0)]}
     factors[side] = [(1.0, bad)]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlaw import (
@@ -295,6 +295,98 @@ def test_config_round_trip_property(name, dims, kind, replicates, seed, scale):
         output_dir="out",
     )
     assert parse_config(serialize_config(c)) == c
+
+
+def _config(**fields):
+    values = dict(name="lib", dims=(4,), distribution=CG,
+                  perturbation=PerturbationSpec("zero"), replicates=1,
+                  master_seed=1, output_dir="out")
+    values.update(fields)
+    return ExperimentConfig(**values)
+
+
+# A value built in Python that a config file could not hold, and the field
+# its ValidationError names.
+LIBRARY_REJECTS = {
+    "scale-str": (lambda: PerturbationSpec("all-ones", scale="2"), "scale"),
+    "scale-huge": (lambda: PerturbationSpec("all-ones", scale=10**400), "scale"),
+    "scale-bool": (lambda: PerturbationSpec("all-ones", scale=True), "scale"),
+    "hs-str": (lambda: PerturbationSpec("all-ones", hs_budget_coefficient="1"),
+               "hs_budget_coefficient"),
+    "hs-bool": (lambda: PerturbationSpec("all-ones", hs_budget_coefficient=True),
+                "hs_budget_coefficient"),
+    "path-int": (lambda: PerturbationSpec("file", path=5), "path"),
+    "step-str": (lambda: ZGrid((0, 1), (0, 1), "0.5"), "step"),
+    "range-str": (lambda: ZGrid((0, "1"), (0, 1), 0.5), "re_range"),
+    "range-huge": (lambda: ZGrid((0, 1), (0, 10**400), 0.5), "im_range"),
+    "range-triple": (lambda: ZGrid((0, 0.5, 1), (0, 1), 0.5), "re_range"),
+    "p-str": (lambda: EntryDistribution("centered-bernoulli", "0.3"),
+              "centered-bernoulli p"),
+    "parse-int": (lambda: EntryDistribution.parse(5), "distribution"),
+    "parse-none": (lambda: EntryDistribution.parse(None), "distribution"),
+    "dims-int": (lambda: _config(dims=5), "dims"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REJECTS))
+def test_library_value_rejected_by_name(case):
+    """The types apply the config file's value rules, so a Python caller gets
+    the same ValidationError, naming the field, and never a raw TypeError or
+    a config whose echo does not parse."""
+    build, field = LIBRARY_REJECTS[case]
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert field in str(exc.value)
+
+
+def test_library_int_values_are_stored_as_floats():
+    """The types store the floats a config file's reader would give, so the
+    echo of a spec or grid built from ints writes 2.0, not 2."""
+    spec = PerturbationSpec("all-ones", scale=2, hs_budget_coefficient=np.float32(5))
+    grid = ZGrid([0, 1], (0, np.float32(0.5)), 1)
+    assert repr((spec.scale, spec.hs_budget_coefficient)) == "(2.0, 5.0)"
+    assert repr((grid.re_range, grid.im_range, grid.step)) == "((0.0, 1.0), (0.0, 0.5), 1.0)"
+    config = _config(perturbation=spec, z_grid=grid)
+    text = serialize_config(config)
+    assert '"scale": 2.0' in text and '"step": 1.0' in text
+    assert parse_config(text) == config
+
+
+# Any JSON-like value: numbers (nan, inf and one too large for a float
+# included), bools, strings, null, and lists of these, nested.
+_ATOM = st.one_of(
+    st.integers(-3, 3), st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+    st.just(10**400))
+_VALUE = st.recursive(_ATOM, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_SPEC_FIELDS = [f.name for f in dataclasses.fields(PerturbationSpec) if f.name != "kind"]
+
+
+@given(
+    kind=st.one_of(st.sampled_from(ensemble.PERTURBATION_KINDS), _VALUE),
+    spec_fields=st.fixed_dictionaries({}, optional=dict.fromkeys(_SPEC_FIELDS, _VALUE)),
+    grid=st.one_of(st.none(), st.fixed_dictionaries(
+        dict.fromkeys(("re_range", "im_range", "step"), _VALUE))),
+    dist=st.one_of(st.none(), st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(ensemble.DISTRIBUTION_KINDS), _VALUE)},
+        optional={"p": st.one_of(st.floats(0.0, 1.0), _VALUE)})),
+)
+@example(kind="all-ones", spec_fields={"scale": True}, grid=None, dist=None)
+@settings(max_examples=300, deadline=None)
+def test_constructed_config_is_rejected_or_round_trips(kind, spec_fields, grid, dist):
+    """Whatever a field holds, a type raises ValidationError and nothing else,
+    or the config it makes survives parse(serialize(c)) with a strict-JSON
+    echo. A grid or distribution drawn as None is the default."""
+    try:
+        config = _config(
+            perturbation=PerturbationSpec(kind, **spec_fields),
+            z_grid=DEFAULT_Z_GRID if grid is None else ZGrid(**grid),
+            distribution=CG if dist is None else EntryDistribution(**dist),
+        )
+    except ValidationError:
+        return
+    text = serialize_config(config)
+    json.loads(text, parse_constant=_no_constant)
+    assert parse_config(text) == config
 
 
 def test_load_config_missing_file(tmp_path):
@@ -1055,6 +1147,28 @@ def test_cli_run_worker_override(tmp_path, capsys):
     path = write_config(tmp_path, replicates=1)
     code = cli.main(["run", "--config", str(path), "--workers", "2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_run_rejects_bad_workers_before_anything(tmp_path, capsys, workers):
+    path = write_config(tmp_path, replicates=1)
+    code = cli.main(["run", "--config", str(path), "--workers", workers])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "workers must be a positive integer" in err
+    assert "preflight:" not in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, 2.0, True, "2"])
+def test_run_experiment_rejects_bad_workers_before_output_dir(tmp_path, workers):
+    """A float or bool never reaches multiprocessing.Pool or a serial run."""
+    cfg = small_config(tmp_path)
+    with pytest.raises(ValidationError, match="workers"):
+        run_experiment(cfg, workers=workers)
+    with pytest.raises(ValidationError, match="workers"):
+        harness.run_units(cfg, {"delta"}, workers)
+    assert not (tmp_path / "out").exists()
 
 
 if __name__ == "__main__":
