@@ -148,11 +148,9 @@ def _consistency_status(rows) -> int:
 
 def _cmd_delta_scan(args) -> int:
     config = _load_config(args)
+    path = harness._output_dir(config) / "delta.csv"
     units = harness.run_units(config, {"delta"})
     rows = [(u.dim, u.replicate, d) for u in units for d in u.diagnostics]
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "delta.csv"
     harness.write_delta_csv(path, rows)
     clean = [d for _, _, d in rows if not d.singular_flag]
     flagged = len(rows) - len(clean)
@@ -167,10 +165,8 @@ def _cmd_delta_scan(args) -> int:
 
 def _cmd_circular_law(args) -> int:
     config = _load_config(args)
+    path = harness._output_dir(config) / "disk.csv"
     records = [u.disk for u in harness.run_units(config, {"disk"})]
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "disk.csv"
     harness.write_disk_csv(path, records)
     for dim in config.dims:
         rs = [r for r in records if r.dim == dim]

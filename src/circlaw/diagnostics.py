@@ -569,6 +569,7 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
     """
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
+    ensemble._check_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     weyl = ibp_identity = ibp_bound = rank_bad = ks_bad = 0
 

@@ -51,8 +51,8 @@ DISTRIBUTION_KINDS = (
     "centered-uniform",
 )
 
-# The config keys of each perturbation kind, each a PerturbationSpec
-# attribute (k is the number of factor pairs); the kinds are its keys.
+# The config keys of each perturbation kind, each a PerturbationSpec field;
+# the kinds are its keys.
 _BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
 PERTURBATION_KEYS = {
     "zero": ("kind", *_BUDGET_KEYS),
@@ -67,7 +67,6 @@ RANK_TOLERANCE = 1e-10
 
 _SQRT_HALF = np.sqrt(0.5)
 _SQRT_THREE = np.sqrt(3.0)
-_U64_MASK = (1 << 64) - 1
 
 _BERNOULLI_RE = re.compile(r"^centered-bernoulli\((.+)\)$")
 
@@ -211,37 +210,40 @@ def _complex(value, label: str) -> complex:
 
 
 def _complex_factors(vectors, label: str) -> tuple[tuple[complex, ...], ...]:
+    """Factor vectors as tuples of complex; None stands for none."""
     return tuple(tuple(_complex(v, label) for v in _sequence(vec, label))
-                 for vec in _sequence(vectors, label))
+                 for vec in _sequence(() if vectors is None else vectors, label))
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Declarative description of a deterministic additive perturbation.
 
-    build_perturbation enforces ``rank_budget`` (a nonnegative int) and
-    ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf for no
-    bound) once per dim. A budget left None is the kind's structural bound:
-    rank 0 and c = 0 for ``zero``, rank 1 and c = scale^2 for ``all-ones``,
-    rank k for ``low-rank``; a bound that stays None is not checked.
+    The fields are the config file's perturbation keys and this class owns
+    their rules, so a spec built in Python obeys the config file's. A key is
+    given when it is not None; a key outside the kind's PERTURBATION_KEYS
+    must not be. ``scale`` (default 1.0) and ``hs_budget_coefficient`` are
+    numbers (not bools or strings) that fit a float; a factor entry is a
+    number or an ``[re, im]`` pair of reals; ``k``, filled with the number
+    of factor pairs, must be that integer; ``path`` is a str or
+    ``os.PathLike``. They are stored as float, complex and str. The scale
+    and factor entries must be finite.
 
-    Every value rule lives here, so a spec built in Python obeys the config
-    file's rules: ``scale`` and ``hs_budget_coefficient`` are numbers (not
-    bools or strings) that fit a float, and are stored as floats; a factor
-    entry is a number or an ``[re, im]`` pair of reals, and the factors
-    become tuples of complex; ``path`` is a str or ``os.PathLike``, stored as
-    a str. The scale and factor entries must be finite. A field outside the
-    kind's PERTURBATION_KEYS must keep its default, so the config echo, which
-    writes only those keys, loses nothing.
+    A budget left None is the kind's structural bound: rank 0 and c = 0 for
+    ``zero``, rank 1 and c = scale^2 for ``all-ones``, rank k for
+    ``low-rank``. build_perturbation enforces ``rank_budget`` (an int >= 0)
+    and ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf
+    for no bound) once per dim; a bound that stays None is not checked.
     """
 
     kind: str
-    scale: float = 1.0
-    left_factors: tuple[tuple[complex, ...], ...] = field(default=())
-    right_factors: tuple[tuple[complex, ...], ...] = field(default=())
+    scale: float | None = None
+    left_factors: tuple[tuple[complex, ...], ...] | None = None
+    right_factors: tuple[tuple[complex, ...], ...] | None = None
     path: str | None = None
     rank_budget: int | None = None
     hs_budget_coefficient: float | None = None
+    k: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PERTURBATION_KINDS:
@@ -249,72 +251,74 @@ class PerturbationSpec:
                 f"unknown perturbation kind {self.kind!r}; "
                 f"expected one of {', '.join(PERTURBATION_KINDS)}"
             )
-        scale = _real(self.scale, "perturbation scale")
-        if not math.isfinite(scale):
-            raise ValidationError(f"perturbation scale must be finite, got {scale!r}")
-        object.__setattr__(self, "scale", scale)
-        for side in ("left_factors", "right_factors"):
-            object.__setattr__(self, side, _complex_factors(getattr(self, side), side))
-        if self.path is not None:
-            if not isinstance(self.path, (str, os.PathLike)):
-                raise ValidationError(
-                    f"perturbation path must be a string or os.PathLike, got {self.path!r}")
-            object.__setattr__(self, "path", str(self.path))
         stray = [f.name for f in fields(self)
                  if f.name not in PERTURBATION_KEYS[self.kind]
-                 and getattr(self, f.name) != f.default]
+                 and getattr(self, f.name) is not None]
         if stray:
             raise ValidationError("; ".join(
                 f"key {key!r} not applicable to perturbation kind {self.kind!r}"
                 for key in stray))
-        if self.kind == "file" and not self.path:
-            raise ValidationError("file perturbation requires a path")
+        # The kind's structural (rank, HS coefficient) bounds.
+        bounds = {"zero": (0, 0.0)}.get(self.kind, (None, None))
+        if self.kind == "all-ones":
+            scale = _real(1.0 if self.scale is None else self.scale, "perturbation scale")
+            if not math.isfinite(scale):
+                raise ValidationError(f"perturbation scale must be finite, got {scale!r}")
+            object.__setattr__(self, "scale", scale)
+            bounds = (1, scale * scale)
+        if self.kind == "file":
+            if self.path is not None and not isinstance(self.path, (str, os.PathLike)):
+                raise ValidationError(
+                    f"perturbation path must be a string or os.PathLike, got {self.path!r}")
+            if not self.path:
+                raise ValidationError("file perturbation requires a path")
+            object.__setattr__(self, "path", str(self.path))
         if self.kind == "low-rank":
+            for side in ("left_factors", "right_factors"):
+                object.__setattr__(self, side, _complex_factors(getattr(self, side), side))
             if not self.left_factors or len(self.left_factors) != len(self.right_factors):
                 raise ValidationError(
                     "low-rank perturbation requires matching nonempty factor lists"
                 )
-        factors = (*self.left_factors, *self.right_factors)
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
-                   for vec in factors for v in vec):
-            raise ValidationError("low-rank factor entries must be finite")
+            if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                       for vec in (*self.left_factors, *self.right_factors) for v in vec):
+                raise ValidationError("low-rank factor entries must be finite")
+            k = len(self.left_factors)
+            if self.k is not None and not (_is_int(self.k) and self.k == k):
+                raise ValidationError(
+                    f"perturbation k must be the integer {k}, the number of "
+                    f"factor pairs, got {self.k!r}")
+            object.__setattr__(self, "k", k)
+            bounds = (k, None)
         budget = self.rank_budget
         if budget is None:
-            budget = {"zero": 0, "all-ones": 1, "low-rank": self.k}.get(self.kind)
-            object.__setattr__(self, "rank_budget", budget)
+            object.__setattr__(self, "rank_budget", bounds[0])
         elif not _is_int(budget) or budget < 0:
             raise ValidationError(
                 f"rank_budget must be a nonnegative integer, got {budget!r}")
         c = self.hs_budget_coefficient
-        if c is None:
-            c = {"zero": 0.0, "all-ones": self.scale * self.scale}.get(self.kind)
-        else:
-            c = _real(c, "hs_budget_coefficient")
-            if not c >= 0:
-                raise ValidationError(
-                    f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
+        c = bounds[1] if c is None else _real(c, "hs_budget_coefficient")
+        if c is not None and not c >= 0:
+            raise ValidationError(
+                f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
         object.__setattr__(self, "hs_budget_coefficient", c)
 
-    @property
-    def k(self) -> int:
-        """Number of factor pairs of a low-rank spec."""
-        return len(self.left_factors)
+
+def _check_seed(seed, label: str = "seed") -> None:
+    """A seed is an integer in [0, 2^64), so no two seeds alias."""
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ValidationError(f"{label} must be an integer in [0, 2^64), got {seed!r}")
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Derive a 64-bit sub-seed from a master seed and an integer key path.
+    """Derive a 64-bit sub-seed from a master seed in [0, 2^64) and a key path.
 
     Pure function of its arguments; used so that replicated experiments can
     run in any order (or in parallel) and still draw identical samples.
     """
-    ss = np.random.SeedSequence(master_seed & _U64_MASK, spawn_key=tuple(key))
+    _check_seed(master_seed, "master_seed")
+    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _row_generator(seed: int, row: int) -> np.random.Generator:
-    # The spawn key's leading 0 is part of every sample's bytes.
-    ss = np.random.SeedSequence(seed & _U64_MASK, spawn_key=(0, row))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
@@ -327,9 +331,12 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
+    _check_seed(seed)
     entries = np.empty((n, n), dtype=np.complex128)
     for j in range(n):
-        entries[j] = dist._draw_row(_row_generator(seed, j), n)
+        # The spawn key's leading 0 is part of every sample's bytes.
+        ss = np.random.SeedSequence(seed, spawn_key=(0, j))
+        entries[j] = dist._draw_row(np.random.Generator(np.random.Philox(ss)), n)
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 

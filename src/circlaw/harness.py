@@ -25,8 +25,6 @@ import numpy as np
 from . import diagnostics, ensemble, measures, spectral
 from .diagnostics import DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
-    PERTURBATION_KEYS,
-    PERTURBATION_KINDS,
     EntryDistribution,
     PerturbationSpec,
     _is_int,
@@ -72,6 +70,7 @@ STAGES = ("delta", "disk")
 
 
 DEFAULT_Z_GRID = ZGrid(re_range=(-2.5, 2.5), im_range=(-2.5, 2.5), step=0.5)
+_INVALID = "invalid experiment config: "
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,10 @@ class ExperimentConfig:
                 problems.append(str(exc))
         if not _is_int(self.replicates) or self.replicates < 1:
             problems.append(f"replicates must be a positive integer, got {self.replicates!r}")
-        if not _is_int(self.master_seed):
-            problems.append(f"master_seed must be an integer, got {self.master_seed!r}")
+        try:
+            ensemble._check_seed(self.master_seed, "master_seed")
+        except ValidationError as exc:
+            problems.append(str(exc))
         if not isinstance(self.output_dir, str) or not self.output_dir:
             problems.append("output_dir must be a nonempty string")
         if not isinstance(self.distribution, EntryDistribution):
@@ -133,38 +134,7 @@ class ExperimentConfig:
         except ValidationError as exc:
             problems.append(str(exc))
         if problems:
-            raise ValidationError("invalid experiment config: " + "; ".join(problems))
-
-
-_PERTURBATION_KEYS = set().union(*PERTURBATION_KEYS.values())
-
-
-def _parse_perturbation(obj) -> PerturbationSpec:
-    if not isinstance(obj, dict):
-        raise ValidationError("perturbation must be a JSON object")
-    problems = [f"unknown perturbation key {key!r}" for key in obj
-                if key not in _PERTURBATION_KEYS]
-    kind = obj.get("kind")
-    if kind not in PERTURBATION_KINDS:
-        problems.append(
-            f"perturbation kind must be one of {', '.join(PERTURBATION_KINDS)}, "
-            f"got {kind!r}"
-        )
-    if problems:
-        raise ValidationError("; ".join(problems))
-    stray = [key for key in obj if key not in PERTURBATION_KEYS[kind]]
-    if stray:
-        raise ValidationError("; ".join(
-            f"key {key!r} not applicable to perturbation kind {kind!r}" for key in stray))
-    values = {key: value for key, value in obj.items() if key != "k"}
-    if "hs_budget_coefficient" in obj and obj["hs_budget_coefficient"] is None:
-        values["hs_budget_coefficient"] = math.inf  # null, like inf, means no bound
-    spec = PerturbationSpec(**values)
-    if "k" in obj and not (_is_int(obj["k"]) and obj["k"] == spec.k):
-        raise ValidationError(
-            f"perturbation k must be the integer {spec.k}, the number of "
-            f"factor pairs, got {obj['k']!r}")
-    return spec
+            raise ValidationError(_INVALID + "; ".join(problems))
 
 
 def _key_problems(schema, obj: dict, prefix: str = "") -> list[str]:
@@ -176,41 +146,56 @@ def _key_problems(schema, obj: dict, prefix: str = "") -> list[str]:
     problems.extend(
         f"{prefix}missing required key {f.name!r}" for f in fields
         if f.name not in obj and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
     )
     return problems
 
 
-def _parse_z_grid(obj) -> ZGrid:
-    if not isinstance(obj, dict):
-        raise ValidationError("z_grid must be a JSON object")
-    problems = _key_problems(ZGrid, obj, "z_grid ")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return ZGrid(**obj)
+# JSON null in a nested object: no HS bound, or the structural rank bound.
+# None means "not given" in every other field, so null there is rejected.
+_NULL_MEANS = {"hs_budget_coefficient": math.inf, "rank_budget": None}
+
+
+def _object_reader(schema, label: str):
+    """The reader of a nested JSON object: its keys by name, as at the top
+    level, then schema(**obj), which checks every value."""
+    def read(obj):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{label} must be a JSON object")
+        problems = _key_problems(schema, obj, f"{label} ") or [
+            f"{label} {key} must not be null" for key, value in obj.items()
+            if value is None and key not in _NULL_MEANS]
+        if problems:
+            raise ValidationError("; ".join(problems))
+        return schema(**{key: _NULL_MEANS[key] if value is None else value
+                         for key, value in obj.items()})
+    return read
 
 
 # The config keys whose JSON value is not the field value; ExperimentConfig
 # and the types it holds check every value.
 _CONFIG_READERS = {
     "distribution": EntryDistribution.parse,
-    "perturbation": _parse_perturbation,
-    "z_grid": _parse_z_grid,
+    "perturbation": _object_reader(PerturbationSpec, "perturbation"),
+    "z_grid": _object_reader(ZGrid, "z_grid"),
 }
+# Valid values for the required keys a document leaves out or gets wrong,
+# so that ExperimentConfig still reports its own problems in the same pass.
+_STAND_INS = dict(name="-", dims=(1,), distribution=EntryDistribution("rademacher"),
+                  perturbation=PerturbationSpec("zero"), replicates=1, master_seed=0,
+                  output_dir="-")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration.
 
-    The keys, required keys and defaults are ExperimentConfig's and ZGrid's
-    fields. The parser checks only what the JSON document adds: unknown and
-    missing keys (by name, at the top level and inside the perturbation and
-    z_grid objects), perturbation keys the kind does not take, the
-    perturbation's k, and null for hs_budget_coefficient, which means no
-    bound. Every value rule is the type's (ExperimentConfig,
-    PerturbationSpec, ZGrid, EntryDistribution), so a config built in Python
-    obeys the same rules. The top-level key problems and the first problem
-    of each of distribution, perturbation and z_grid are reported together.
+    The keys, required keys and defaults of the document and of its
+    perturbation and z_grid objects are the fields of ExperimentConfig,
+    PerturbationSpec and ZGrid. The parser checks only what JSON adds:
+    unknown and missing keys, by name, and null inside those objects (see
+    _NULL_MEANS). Every other rule is the type's, so a config built in
+    Python obeys the same rules. The key problems, the first problem of
+    each nested value and ExperimentConfig's own problems are reported
+    together.
     """
     try:
         doc = json.loads(text)
@@ -220,16 +205,21 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError("config document must be a JSON object")
 
     problems = _key_problems(ExperimentConfig, doc)
-    values = dict(doc)
-    for key, read in _CONFIG_READERS.items():
-        if key in doc:
+    values = dict(_STAND_INS)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in doc:
+            read = _CONFIG_READERS.get(f.name)
             try:
-                values[key] = read(doc[key])
+                values[f.name] = read(doc[f.name]) if read else doc[f.name]
             except ValidationError as exc:
                 problems.append(str(exc))
+    try:
+        config = ExperimentConfig(**values)
+    except ValidationError as exc:
+        problems.append(str(exc).removeprefix(_INVALID))
     if problems:
-        raise ValidationError("invalid experiment config: " + "; ".join(problems))
-    return ExperimentConfig(**values)
+        raise ValidationError(_INVALID + "; ".join(problems))
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -237,19 +227,15 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _perturbation_to_obj(spec: PerturbationSpec) -> dict:
-    """The spec's keys for its kind; a budget that stays None is left out."""
-    return {key: _json(getattr(spec, key))
-            for key in PERTURBATION_KEYS[spec.kind]
-            if getattr(spec, key) is not None}
-
-
 def config_to_obj(config: ExperimentConfig) -> dict:
     """Every field through _json, so an unbounded budget is null; the
-    distribution is written as its wire string."""
+    distribution is written as its wire string, and the perturbation's
+    fields that are None (not given) are left out."""
     obj = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     obj["distribution"] = str(config.distribution)
-    obj["perturbation"] = _perturbation_to_obj(config.perturbation)
+    obj["perturbation"] = {key: _json(value) for key, value in
+                           dataclasses.asdict(config.perturbation).items()
+                           if value is not None}
     return {key: _json(value) for key, value in obj.items()}
 
 
@@ -390,6 +376,17 @@ def _check_workers(workers) -> None:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
 
 
+def _output_dir(config: ExperimentConfig) -> Path:
+    """output_dir, created and probed for writing, so that a command whose
+    reports cannot be written fails before its first unit."""
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".write-probe"
+    probe.write_text("")
+    probe.unlink()
+    return out_dir
+
+
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
@@ -431,11 +428,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
     rejected before output_dir is created.
     """
     _check_workers(workers)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".write-probe"
-    probe.write_text("")
-    probe.unlink()
+    out_dir = _output_dir(config)
 
     t0 = time.perf_counter()
     units = run_units(config, STAGES, workers)

@@ -112,6 +112,27 @@ def test_parse_reports_all_problems_at_once():
     assert "wibble" in str(exc.value)
 
 
+def test_parse_reports_nested_and_config_problems_together():
+    """A nested object that fails to read does not hide ExperimentConfig's
+    own problems, and stands in without a problem of its own."""
+    text = cfg_json(perturbation={"kind": "all-ones", "scale": "x"},
+                    z_grid={"re_range": [0, 1], "im_range": [0, 0], "step": "0.5"},
+                    replicates=0)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    msg = str(exc.value)
+    for problem in ("perturbation scale must be a number", "grid step must be a number",
+                    "replicates must be a positive integer"):
+        assert problem in msg
+    assert "must be a PerturbationSpec" not in msg and "must be a ZGrid" not in msg
+    obj = dict(MINIMAL, replicates=0, rankk=1)
+    del obj["master_seed"]
+    with pytest.raises(ValidationError) as exc:
+        parse_config(json.dumps(obj))
+    for problem in ("rankk", "missing required key 'master_seed'", "replicates"):
+        assert problem in str(exc.value)
+
+
 def test_parse_rejects_unknown_perturbation_key():
     with pytest.raises(ValidationError, match="strength"):
         parse_config(cfg_json(perturbation={"kind": "all-ones", "strength": 2}))
@@ -267,6 +288,94 @@ def test_spec_rejects_a_key_its_kind_does_not_take(kind):
     defaults = {f.name: f.default for f in dataclasses.fields(PerturbationSpec)}
     _echoed_perturbation(
         PerturbationSpec(kind, **keywords, **{key: defaults[key] for key in stray}))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PerturbationSpec("zero", scale=1.0),
+     "key 'scale' not applicable to perturbation kind 'zero'"),
+    (lambda: PerturbationSpec("file", path="m.csv", left_factors=[]),
+     "key 'left_factors' not applicable to perturbation kind 'file'"),
+    (lambda: PerturbationSpec("low-rank", left_factors=[(1.0,)],
+                              right_factors=[(2.0,)], k=2),
+     "perturbation k must be the integer 1, the number of factor pairs, got 2"),
+], ids=["zero-scale-1", "file-empty-factors", "low-rank-k-2"])
+def test_spec_rejects_what_a_config_file_rejects(build, message):
+    """A key given at its value from a Python caller obeys the config
+    file's rules: a key the kind does not take is rejected even at the
+    value the kind would imply, and k must be the number of factor pairs."""
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert message in str(exc.value)
+
+
+def test_spec_k_is_the_number_of_factor_pairs():
+    factors = {"left_factors": [(1.0,)], "right_factors": [(2.0,)]}
+    spec = PerturbationSpec("low-rank", **factors, k=1)
+    assert spec == PerturbationSpec("low-rank", **factors) and spec.k == 1
+    assert PerturbationSpec("zero").k is None
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": None}, "kind"),
+    ({"kind": "all-ones", "scale": None}, "scale"),
+    ({"kind": "file", "path": None}, "path"),
+    ({"kind": "low-rank", "k": None, "left_factors": [[1.0]], "right_factors": [[1.0]]},
+     "k"),
+    ({"kind": "low-rank", "left_factors": None, "right_factors": [[1.0]]},
+     "left_factors"),
+], ids=["kind", "scale", "path", "k", "factors"])
+def test_parse_rejects_null_naming_the_key(obj, key):
+    """null means "not given" nowhere in a config file, so "scale": null
+    does not become the default scale."""
+    with pytest.raises(ValidationError, match=f"perturbation {key} must not be null"):
+        parse_config(cfg_json(perturbation=obj))
+
+
+def test_parse_null_budgets_keep_their_meaning():
+    grid = {"re_range": [0, 1], "im_range": [0, 0], "step": None}
+    with pytest.raises(ValidationError, match="z_grid step must not be null"):
+        parse_config(cfg_json(z_grid=grid))
+    spec = parse_config(cfg_json(perturbation={
+        "kind": "all-ones", "scale": 2.0, "rank_budget": None,
+        "hs_budget_coefficient": None})).perturbation
+    assert (spec.rank_budget, spec.hs_budget_coefficient) == (1, math.inf)
+
+
+# A perturbation object's values: numbers (nan, inf and one too large for a
+# float included), bools, strings, lists of numbers and factor lists.
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(), st.just(10**400))
+_FACTORS = st.lists(st.lists(
+    st.one_of(_NUMBER, st.lists(_NUMBER, min_size=2, max_size=2)), min_size=1, max_size=3),
+    max_size=2)
+_PERTURBATION_VALUE = st.one_of(
+    _NUMBER, st.booleans(), st.text(max_size=3), st.lists(_NUMBER, max_size=3), _FACTORS)
+_PERTURBATION_OBJECT_KEYS = sorted(
+    set().union(*ensemble.PERTURBATION_KEYS.values()) - {"kind"}) + ["strength"]
+
+
+@given(obj=st.fixed_dictionaries(
+    {"kind": st.sampled_from(ensemble.PERTURBATION_KINDS)},
+    optional=dict.fromkeys(_PERTURBATION_OBJECT_KEYS, _PERTURBATION_VALUE)))
+@example(obj={"kind": "zero", "scale": 1.0})
+@settings(max_examples=300, deadline=None)
+def test_python_and_json_agree_on_every_perturbation_object(obj):
+    """parse_config accepts a perturbation object exactly when
+    PerturbationSpec(**obj) does, and then both give the same spec, whose
+    echo parses back to it. Python rejects an unknown key with TypeError."""
+    try:
+        spec = PerturbationSpec(**obj)
+    except TypeError:
+        assert "strength" in obj
+        spec = None
+    except ValidationError:
+        spec = None
+    try:
+        parsed = parse_config(cfg_json(perturbation=obj)).perturbation
+    except ValidationError:
+        parsed = None
+    assert parsed == spec
+    if spec is not None:
+        _echoed_perturbation(spec)
 
 
 def test_serialize_is_deterministic():
@@ -1169,6 +1278,51 @@ def test_run_experiment_rejects_bad_workers_before_output_dir(tmp_path, workers)
     with pytest.raises(ValidationError, match="workers"):
         harness.run_units(cfg, {"delta"}, workers)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "delta-scan", "circular-law"])
+def test_cli_unwritable_output_dir_fails_before_sampling(
+    tmp_path, capsys, sample_calls, command
+):
+    """output_dir is created and probed before the first unit, so a path
+    under a regular file costs no scan."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path, output_dir=str(blocker / "out"))
+    assert cli.main([command, "--config", str(path)]) == 1
+    assert "Not a directory" in capsys.readouterr().err
+    assert sample_calls == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_u64_rejected(seed):
+    """Seeds used to be masked to 64 bits, so -1 drew the samples of
+    2^64 - 1 and 2^64 + 5 those of 5; now a seed is an integer in [0, 2^64)."""
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        ensemble.sample_matrix(CG, 2, seed)
+    with pytest.raises(ValidationError, match="master_seed"):
+        ensemble.derive_seed(seed, 2, 0)
+    with pytest.raises(ValidationError, match="master_seed"):
+        parse_config(cfg_json(master_seed=seed))
+    with pytest.raises(ValidationError, match="master_seed"):
+        _config(master_seed=seed)
+    top = ensemble.sample_matrix(CG, 2, 2**64 - 1).entries
+    assert not np.array_equal(top, ensemble.sample_matrix(CG, 2, 0).entries)
+    assert ensemble.derive_seed(2**64 - 1, 2, 0) != ensemble.derive_seed(0, 2, 0)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "4"], ["spectrum", "--n", "4"], ["constant-case", "--n", "4"],
+    ["verify-lemmas", "--trials", "2"], ["run", "--config", "{config}"],
+], ids=["sample", "spectrum", "constant-case", "verify-lemmas", "run"])
+def test_cli_seed_outside_u64_exits_one(tmp_path, capsys, argv, seed):
+    path = write_config(tmp_path)
+    code = cli.main([str(path) if a == "{config}" else a for a in argv] + ["--seed", seed])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "seed must be an integer in [0, 2^64)" in err
+    assert "Traceback" not in err and out == ""
 
 
 if __name__ == "__main__":
