@@ -38,7 +38,8 @@ def _build_parser() -> _Parser:
     def add_sampling_args(p, with_out=True):
         p.add_argument("--n", type=int, required=True, help="matrix dimension")
         p.add_argument("--dist", default="complex-gaussian",
-                       help="entry distribution kind")
+                       help="entry law as kind or kind(p); kinds: "
+                       + ", ".join(ensemble.DISTRIBUTION_KINDS))
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         if with_out:
             p.add_argument("--out", default=None, help="output file path")

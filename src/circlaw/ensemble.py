@@ -42,15 +42,6 @@ __all__ = [
     "write_matrix_csv",
 ]
 
-DISTRIBUTION_KINDS = (
-    "complex-gaussian",
-    "real-gaussian",
-    "rademacher",
-    "complex-rademacher",
-    "centered-bernoulli",
-    "centered-uniform",
-)
-
 # The config keys of each perturbation kind, each a PerturbationSpec field;
 # the kinds are its keys.
 _BUDGET_KEYS = ("rank_budget", "hs_budget_coefficient")
@@ -68,7 +59,30 @@ RANK_TOLERANCE = 1e-10
 _SQRT_HALF = np.sqrt(0.5)
 _SQRT_THREE = np.sqrt(3.0)
 
-_BERNOULLI_RE = re.compile(r"^centered-bernoulli\((.+)\)$")
+
+def _interleaved(s: np.ndarray) -> np.ndarray:
+    """Entry k from draws 2k (real part) and 2k+1 (imaginary part)."""
+    return (s[0::2] + 1j * s[1::2]) * _SQRT_HALF
+
+
+# Each entry law's row draw, draw(rng, n, p) -> n real or complex entries,
+# and the open interval its parameter p lies in, or None for a law without
+# one. Entry k of a row consumes a fixed prefix of the row's stream (draws 2k
+# and 2k+1 for a complex law), independent of n. The kinds are its keys.
+_DISTRIBUTIONS = {
+    "complex-gaussian": (lambda rng, n, p: _interleaved(rng.standard_normal(2 * n)), None),
+    "real-gaussian": (lambda rng, n, p: rng.standard_normal(n), None),
+    "rademacher": (lambda rng, n, p: 2.0 * rng.integers(0, 2, n) - 1.0, None),
+    "complex-rademacher": (
+        lambda rng, n, p: _interleaved(2.0 * rng.integers(0, 2, 2 * n) - 1.0), None),
+    "centered-bernoulli": (
+        lambda rng, n, p: ((rng.random(n) < p) - p) / np.sqrt(p * (1.0 - p)), (0, 1)),
+    "centered-uniform": (lambda rng, n, p: (2.0 * rng.random(n) - 1.0) * _SQRT_THREE, None),
+}
+DISTRIBUTION_KINDS = tuple(_DISTRIBUTIONS)
+
+# A parameterized wire string, kind(p); any other is a bare kind.
+_WIRE_RE = re.compile(r"([^(]*)\((.+)\)")
 
 
 def _is_int(value) -> bool:
@@ -91,8 +105,11 @@ def _real(value, label: str) -> float:
 class EntryDistribution:
     """A scalar entry law with mean 0 and E|X|^2 = 1.
 
-    ``kind`` is one of :data:`DISTRIBUTION_KINDS`; ``p`` is the success
-    probability for ``centered-bernoulli`` and must be None otherwise.
+    ``kind`` is one of :data:`DISTRIBUTION_KINDS`. ``p`` is the law's
+    parameter, a number strictly inside the open interval of the kind's
+    table row (the Bernoulli law's success probability, in (0, 1)), and
+    must be None for a law without one. The wire string is ``kind`` or
+    ``kind(p)``.
     """
 
     kind: str
@@ -104,62 +121,37 @@ class EntryDistribution:
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {', '.join(DISTRIBUTION_KINDS)}"
             )
-        if self.kind == "centered-bernoulli":
-            p = _real(self.p, "centered-bernoulli p")
-            if not 0.0 < p < 1.0:
-                raise ValidationError(f"centered-bernoulli requires p in (0, 1), got {p!r}")
-            object.__setattr__(self, "p", p)
-        elif self.p is not None:
-            raise ValidationError(f"{self.kind} takes no parameter, got p={self.p!r}")
+        interval = _DISTRIBUTIONS[self.kind][1]
+        if interval is None:
+            if self.p is not None:
+                raise ValidationError(f"{self.kind} takes no parameter, got p={self.p!r}")
+            return
+        if self.p is None:
+            raise ValidationError(
+                f"{self.kind} requires a parameter, as in {self.kind}(p)")
+        p = _real(self.p, f"{self.kind} p")
+        lo, hi = interval
+        if not lo < p < hi:
+            raise ValidationError(f"{self.kind} requires p in ({lo}, {hi}), got {p!r}")
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def parse(cls, text: str) -> "EntryDistribution":
-        """Parse the exact wire strings, e.g. ``"centered-bernoulli(0.3)"``."""
+        """Parse a whole wire string, ``kind`` or ``kind(p)``."""
         if not isinstance(text, str):
             raise ValidationError(f"distribution must be a string, got {text!r}")
-        m = _BERNOULLI_RE.match(text)
-        if m:
-            try:
-                p = float(m.group(1))
-            except ValueError:
-                raise ValidationError(f"bad centered-bernoulli parameter: {text!r}")
-            return cls("centered-bernoulli", p)
-        return cls(text)
+        m = _WIRE_RE.fullmatch(text)
+        if m is None:
+            return cls(text)
+        kind, arg = m.groups()
+        try:
+            p = float(arg)
+        except ValueError:
+            raise ValidationError(f"bad {kind} parameter: {text!r}") from None
+        return cls(kind, p)
 
     def __str__(self) -> str:
-        if self.kind == "centered-bernoulli":
-            return f"centered-bernoulli({self.p!r})"
-        return self.kind
-
-    @property
-    def is_complex(self) -> bool:
-        return self.kind in ("complex-gaussian", "complex-rademacher")
-
-    def _draw_row(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """One row of standardized draws; entry k consumes a fixed draw prefix.
-
-        Complex kinds interleave real/imaginary draws so that entry k depends
-        only on draws 2k and 2k+1 of the row stream, independent of n.
-        """
-        kind = self.kind
-        if kind == "real-gaussian":
-            return rng.standard_normal(n).astype(np.complex128)
-        if kind == "complex-gaussian":
-            g = rng.standard_normal(2 * n)
-            return (g[0::2] + 1j * g[1::2]) * _SQRT_HALF
-        if kind == "rademacher":
-            return (2.0 * rng.integers(0, 2, n) - 1.0).astype(np.complex128)
-        if kind == "complex-rademacher":
-            s = 2.0 * rng.integers(0, 2, 2 * n) - 1.0
-            return (s[0::2] + 1j * s[1::2]) * _SQRT_HALF
-        if kind == "centered-bernoulli":
-            p = self.p
-            b = (rng.random(n) < p).astype(np.float64)
-            return ((b - p) / np.sqrt(p * (1.0 - p))).astype(np.complex128)
-        if kind == "centered-uniform":
-            u = rng.random(n)
-            return ((2.0 * u - 1.0) * _SQRT_THREE).astype(np.complex128)
-        raise AssertionError(f"unhandled kind {kind}")
+        return self.kind if self.p is None else f"{self.kind}({self.p!r})"
 
 
 @dataclass(frozen=True)
@@ -332,11 +324,12 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     _check_seed(seed)
+    draw = _DISTRIBUTIONS[dist.kind][0]
     entries = np.empty((n, n), dtype=np.complex128)
     for j in range(n):
         # The spawn key's leading 0 is part of every sample's bytes.
         ss = np.random.SeedSequence(seed, spawn_key=(0, j))
-        entries[j] = dist._draw_row(np.random.Generator(np.random.Philox(ss)), n)
+        entries[j] = draw(np.random.Generator(np.random.Philox(ss)), n, dist.p)
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 
@@ -401,7 +394,8 @@ class Perturbation:
     """M of one spec at one dim and its structural rank, budgets checked.
 
     Only a ``file`` M is kept (``dense``, read-only); matrix() rebuilds any
-    other, so no dense M stays alive between units.
+    other, so no dense M stays alive between units. A zero or all-ones M is
+    a read-only view of its one scalar.
     """
 
     spec: PerturbationSpec
@@ -410,7 +404,7 @@ class Perturbation:
     dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def matrix(self) -> np.ndarray:
-        """M as a dense n-by-n complex matrix."""
+        """M as an n-by-n complex matrix."""
         return _matrix(self.spec, self.dim) if self.dense is None else self.dense
 
 
@@ -421,14 +415,13 @@ def _factors(spec: PerturbationSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matrix(spec: PerturbationSpec, n: int) -> np.ndarray:
-    if spec.kind == "zero":
-        return np.zeros((n, n), dtype=np.complex128)
-    if spec.kind == "all-ones":
-        return np.full((n, n), spec.scale, dtype=np.complex128)
     if spec.kind == "file":
         return read_matrix_csv(spec.path, n)
-    u, v = _factors(spec)
-    return u @ v.conj().T
+    if spec.kind == "low-rank":
+        u, v = _factors(spec)
+        return u @ v.conj().T
+    # zero or all-ones: a read-only view of one scalar, no n-by-n array.
+    return np.broadcast_to(np.complex128(0.0 if spec.scale is None else spec.scale), (n, n))
 
 
 def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
@@ -487,14 +480,9 @@ def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
-    # A zero or all-ones M is added as the scalar it repeats: the same sums,
-    # with no n-by-n M.
-    spec = perturbation.spec
-    m = (0j if spec.kind == "zero" else complex(spec.scale)
-         if spec.kind == "all-ones" else perturbation.matrix())
     return AssembledPair(
         a_matrix=x.entries * inv_sqrt_n,
-        b_matrix=(x.entries + m) * inv_sqrt_n,
+        b_matrix=(x.entries + perturbation.matrix()) * inv_sqrt_n,
         dim=x.dim,
         perturbation_rank=perturbation.rank,
     )

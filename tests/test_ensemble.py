@@ -60,12 +60,41 @@ def test_distribution_parse_rejects_garbage():
         EntryDistribution.parse("centered-bernoulli(abc)")
 
 
-def test_distribution_complex_flag():
-    assert EntryDistribution.parse("complex-gaussian").is_complex
-    assert EntryDistribution.parse("complex-rademacher").is_complex
-    assert not EntryDistribution.parse("real-gaussian").is_complex
-    assert not EntryDistribution.parse("rademacher").is_complex
-    assert not EntryDistribution.parse("centered-uniform").is_complex
+def _reference_row(text, rng, n):
+    """Row of n entries of the law `text`, written out from its definition.
+    A complex law takes entry k's real and imaginary parts from draws 2k and
+    2k+1 of the row's stream."""
+    half = np.sqrt(0.5)
+    if text == "complex-gaussian":
+        g = rng.standard_normal((n, 2))
+        return (g[:, 0] + 1j * g[:, 1]) * half
+    if text == "real-gaussian":
+        return rng.standard_normal(n)
+    if text == "rademacher":
+        return np.where(rng.integers(0, 2, n) == 1, 1.0, -1.0)
+    if text == "complex-rademacher":
+        s = np.where(rng.integers(0, 2, (n, 2)) == 1, 1.0, -1.0)
+        return (s[:, 0] + 1j * s[:, 1]) * half
+    if text == "centered-bernoulli(0.3)":
+        p = 0.3
+        return np.where(rng.random(n) < p, 1.0 - p, -p) / np.sqrt(p * (1.0 - p))
+    assert text == "centered-uniform"
+    return (2.0 * rng.random(n) - 1.0) * np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("text", ALL_KINDS)
+def test_sampling_matches_reference_draws(text):
+    """Row j of every law is its reference draw from the counter-based stream
+    keyed by (seed, j), byte for byte."""
+    d = EntryDistribution.parse(text)
+    for n in (1, 7, 64):
+        for seed in (0, 123, 2**64 - 1):
+            x = sample_matrix(d, n, seed).entries
+            for j in range(n):
+                ss = np.random.SeedSequence(seed, spawn_key=(0, j))
+                rng = np.random.Generator(np.random.Philox(ss))
+                ref = np.asarray(_reference_row(text, rng, n), dtype=np.complex128)
+                assert x[j].tobytes() == ref.tobytes(), (n, seed, j)
 
 
 def test_sampling_is_bitwise_deterministic():
@@ -496,6 +525,21 @@ def test_assemble_zero_bytes_match_dense_sum():
     p = build_perturbation(PerturbationSpec("zero"), n)
     dense = (x.entries + np.zeros((n, n), dtype=complex)) * (1.0 / np.sqrt(float(n)))
     assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "real-gaussian"])
+@pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, -0.0, 1e-3])
+def test_assemble_all_ones_bytes_match_full_reference(dist, scale):
+    """B has the bytes of X + np.full(scale), a -0.0 entry and scale included."""
+    n = 9
+    d = EntryDistribution.parse(dist)
+    entries = sample_matrix(d, n, seed=3).entries.copy()
+    entries[0, 0] = complex(-0.0, -0.0)
+    x = MatrixSample(dim=n, entries=entries, seed=3, distribution=d)
+    p = build_perturbation(PerturbationSpec("all-ones", scale=scale), n)
+    dense = (entries + np.full((n, n), complex(scale))) * (1.0 / np.sqrt(float(n)))
+    assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
+    assert p.dense is None
 
 
 @pytest.mark.parametrize("make_spec", [

@@ -448,6 +448,29 @@ def test_library_value_rejected_by_name(case):
     assert field in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["centered-bernoulli(0.3)\n", "complex-gaussian\n"],
+                         ids=["parameterized", "bare"])
+def test_distribution_with_trailing_newline_rejected(text):
+    """The wire string is the whole string, for a law with a parameter too."""
+    with pytest.raises(ValidationError, match="distribution"):
+        EntryDistribution.parse(text)
+    with pytest.raises(ValidationError, match="distribution"):
+        parse_config(cfg_json(distribution=text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rademacher(0.3)", "rademacher takes no parameter"),
+    ("centered-bernoulli", "centered-bernoulli requires a parameter, as in "
+                           "centered-bernoulli(p)"),
+], ids=["stray-parameter", "missing-parameter"])
+def test_distribution_parameter_error_names_the_kind(capsys, text, message):
+    with pytest.raises(ValidationError) as exc:
+        EntryDistribution.parse(text)
+    assert message in str(exc.value)
+    assert cli.main(["sample", "--n", "8", "--dist", text]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_library_int_values_are_stored_as_floats():
     """The types store the floats a config file's reader would give, so the
     echo of a spec or grid built from ints writes 2.0, not 2."""
