@@ -156,7 +156,9 @@ class EntryDistribution:
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """An n-by-n draw of i.i.d. standardized entries."""
+    """An n-by-n draw of i.i.d. standardized entries, stored as a writeable
+    complex128 array; input of another dtype, or read-only, is copied once.
+    assemble spends the entries (see there)."""
 
     dim: int
     entries: np.ndarray
@@ -164,6 +166,7 @@ class MatrixSample:
     distribution: EntryDistribution
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", np.require(self.entries, np.complex128, "W"))
         if self.entries.shape != (self.dim, self.dim):
             raise ShapeError(
                 f"entries shape {self.entries.shape} does not match dim {self.dim}"
@@ -474,15 +477,22 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
-    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M."""
+    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M.
+
+    x is spent: B is a new array, and then x.entries is scaled in place and
+    becomes A, so a unit holds two n-by-n arrays rather than three. A caller
+    who wants to keep X passes a copy. The bytes are those of x * s and
+    (x + M) * s with s = 1/sqrt(n).
+    """
     if perturbation.dim != x.dim:
         raise ShapeError(
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
+    b = np.add(x.entries, perturbation.matrix())
+    b *= inv_sqrt_n
+    a = x.entries
+    a *= inv_sqrt_n
     return AssembledPair(
-        a_matrix=x.entries * inv_sqrt_n,
-        b_matrix=(x.entries + perturbation.matrix()) * inv_sqrt_n,
-        dim=x.dim,
-        perturbation_rank=perturbation.rank,
+        a_matrix=a, b_matrix=b, dim=x.dim, perturbation_rank=perturbation.rank,
     )

@@ -330,7 +330,8 @@ def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     """Sample and assemble one (dim, replicate) unit at the perturbation's dim.
 
     The sample seed is a pure function of (master_seed, dim, replicate), so
-    units can be computed in any order or concurrently.
+    units can be computed in any order or concurrently. assemble spends the
+    sample, whose buffer becomes A, so the unit allocates X and B only.
     """
     dim = perturbation.dim
     seed = ensemble.derive_seed(config.master_seed, dim, replicate)
@@ -347,8 +348,9 @@ def lapack_work(config: ExperimentConfig) -> int:
 
 
 def unit_dense_bytes(n: int) -> int:
-    """What one unit at dim n holds densely at its peak: A, B and the copy
-    LAPACK works on, three n-by-n complex128 matrices."""
+    """What one unit at dim n holds densely at its peak, three n-by-n
+    complex128 matrices: A, B and the copy LAPACK works on. Assembly holds
+    no more, since X's buffer becomes A beside the new B."""
     return 3 * 16 * n * n
 
 

@@ -110,6 +110,22 @@ def test_delta_rank_one_perturbation():
     assert abs(d.delta) <= d.ibp_bound + 1e-8
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_delta_at_of_real_sample_matches_complex(dtype):
+    """A sample given real or integer entries gives a complex128 pair and
+    the delta_at record of the equal complex sample."""
+    rng = np.random.default_rng(9)
+    values = rng.integers(-3, 4, (6, 6))
+    z = 0.3 + 0.2j
+    records = []
+    for entries in (values.astype(dtype), values.astype(np.complex128)):
+        x = MatrixSample(dim=6, entries=entries, seed=0, distribution=CG)
+        pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 6))
+        assert pair.a_matrix.dtype == pair.b_matrix.dtype == np.complex128
+        records.append(repr(delta_at(pair, z)))
+    assert records[0] == records[1]
+
+
 def test_delta_at_allocates_no_shifted_copy(traced_peak):
     """A - zI and B - zI are formed in the pair's arrays: delta_at allocates
     well under one n-by-n complex array, where two shifted copies took 2."""

@@ -466,22 +466,23 @@ def test_assemble_exact_linearity_in_perturbation():
     """With n = 16 the 1/sqrt(n) scaling is a power of two, so doubling the
     perturbation shifts b by exactly m/4."""
     d = EntryDistribution.parse("rademacher")
-    x = sample_matrix(d, 16, seed=5)
-    p1 = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 16))
-    p2 = assemble(x, build_perturbation(PerturbationSpec("all-ones", scale=2.0), 16))
+    p1 = assemble(sample_matrix(d, 16, seed=5),
+                  build_perturbation(PerturbationSpec("all-ones"), 16))
+    p2 = assemble(sample_matrix(d, 16, seed=5),
+                  build_perturbation(PerturbationSpec("all-ones", scale=2.0), 16))
     assert np.all(p2.b_matrix - p1.b_matrix == 0.25)
     assert np.array_equal(p2.a_matrix, p1.a_matrix)
 
 
 def test_assemble_generic_linearity(tmp_path):
     d = EntryDistribution.parse("complex-gaussian")
-    x = sample_matrix(d, 10, seed=8)
     rng = np.random.default_rng(4)
     m = (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
     write_matrix_csv(tmp_path / "m.csv", m)
     dense = build_perturbation(PerturbationSpec("file", path=tmp_path / "m.csv"), 10)
-    base = assemble(x, build_perturbation(PerturbationSpec("zero"), 10)).b_matrix
-    shifted = assemble(x, dense).b_matrix
+    base = assemble(sample_matrix(d, 10, seed=8),
+                    build_perturbation(PerturbationSpec("zero"), 10)).b_matrix
+    shifted = assemble(sample_matrix(d, 10, seed=8), dense).b_matrix
     assert np.allclose(shifted - base, m / np.sqrt(10.0), rtol=1e-13, atol=0)
 
 
@@ -507,12 +508,68 @@ def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
     PerturbationSpec("zero"), PerturbationSpec("all-ones", scale=2.0),
 ], ids=["zero", "all-ones"])
 def test_assemble_adds_no_dense_structured_matrix(traced_peak, spec):
-    """A zero or all-ones M is added as a scalar: assemble's peak is A and
-    B, with no n-by-n M beside them."""
+    """A zero or all-ones M is added as a scalar and A is X's own buffer:
+    assemble allocates B alone, with no n-by-n M or A beside it."""
     n = 200
     x = sample_matrix(EntryDistribution.parse("complex-gaussian"), n, seed=1)
     p = build_perturbation(spec, n)
-    assert traced_peak(assemble, x, p) < 2.5 * n * n * 16
+    assert traced_peak(assemble, x, p) < 1.25 * n * n * 16
+
+
+def _file_perturbation(tmp_path, n):
+    rng = np.random.default_rng(11)
+    write_matrix_csv(tmp_path / "m.csv",
+                     rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return build_perturbation(PerturbationSpec("file", path=tmp_path / "m.csv"), n)
+
+
+@pytest.mark.parametrize("make_perturbation", [
+    lambda tmp_path, n: build_perturbation(PerturbationSpec("zero"), n),
+    lambda tmp_path, n: build_perturbation(PerturbationSpec("all-ones", scale=2.5), n),
+    lambda tmp_path, n: build_perturbation(_low_rank_spec(n), n),
+    _file_perturbation,
+], ids=["zero", "all-ones", "low-rank", "file"])
+def test_assemble_spends_x_into_a_with_reference_bytes(tmp_path, make_perturbation):
+    """A is x * s in X's own buffer and B is (x + M) * s, s = 1/sqrt(n),
+    byte for byte against X as it was before the call."""
+    n = 37
+    p = make_perturbation(tmp_path, n)
+    x = sample_matrix(EntryDistribution.parse("complex-gaussian"), n, seed=4)
+    before = x.entries.copy()
+    s = 1.0 / np.sqrt(float(n))
+    pair = assemble(x, p)
+    assert pair.a_matrix is x.entries
+    assert pair.a_matrix.tobytes() == (before * s).tobytes()
+    assert pair.b_matrix.tobytes() == ((before + p.matrix()) * s).tobytes()
+
+
+@pytest.mark.parametrize("entries", [
+    np.arange(16.0).reshape(4, 4) - 7.5,
+    np.arange(16).reshape(4, 4) - 7,
+], ids=["float64", "int64"])
+def test_matrix_sample_stores_complex128(entries):
+    """Real or integer entries are stored as their complex128 values; a
+    complex128 array is kept as it is."""
+    x = MatrixSample(dim=4, entries=entries, seed=0,
+                     distribution=EntryDistribution.parse("real-gaussian"))
+    assert x.entries.dtype == np.complex128
+    assert np.array_equal(x.entries, entries)
+    same = np.asarray(entries, np.complex128)
+    assert MatrixSample(dim=4, entries=same, seed=0,
+                        distribution=x.distribution).entries is same
+
+
+def test_assemble_copies_read_only_entries_once():
+    """A read-only X is copied when the sample is made, so assemble can
+    spend the copy and the caller's array keeps its values."""
+    d = EntryDistribution.parse("complex-gaussian")
+    frozen = sample_matrix(d, 5, seed=2).entries
+    frozen.flags.writeable = False
+    before = frozen.copy()
+    pair = assemble(MatrixSample(dim=5, entries=frozen, seed=2, distribution=d),
+                    build_perturbation(PerturbationSpec("zero"), 5))
+    assert np.array_equal(frozen, before)
+    assert pair.a_matrix.tobytes() == (before * (1.0 / np.sqrt(5.0))).tobytes()
 
 
 def test_assemble_zero_bytes_match_dense_sum():

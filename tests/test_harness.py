@@ -634,6 +634,17 @@ def test_disk_csv_bulk_max_modulus_is_the_units_largest_bulk_modulus(
         assert row["bulk_max_modulus"] == repr(float(np.max(np.abs(bulk))))
 
 
+def test_build_pair_holds_two_dense_matrices(tmp_path, traced_peak):
+    """build_pair allocates X, which becomes A, and B: two n-by-n complex
+    arrays, not three. A first draw imports modules lazily, so one unit
+    runs before the measured one."""
+    n = 200
+    cfg = small_config(tmp_path, dims=(n,))
+    perturbation = ensemble.build_perturbation(cfg.perturbation, n)
+    harness.build_pair(cfg, perturbation, 1)
+    assert traced_peak(harness.build_pair, cfg, perturbation, 0) < 2.25 * n * n * 16
+
+
 def low_rank_config(tmp_path, n=8):
     rng = np.random.default_rng(21)
     left, right = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
