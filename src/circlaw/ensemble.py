@@ -3,7 +3,7 @@
 Entry laws are standardized to mean 0 and unit second absolute moment, so the
 scaled matrix X/sqrt(n) has bulk spectrum filling the unit disc. Perturbations
 are declared by a small spec (kind, rank budget, Hilbert-Schmidt budget) and
-realized as dense complex matrices.
+realized, for every kind, as n-by-k factors of M = U V*; no n-by-n M is formed.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class EntryDistribution:
 @dataclass(frozen=True)
 class MatrixSample:
     """An n-by-n draw of i.i.d. standardized entries, stored as a writeable
-    complex128 array; input of another dtype, or read-only, is copied once.
-    assemble spends the entries (see there)."""
+    C-contiguous complex128 array; other input (another dtype, read-only, or
+    a transpose) is copied once. assemble spends the entries (see there)."""
 
     dim: int
     entries: np.ndarray
@@ -166,7 +166,7 @@ class MatrixSample:
     distribution: EntryDistribution
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.require(self.entries, np.complex128, "W"))
+        object.__setattr__(self, "entries", np.require(self.entries, np.complex128, "CW"))
         if self.entries.shape != (self.dim, self.dim):
             raise ShapeError(
                 f"entries shape {self.entries.shape} does not match dim {self.dim}"
@@ -336,12 +336,17 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """Count singular values above RANK_TOLERANCE * s1."""
-    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
+def _rank(s: np.ndarray) -> int:
+    """Count the descending singular values s (at least one) above
+    RANK_TOLERANCE * s1."""
     return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
+
+
+def numerical_rank(m: np.ndarray) -> int:
+    """Count singular values above RANK_TOLERANCE * s1; an empty m has rank 0
+    and takes no SVD."""
+    m = np.asarray(m, dtype=np.complex128)
+    return _rank(np.linalg.svd(m, compute_uv=False)) if m.size else 0
 
 
 def read_matrix_csv(path, n: int) -> np.ndarray:
@@ -394,71 +399,64 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """M of one spec at one dim and its structural rank, budgets checked.
+    """M = U V* of one spec at one dim, its numerical rank, budgets checked.
 
-    Only a ``file`` M is kept (``dense``, read-only); matrix() rebuilds any
-    other, so no dense M stays alive between units. A zero or all-ones M is
-    a read-only view of its one scalar.
+    ``u`` and ``v`` are the read-only n-by-k complex factors, built once per
+    dim; no n-by-n M is formed or kept.
     """
 
     spec: PerturbationSpec
     dim: int
     rank: int
-    dense: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def matrix(self) -> np.ndarray:
-        """M as an n-by-n complex matrix."""
-        return _matrix(self.spec, self.dim) if self.dense is None else self.dense
+    u: np.ndarray = field(repr=False, compare=False)
+    v: np.ndarray = field(repr=False, compare=False)
 
 
-def _factors(spec: PerturbationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The n-by-k factor matrices U and V of a low-rank M = U V*."""
+def _low_rank_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The given factors, once their lengths and k fit dim n."""
+    for vec in (*spec.left_factors, *spec.right_factors):
+        if len(vec) != n:
+            raise ShapeError(f"low-rank factor has length {len(vec)}, expected {n}")
+    if spec.k > n:
+        raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
     return (np.array(spec.left_factors, dtype=np.complex128).T,
             np.array(spec.right_factors, dtype=np.complex128).T)
 
 
-def _matrix(spec: PerturbationSpec, n: int) -> np.ndarray:
-    if spec.kind == "file":
-        return read_matrix_csv(spec.path, n)
-    if spec.kind == "low-rank":
-        u, v = _factors(spec)
-        return u @ v.conj().T
-    # zero or all-ones: a read-only view of one scalar, no n-by-n array.
-    return np.broadcast_to(np.complex128(0.0 if spec.scale is None else spec.scale), (n, n))
+def _file_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """U_r S_r and V_r of the file M's SVD, truncated at its numerical rank r."""
+    w, s, vh = np.linalg.svd(read_matrix_csv(spec.path, n))
+    r = _rank(s)
+    return w[:, :r] * s[:r], vh[:r].conj().T
+
+
+# Each perturbation kind's factors, factors(spec, n) -> (U, V), n-by-k
+# complex arrays with M = U V*. The kinds are its keys.
+_FACTORS = {
+    "zero": lambda spec, n: (np.zeros((n, 0), np.complex128),) * 2,
+    "all-ones": lambda spec, n: (np.full((n, 1), spec.scale, np.complex128),
+                                 np.ones((n, 1), np.complex128)),
+    "low-rank": _low_rank_factors,
+    "file": _file_factors,
+}
 
 
 def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
-    """M at dim n with its rank, after enforcing the declared budgets.
+    """M = U V* at dim n with its rank, after enforcing the declared budgets.
 
-    The rank and ||M||^2_HS come from the spec's structure: rank 0 and HS 0
-    for ``zero``; rank 1 (0 if ``scale`` is 0) and HS scale^2 n^2 for
-    ``all-ones``; for ``low-rank``, the numerical rank and squared Frobenius
-    norm of the k-by-k core R_U R_V* from QR of the n-by-k factor matrices.
-    Only a ``file`` M is built densely and takes an SVD. Every rank uses
-    RANK_TOLERANCE.
+    The factors come from the kind's row of _FACTORS, once per dim. For
+    every kind the rank and ||M||^2_HS are the numerical rank (at
+    RANK_TOLERANCE) and squared Frobenius norm of the k-by-k core R_U R_V*
+    from QR of the factors.
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
-    m = None
-    if spec.kind == "low-rank":
-        for vec in (*spec.left_factors, *spec.right_factors):
-            if len(vec) != n:
-                raise ShapeError(f"low-rank factor has length {len(vec)}, expected {n}")
-        if spec.k > n:
-            raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
-        # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
-        # so M and the k-by-k core share their singular values.
-        u, v = _factors(spec)
-        core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
-        rank = numerical_rank(core)
-        hs_sq = float(np.sum(np.abs(core) ** 2))
-    elif spec.kind == "file":
-        m = _matrix(spec, n)
-        rank = numerical_rank(m)
-        hs_sq = float(np.sum(np.abs(m) ** 2))
-    else:
-        rank = int(spec.kind == "all-ones" and spec.scale != 0.0)
-        hs_sq = spec.scale * spec.scale * n * n if spec.kind == "all-ones" else 0.0
+    u, v = _FACTORS[spec.kind](spec, n)
+    # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
+    # so M and the k-by-k core share their singular values.
+    core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
+    rank = numerical_rank(core)
+    hs_sq = float(np.sum(np.abs(core) ** 2))
     if spec.rank_budget is not None and rank > spec.rank_budget:
         raise BudgetViolationError(
             f"{spec.kind} perturbation has numerical rank {rank}, "
@@ -470,26 +468,26 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
             raise BudgetViolationError(
                 f"perturbation squared HS norm {hs_sq} exceeds c*n^2 = {limit}"
             )
-    if m is None:
-        return Perturbation(spec, n, rank)
-    m.flags.writeable = False  # matrix() hands this one array to every unit
-    return Perturbation(spec, n, rank, m)
+    u.flags.writeable = v.flags.writeable = False  # every unit shares them
+    return Perturbation(spec, n, rank, u, v)
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
     """Form A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M.
 
-    x is spent: B is a new array, and then x.entries is scaled in place and
-    becomes A, so a unit holds two n-by-n arrays rather than three. A caller
-    who wants to keep X passes a copy. The bytes are those of x * s and
-    (x + M) * s with s = 1/sqrt(n).
+    B is a new array holding U V*, to which X is added and which is then
+    scaled; x is spent: x.entries is scaled in place and becomes A, so a unit
+    holds two n-by-n arrays rather than three. A caller who wants to keep X
+    passes a copy. IEEE addition commutes, so the bytes are those of x * s
+    and (x + U V*) * s with s = 1/sqrt(n).
     """
     if perturbation.dim != x.dim:
         raise ShapeError(
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
-    b = np.add(x.entries, perturbation.matrix())
+    b = np.matmul(perturbation.u, perturbation.v.conj().T)
+    b += x.entries
     b *= inv_sqrt_n
     a = x.entries
     a *= inv_sqrt_n

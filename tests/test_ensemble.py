@@ -21,6 +21,7 @@ from circlaw import (
     sample_matrix,
     write_matrix_csv,
 )
+from circlaw.ensemble import RANK_TOLERANCE
 
 ALL_KINDS = [
     "complex-gaussian",
@@ -187,11 +188,16 @@ def test_numerical_rank_examples():
     assert numerical_rank(np.ones((4, 4))) == 1
 
 
+def _product(p):
+    """A perturbation's M as the product U V* of its factors."""
+    return p.u @ p.v.conj().T
+
+
 def test_zero_perturbation():
     p = build_perturbation(PerturbationSpec("zero"), 5)
-    m = p.matrix()
+    m = _product(p)
     assert (p.dim, p.rank) == (5, 0)
-    assert p.dense is None
+    assert p.u.shape == p.v.shape == (5, 0)
     assert m.shape == (5, 5)
     assert np.all(m == 0.0)
     assert numerical_rank(m) == 0
@@ -200,9 +206,9 @@ def test_zero_perturbation():
 def test_all_ones_perturbation_budgets():
     n = 7
     p = build_perturbation(PerturbationSpec("all-ones"), n)
-    m = p.matrix()
+    m = _product(p)
     assert p.rank == 1
-    assert p.dense is None
+    assert p.u.shape == p.v.shape == (n, 1)
     assert np.all(m == 1.0)
     assert numerical_rank(m) == 1
     s1 = np.linalg.svd(m, compute_uv=False)[0]
@@ -212,7 +218,7 @@ def test_all_ones_perturbation_budgets():
 
 
 def test_all_ones_scale():
-    m = build_perturbation(PerturbationSpec("all-ones", scale=2.5), 4).matrix()
+    m = _product(build_perturbation(PerturbationSpec("all-ones", scale=2.5), 4))
     assert np.all(m == 2.5)
 
 
@@ -221,9 +227,9 @@ def test_low_rank_perturbation():
     right = [(0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 3.0)]
     spec = PerturbationSpec("low-rank", left_factors=left, right_factors=right)
     p = build_perturbation(spec, 4)
-    m = p.matrix()
+    m = _product(p)
     assert p.rank == 2
-    assert p.dense is None
+    assert p.u.shape == p.v.shape == (4, 2)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = 2.0
     expected[1, 3] = 3.0
@@ -322,7 +328,7 @@ def test_file_perturbation_rank_budget_enforced(tmp_path):
         build_perturbation(spec, 3)
     ok = PerturbationSpec("file", path=path, rank_budget=2)
     realized = build_perturbation(ok, 3)
-    assert np.array_equal(realized.matrix(), m)
+    assert np.array_equal(_product(realized), m)
     assert realized.rank == 2
 
 
@@ -336,7 +342,14 @@ def test_hs_budget_enforced(tmp_path):
     with pytest.raises(BudgetViolationError):
         build_perturbation(spec, n)
     ok = PerturbationSpec("file", path=path, hs_budget_coefficient=4.0)
-    assert np.array_equal(build_perturbation(ok, n).matrix(), m)
+    _assert_truncation_of(build_perturbation(ok, n), m)
+
+
+def _assert_truncation_of(p, m):
+    """U V* is M's rank-r truncation: within RANK_TOLERANCE * s1 of M in
+    operator norm."""
+    s1 = np.linalg.norm(m, 2)
+    assert np.linalg.norm(_product(p) - m, 2) <= RANK_TOLERANCE * s1
 
 
 def _complex_vectors(seed, count, n):
@@ -344,10 +357,16 @@ def _complex_vectors(seed, count, n):
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
 
-def _rank2_file(tmp_path):
-    u, v = _complex_vectors(11, 2, 5), _complex_vectors(12, 2, 5)
+def _rank2_file(tmp_path, n=5):
+    u, v = _complex_vectors(11, 2, n), _complex_vectors(12, 2, n)
     path = tmp_path / "rank2.csv"
     write_matrix_csv(path, u.T @ v.conj())
+    return PerturbationSpec("file", path=path)
+
+
+def _full_rank_file(tmp_path):
+    path = tmp_path / "full.csv"
+    write_matrix_csv(path, _complex_vectors(13, 5, 5))
     return PerturbationSpec("file", path=path)
 
 
@@ -374,25 +393,54 @@ STRUCTURAL_CASES = {
     ),
     "low-rank-k-equals-n": (lambda tmp: _low_rank(5, 6, 6), 6, 6),
     "file": (_rank2_file, 5, 2),
+    "file-full-rank": (_full_rank_file, 5, 5),
 }
+
+
+def _dense_oracle(spec, n):
+    """M built densely from the spec alone, without its factors."""
+    if spec.kind == "all-ones":
+        return np.full((n, n), complex(spec.scale))
+    if spec.kind == "low-rank":
+        u = np.array(spec.left_factors, dtype=complex)
+        v = np.array(spec.right_factors, dtype=complex)
+        return u.T @ v.conj()
+    if spec.kind == "file":
+        return read_matrix_csv(spec.path, n)
+    return np.zeros((n, n), dtype=complex)
 
 
 def test_file_perturbation_is_read_once(tmp_path):
     """A file M is parsed when the perturbation is built and kept read-only."""
     spec = _rank2_file(tmp_path)
     p = build_perturbation(spec, 5)
+    m = read_matrix_csv(tmp_path / "rank2.csv", 5)
     (tmp_path / "rank2.csv").unlink()
-    m = p.matrix()
-    assert m is p.dense and not m.flags.writeable
-    assert numerical_rank(m) == p.rank == 2
+    assert not p.u.flags.writeable and not p.v.flags.writeable
+    _assert_truncation_of(p, m)
+    assert numerical_rank(_product(p)) == p.rank == 2
 
 
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
 def test_structural_rank_matches_dense_rank(case, tmp_path):
+    """U V* is the M built densely without the factors, within
+    RANK_TOLERANCE * s1, and the rank and HS norm from the k-by-k core are
+    the dense numerical rank and sum of |m_ij|^2: the HS budget binds where
+    the dense sum says it should."""
     make_spec, n, expected = STRUCTURAL_CASES[case]
-    p = build_perturbation(make_spec(tmp_path), n)
-    assert p.rank == expected
-    assert p.rank == numerical_rank(p.matrix())
+    spec = make_spec(tmp_path)
+    m = _dense_oracle(spec, n)
+    p = build_perturbation(spec, n)
+    assert p.u.shape == p.v.shape == (n, p.u.shape[1])
+    _assert_truncation_of(p, m)
+    assert p.rank == numerical_rank(m) == expected
+    hs = float(np.sum(np.abs(m) ** 2))
+    c = hs / (n * n)
+    build_perturbation(dataclasses.replace(spec, hs_budget_coefficient=c * (1 + 1e-9)), n)
+    if hs > 0:
+        with pytest.raises(BudgetViolationError, match=r"exceeds c\*n\^2"):
+            build_perturbation(
+                dataclasses.replace(spec, hs_budget_coefficient=c * (1 - 1e-9)), n)
 
 
 def test_rank_budget_checked_against_structural_rank():
@@ -504,15 +552,18 @@ def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
     assert traced_peak(build_perturbation, spec, n) < n * n * 16 / 4
 
 
-@pytest.mark.parametrize("spec", [
-    PerturbationSpec("zero"), PerturbationSpec("all-ones", scale=2.0),
-], ids=["zero", "all-ones"])
-def test_assemble_adds_no_dense_structured_matrix(traced_peak, spec):
-    """A zero or all-ones M is added as a scalar and A is X's own buffer:
-    assemble allocates B alone, with no n-by-n M or A beside it."""
+@pytest.mark.parametrize("make_spec", [
+    lambda tmp_path, n: PerturbationSpec("zero"),
+    lambda tmp_path, n: PerturbationSpec("all-ones", scale=2.0),
+    lambda tmp_path, n: _low_rank_spec(n),
+    _rank2_file,
+], ids=["zero", "all-ones", "low-rank", "file"])
+def test_assemble_adds_no_dense_structured_matrix(tmp_path, traced_peak, make_spec):
+    """U V* is formed in B's own array and A is X's own buffer: assemble
+    allocates B alone, with no n-by-n M or A beside it."""
     n = 200
     x = sample_matrix(EntryDistribution.parse("complex-gaussian"), n, seed=1)
-    p = build_perturbation(spec, n)
+    p = build_perturbation(make_spec(tmp_path, n), n)
     assert traced_peak(assemble, x, p) < 1.25 * n * n * 16
 
 
@@ -540,7 +591,7 @@ def test_assemble_spends_x_into_a_with_reference_bytes(tmp_path, make_perturbati
     pair = assemble(x, p)
     assert pair.a_matrix is x.entries
     assert pair.a_matrix.tobytes() == (before * s).tobytes()
-    assert pair.b_matrix.tobytes() == ((before + p.matrix()) * s).tobytes()
+    assert pair.b_matrix.tobytes() == ((before + _product(p)) * s).tobytes()
 
 
 @pytest.mark.parametrize("entries", [
@@ -557,6 +608,20 @@ def test_matrix_sample_stores_complex128(entries):
     same = np.asarray(entries, np.complex128)
     assert MatrixSample(dim=4, entries=same, seed=0,
                         distribution=x.distribution).entries is same
+
+
+def test_matrix_sample_accepts_a_transposed_sample():
+    """A transpose, whose rows are not contiguous, is copied once into a
+    C-contiguous array with its values, and assemble spends the copy."""
+    d = EntryDistribution.parse("complex-gaussian")
+    xt = sample_matrix(d, 4, seed=6).entries.T
+    x = MatrixSample(dim=4, entries=xt, seed=6, distribution=d)
+    assert x.entries.flags.c_contiguous and np.array_equal(x.entries, xt)
+    before = xt.copy()
+    pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 4))
+    assert np.array_equal(xt, before)
+    assert pair.a_matrix.tobytes() == (before * 0.5).tobytes()
+    assert pair.b_matrix.tobytes() == ((before + 1.0) * 0.5).tobytes()
 
 
 def test_assemble_copies_read_only_entries_once():
@@ -587,16 +652,18 @@ def test_assemble_zero_bytes_match_dense_sum():
 @pytest.mark.parametrize("dist", ["complex-gaussian", "real-gaussian"])
 @pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, -0.0, 1e-3])
 def test_assemble_all_ones_bytes_match_full_reference(dist, scale):
-    """B has the bytes of X + np.full(scale), a -0.0 entry and scale included."""
+    """B has the bytes of X + np.full(scale), a -0.0 entry included. U V*
+    is zero-filled before the scale is added, so a -0.0 scale gives the M of
+    +0.0: the sign of a zero scale does not reach M."""
     n = 9
     d = EntryDistribution.parse(dist)
     entries = sample_matrix(d, n, seed=3).entries.copy()
     entries[0, 0] = complex(-0.0, -0.0)
     x = MatrixSample(dim=n, entries=entries, seed=3, distribution=d)
     p = build_perturbation(PerturbationSpec("all-ones", scale=scale), n)
-    dense = (entries + np.full((n, n), complex(scale))) * (1.0 / np.sqrt(float(n)))
+    m = np.full((n, n), complex(scale + 0.0))
+    dense = (entries + m) * (1.0 / np.sqrt(float(n)))
     assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
-    assert p.dense is None
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -606,7 +673,7 @@ def test_assemble_all_ones_bytes_match_full_reference(dist, scale):
 def test_structural_hs_norm_matches_dense(make_spec):
     """The HS budget binds where the dense ||M||^2 says it should."""
     n = 30
-    m = build_perturbation(make_spec(n, None), n).matrix()
+    m = _dense_oracle(make_spec(n, None), n)
     c = float(np.sum(np.abs(m) ** 2)) / (n * n)
     build_perturbation(make_spec(n, c * (1 + 1e-9)), n)
     with pytest.raises(BudgetViolationError, match=r"exceeds c\*n\^2"):
@@ -620,7 +687,7 @@ def test_assemble_all_ones_bytes_match_dense_sum(dist, scale):
     n = 9
     x = sample_matrix(EntryDistribution.parse(dist), n, seed=3)
     p = build_perturbation(PerturbationSpec("all-ones", scale=scale), n)
-    dense = (x.entries + p.matrix()) * (1.0 / np.sqrt(float(n)))
+    dense = (x.entries + _product(p)) * (1.0 / np.sqrt(float(n)))
     assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
 
 

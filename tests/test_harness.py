@@ -688,8 +688,8 @@ CONFIGS = {"all-ones": small_config, "low-rank": low_rank_config, "file": file_c
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
     """The n-by-n SVDs are of A - zI and B - zI at each z, for every kind,
-    and of a file M once per dim. A low-rank M adds one SVD of its k-by-k
-    core per dim."""
+    and of a file M once per dim. Every M adds one SVD of its k-by-k core
+    per dim: k is 1 for all-ones, 2 for this low-rank M and 3 for this file."""
     cfg = CONFIGS[kind](tmp_path)
     shapes = []
     svd = np.linalg.svd
@@ -705,7 +705,8 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
     per_dim = kind == "file"
     square = [s for s in shapes if s[0] == s[1] and s[0] in cfg.dims]
     assert len(square) == units * per_unit + len(cfg.dims) * per_dim
-    core = [(2, 2)] * len(cfg.dims) if kind == "low-rank" else []
+    k = {"all-ones": 1, "low-rank": 2, "file": 3}[kind]
+    core = [(k, k)] * len(cfg.dims)
     assert [s for s in shapes if s not in square] == core
 
 
