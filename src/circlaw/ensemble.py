@@ -217,18 +217,18 @@ class PerturbationSpec:
     The fields are the config file's perturbation keys and this class owns
     their rules, so a spec built in Python obeys the config file's. A key is
     given when it is not None; a key outside the kind's PERTURBATION_KEYS
-    must not be. ``scale`` (default 1.0) and ``hs_budget_coefficient`` are
-    numbers (not bools or strings) that fit a float; a factor entry is a
-    number or an ``[re, im]`` pair of reals; ``k``, filled with the number
-    of factor pairs, must be that integer; ``path`` is a str or
-    ``os.PathLike``. They are stored as float, complex and str. The scale
-    and factor entries must be finite.
+    must not be. A spec holds only what was given: no field is filled from
+    another, and only ``scale`` has a default (1.0). ``scale`` and
+    ``hs_budget_coefficient`` are numbers (not bools or strings) that fit a
+    float; a factor entry is a number or an ``[re, im]`` pair of reals; a
+    given ``k`` must be the integer number of factor pairs; ``path`` is a
+    str or ``os.PathLike``. They are stored as float, complex and str. The
+    scale and factor entries must be finite.
 
-    A budget left None is the kind's structural bound: rank 0 and c = 0 for
-    ``zero``, rank 1 and c = scale^2 for ``all-ones``, rank k for
-    ``low-rank``. build_perturbation enforces ``rank_budget`` (an int >= 0)
-    and ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf
-    for no bound) once per dim; a bound that stays None is not checked.
+    build_perturbation enforces ``rank_budget`` (an int >= 0) and
+    ``hs_budget_coefficient`` (the c in ||M||^2 <= c n^2, c >= 0, inf for
+    no bound) once per dim. A budget left None is not checked: the factors
+    already bound the rank by their width k and ||M||^2 by their core.
     """
 
     kind: str
@@ -253,14 +253,11 @@ class PerturbationSpec:
             raise ValidationError("; ".join(
                 f"key {key!r} not applicable to perturbation kind {self.kind!r}"
                 for key in stray))
-        # The kind's structural (rank, HS coefficient) bounds.
-        bounds = {"zero": (0, 0.0)}.get(self.kind, (None, None))
         if self.kind == "all-ones":
             scale = _real(1.0 if self.scale is None else self.scale, "perturbation scale")
             if not math.isfinite(scale):
                 raise ValidationError(f"perturbation scale must be finite, got {scale!r}")
             object.__setattr__(self, "scale", scale)
-            bounds = (1, scale * scale)
         if self.kind == "file":
             if self.path is not None and not isinstance(self.path, (str, os.PathLike)):
                 raise ValidationError(
@@ -283,20 +280,16 @@ class PerturbationSpec:
                 raise ValidationError(
                     f"perturbation k must be the integer {k}, the number of "
                     f"factor pairs, got {self.k!r}")
-            object.__setattr__(self, "k", k)
-            bounds = (k, None)
         budget = self.rank_budget
-        if budget is None:
-            object.__setattr__(self, "rank_budget", bounds[0])
-        elif not _is_int(budget) or budget < 0:
+        if budget is not None and not (_is_int(budget) and budget >= 0):
             raise ValidationError(
                 f"rank_budget must be a nonnegative integer, got {budget!r}")
-        c = self.hs_budget_coefficient
-        c = bounds[1] if c is None else _real(c, "hs_budget_coefficient")
-        if c is not None and not c >= 0:
-            raise ValidationError(
-                f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
-        object.__setattr__(self, "hs_budget_coefficient", c)
+        if self.hs_budget_coefficient is not None:
+            c = _real(self.hs_budget_coefficient, "hs_budget_coefficient")
+            if not c >= 0:
+                raise ValidationError(
+                    f"hs_budget_coefficient must be >= 0 (inf for no bound), got {c!r}")
+            object.__setattr__(self, "hs_budget_coefficient", c)
 
 
 def _check_seed(seed, label: str = "seed") -> None:
@@ -401,15 +394,15 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
 class Perturbation:
     """M = U V* of one spec at one dim, its numerical rank, budgets checked.
 
-    ``u`` and ``v`` are the read-only n-by-k complex factors, built once per
-    dim; no n-by-n M is formed or kept.
+    ``u`` is the read-only n-by-k factor U and ``vh`` the read-only k-by-n
+    V*, both built once per dim; no n-by-n M is formed or kept.
     """
 
     spec: PerturbationSpec
     dim: int
     rank: int
     u: np.ndarray = field(repr=False, compare=False)
-    v: np.ndarray = field(repr=False, compare=False)
+    vh: np.ndarray = field(repr=False, compare=False)
 
 
 def _low_rank_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +410,9 @@ def _low_rank_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.nd
     for vec in (*spec.left_factors, *spec.right_factors):
         if len(vec) != n:
             raise ShapeError(f"low-rank factor has length {len(vec)}, expected {n}")
-    if spec.k > n:
-        raise ShapeError(f"low-rank k={spec.k} exceeds dimension {n}")
+    k = len(spec.left_factors)
+    if k > n:
+        raise ShapeError(f"low-rank k={k} exceeds dimension {n}")
     return (np.array(spec.left_factors, dtype=np.complex128).T,
             np.array(spec.right_factors, dtype=np.complex128).T)
 
@@ -468,8 +462,9 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
             raise BudgetViolationError(
                 f"perturbation squared HS norm {hs_sq} exceeds c*n^2 = {limit}"
             )
-    u.flags.writeable = v.flags.writeable = False  # every unit shares them
-    return Perturbation(spec, n, rank, u, v)
+    vh = v.conj().T
+    u.flags.writeable = vh.flags.writeable = False  # every unit shares them
+    return Perturbation(spec, n, rank, u, vh)
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
@@ -486,7 +481,7 @@ def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
-    b = np.matmul(perturbation.u, perturbation.v.conj().T)
+    b = np.matmul(perturbation.u, perturbation.vh)
     b += x.entries
     b *= inv_sqrt_n
     a = x.entries

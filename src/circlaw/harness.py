@@ -150,8 +150,9 @@ def _key_problems(schema, obj: dict, prefix: str = "") -> list[str]:
     return problems
 
 
-# JSON null in a nested object: no HS bound, or the structural rank bound.
-# None means "not given" in every other field, so null there is rejected.
+# JSON null in a nested object: no HS bound, or a rank budget left out; a
+# budget left out is not checked. None means "not given" in every other
+# field, so null there is rejected.
 _NULL_MEANS = {"hs_budget_coefficient": math.inf, "rank_budget": None}
 
 

@@ -72,8 +72,9 @@ def check_dimension(n: int) -> None:
                               "(set CIRCLAW_MAX_N to raise it)")
 
 
-# Largest n whose LAPACK work runs on one BLAS thread. One unit's LAPACK work
-# (1 eigvals + 3 SVDs + 2 slogdet), 2-core box, OpenBLAS 0.3.31:
+# Largest n whose LAPACK work runs on one BLAS thread. Measured on the work
+# of an earlier unit, 1 eigvals + 3 SVDs + 2 slogdet (a unit now takes no SVD
+# of A, so 2 SVDs), 2-core box, OpenBLAS 0.3.31:
 #
 #      n    1 thread: wall / CPU    2 threads: wall / CPU
 #    200    0.11 / 0.11 s           0.12 / 0.23 s

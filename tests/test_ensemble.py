@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlaw import (
     BudgetViolationError,
@@ -21,7 +23,7 @@ from circlaw import (
     sample_matrix,
     write_matrix_csv,
 )
-from circlaw.ensemble import RANK_TOLERANCE
+from circlaw.ensemble import PERTURBATION_KINDS, RANK_TOLERANCE
 
 ALL_KINDS = [
     "complex-gaussian",
@@ -190,14 +192,14 @@ def test_numerical_rank_examples():
 
 def _product(p):
     """A perturbation's M as the product U V* of its factors."""
-    return p.u @ p.v.conj().T
+    return p.u @ p.vh
 
 
 def test_zero_perturbation():
     p = build_perturbation(PerturbationSpec("zero"), 5)
     m = _product(p)
     assert (p.dim, p.rank) == (5, 0)
-    assert p.u.shape == p.v.shape == (5, 0)
+    assert (p.u.shape, p.vh.shape) == ((5, 0), (0, 5))
     assert m.shape == (5, 5)
     assert np.all(m == 0.0)
     assert numerical_rank(m) == 0
@@ -208,7 +210,7 @@ def test_all_ones_perturbation_budgets():
     p = build_perturbation(PerturbationSpec("all-ones"), n)
     m = _product(p)
     assert p.rank == 1
-    assert p.u.shape == p.v.shape == (n, 1)
+    assert (p.u.shape, p.vh.shape) == ((n, 1), (1, n))
     assert np.all(m == 1.0)
     assert numerical_rank(m) == 1
     s1 = np.linalg.svd(m, compute_uv=False)[0]
@@ -229,7 +231,7 @@ def test_low_rank_perturbation():
     p = build_perturbation(spec, 4)
     m = _product(p)
     assert p.rank == 2
-    assert p.u.shape == p.v.shape == (4, 2)
+    assert (p.u.shape, p.vh.shape) == ((4, 2), (2, 4))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = 2.0
     expected[1, 3] = 3.0
@@ -364,9 +366,9 @@ def _rank2_file(tmp_path, n=5):
     return PerturbationSpec("file", path=path)
 
 
-def _full_rank_file(tmp_path):
+def _full_rank_file(tmp_path, n=5):
     path = tmp_path / "full.csv"
-    write_matrix_csv(path, _complex_vectors(13, 5, 5))
+    write_matrix_csv(path, _complex_vectors(13, n, n))
     return PerturbationSpec("file", path=path)
 
 
@@ -416,7 +418,7 @@ def test_file_perturbation_is_read_once(tmp_path):
     p = build_perturbation(spec, 5)
     m = read_matrix_csv(tmp_path / "rank2.csv", 5)
     (tmp_path / "rank2.csv").unlink()
-    assert not p.u.flags.writeable and not p.v.flags.writeable
+    assert not p.u.flags.writeable and not p.vh.flags.writeable
     _assert_truncation_of(p, m)
     assert numerical_rank(_product(p)) == p.rank == 2
 
@@ -431,7 +433,7 @@ def test_structural_rank_matches_dense_rank(case, tmp_path):
     spec = make_spec(tmp_path)
     m = _dense_oracle(spec, n)
     p = build_perturbation(spec, n)
-    assert p.u.shape == p.v.shape == (n, p.u.shape[1])
+    assert p.u.shape == p.vh.T.shape == (n, p.u.shape[1])
     _assert_truncation_of(p, m)
     assert p.rank == numerical_rank(m) == expected
     hs = float(np.sum(np.abs(m) ** 2))
@@ -455,6 +457,67 @@ def test_rank_budget_checked_against_structural_rank():
     parallel = PerturbationSpec("low-rank", left_factors=[_U, 2 * _U],
                                 right_factors=[_V, _V], rank_budget=1)
     assert build_perturbation(parallel, 6).rank == 1
+
+
+def test_replaced_spec_builds_from_its_new_fields():
+    """A spec holds no value derived from another field, so a copy made by
+    dataclasses.replace carries no stale budget or k."""
+    ones = dataclasses.replace(PerturbationSpec("all-ones"), scale=3.0)
+    assert build_perturbation(ones, 4).rank == 1
+    two_pairs = _low_rank(4, 2, 5)
+    spec = dataclasses.replace(_low_rank(3, 1, 5), left_factors=two_pairs.left_factors,
+                               right_factors=two_pairs.right_factors)
+    assert build_perturbation(spec, 5).rank == 2
+
+
+_ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _budgetless_case(draw):
+    """(kind, n, value): the scale of all-ones, the left and right factors
+    (k <= n pairs) of low-rank, the matrix rows of file, None for zero."""
+    kind = draw(st.sampled_from(PERTURBATION_KINDS))
+    n = draw(st.integers(1, 6))
+
+    def rows(count):
+        return st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                        min_size=count, max_size=count)
+
+    if kind == "all-ones":
+        return kind, n, draw(st.floats(-1e150, 1e150))
+    if kind == "low-rank":
+        k = draw(st.integers(1, n))
+        return kind, n, (draw(rows(k)), draw(rows(k)))
+    return kind, n, draw(rows(n)) if kind == "file" else None
+
+
+@given(case=_budgetless_case())
+@example(case=("all-ones", 4, -0.0))
+@example(case=("all-ones", 4, 1e-300))
+@example(case=("all-ones", 4, 1e150))
+@settings(max_examples=200, deadline=None)
+def test_spec_with_no_budget_never_violates_one(case, tmp_path_factory):
+    """A spec of any kind with both budgets left out builds, and so does
+    the same spec given the budgets its factors imply (zero: rank 0 and
+    c = 0; all-ones: rank 1 and c = scale^2; low-rank: rank k), so leaving
+    a budget out loses no verdict."""
+    kind, n, value = case
+    keywords, implied = {}, {"rank_budget": 0, "hs_budget_coefficient": 0.0}
+    if kind == "all-ones":
+        keywords = {"scale": value}
+        implied = {"rank_budget": 1, "hs_budget_coefficient": value * value}
+    elif kind == "low-rank":
+        keywords = {"left_factors": value[0], "right_factors": value[1]}
+        implied = {"rank_budget": len(value[0])}
+    elif kind == "file":
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        write_matrix_csv(path, np.array(value))
+        keywords, implied = {"path": path}, {}
+    spec = PerturbationSpec(kind, **keywords)
+    assert (spec.rank_budget, spec.hs_budget_coefficient) == (None, None)
+    rank = build_perturbation(spec, n).rank
+    assert build_perturbation(dataclasses.replace(spec, **implied), n).rank == rank
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
@@ -557,7 +620,8 @@ def test_build_perturbation_allocates_no_dense_matrix(traced_peak, make_spec):
     lambda tmp_path, n: PerturbationSpec("all-ones", scale=2.0),
     lambda tmp_path, n: _low_rank_spec(n),
     _rank2_file,
-], ids=["zero", "all-ones", "low-rank", "file"])
+    _full_rank_file,
+], ids=["zero", "all-ones", "low-rank", "file", "file-full-rank"])
 def test_assemble_adds_no_dense_structured_matrix(tmp_path, traced_peak, make_spec):
     """U V* is formed in B's own array and A is X's own buffer: assemble
     allocates B alone, with no n-by-n M or A beside it."""

@@ -178,7 +178,8 @@ def test_parse_low_rank_factors():
         "right_factors": [[0.0, 0.0, 2.0], [0.0, 3.0, 0.0]],
     }
     c = parse_config(cfg_json(perturbation=pert, dims=[3]))
-    assert c.perturbation.k == 2
+    assert c.perturbation.k is None
+    assert len(c.perturbation.left_factors) == 2
     assert c.perturbation.left_factors[1][0] == 1.0j
 
 
@@ -222,14 +223,13 @@ def test_serialize_round_trip_handcrafted():
         assert parse_config(text) == c
 
 
-# kind -> (constructor keywords, the (rank_budget, hs_budget_coefficient) a
-# spec that leaves both budgets out takes: the kind's structural bound)
-STRUCTURAL_BUDGETS = {
-    "zero": ({}, (0, 0.0)),
-    "all-ones": ({"scale": -1.5}, (1, 2.25)),
-    "low-rank": ({"left_factors": [(1.0, 2.0j), (0.0, 1.0)],
-                  "right_factors": [(0.0, 1.0), (1.0, -1.0)]}, (2, None)),
-    "file": ({"path": "/tmp/m.csv"}, (None, None)),
+# kind -> constructor keywords of a spec that gives no budget
+KIND_KEYWORDS = {
+    "zero": {},
+    "all-ones": {"scale": -1.5},
+    "low-rank": {"left_factors": [(1.0, 2.0j), (0.0, 1.0)],
+                 "right_factors": [(0.0, 1.0), (1.0, -1.0)]},
+    "file": {"path": "/tmp/m.csv"},
 }
 
 
@@ -242,25 +242,23 @@ def _echoed_perturbation(spec):
     return json.loads(text, parse_constant=_no_constant)["perturbation"]
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURAL_BUDGETS))
-def test_spec_budget_left_out_is_structural_bound(kind):
-    """The budgets are typed as written, so the echo pins 0 against 0.0;
-    a bound that stays None is left out of the echo."""
-    keywords, budgets = STRUCTURAL_BUDGETS[kind]
-    spec = PerturbationSpec(kind, **keywords)
-    assert repr((spec.rank_budget, spec.hs_budget_coefficient)) == repr(budgets)
+@pytest.mark.parametrize("kind", sorted(KIND_KEYWORDS))
+def test_spec_budget_left_out_is_none_and_not_echoed(kind):
+    """A spec holds only what was given: a budget or k left out stays None
+    and is absent from the echo, which holds the given keys (and scale)."""
+    spec = PerturbationSpec(kind, **KIND_KEYWORDS[kind])
+    assert (spec.rank_budget, spec.hs_budget_coefficient, spec.k) == (None, None, None)
     echo = _echoed_perturbation(spec)
-    assert (echo.get("rank_budget"), echo.get("hs_budget_coefficient")) == budgets
+    assert set(echo) == {"kind", *KIND_KEYWORDS[kind]}
 
 
 @pytest.mark.parametrize("budgets", [
     {}, {"rank_budget": 5}, {"hs_budget_coefficient": 7.5},
     {"rank_budget": 3, "hs_budget_coefficient": math.inf},
 ], ids=["structural", "rank", "hs", "rank-and-unbounded-hs"])
-@pytest.mark.parametrize("kind", sorted(STRUCTURAL_BUDGETS))
+@pytest.mark.parametrize("kind", sorted(KIND_KEYWORDS))
 def test_serialize_round_trip_every_kind(kind, budgets):
-    keywords, _ = STRUCTURAL_BUDGETS[kind]
-    echo = _echoed_perturbation(PerturbationSpec(kind, **keywords, **budgets))
+    echo = _echoed_perturbation(PerturbationSpec(kind, **KIND_KEYWORDS[kind], **budgets))
     for key, value in budgets.items():
         assert echo[key] == (None if value == math.inf else value)
 
@@ -278,7 +276,7 @@ STRAY_KEYS = {
 def test_spec_rejects_a_key_its_kind_does_not_take(kind):
     """The echo writes only the kind's keys, so a spec that set another one
     would not survive parse(serialize(c)); at its default it does."""
-    keywords, _ = STRUCTURAL_BUDGETS[kind]
+    keywords = KIND_KEYWORDS[kind]
     stray = STRAY_KEYS[kind]
     with pytest.raises(ValidationError) as exc:
         PerturbationSpec(kind, **keywords, **stray)
@@ -309,9 +307,12 @@ def test_spec_rejects_what_a_config_file_rejects(build, message):
 
 
 def test_spec_k_is_the_number_of_factor_pairs():
+    """A given k is checked against the factor pairs and kept as given; a k
+    left out stays None."""
     factors = {"left_factors": [(1.0,)], "right_factors": [(2.0,)]}
     spec = PerturbationSpec("low-rank", **factors, k=1)
-    assert spec == PerturbationSpec("low-rank", **factors) and spec.k == 1
+    assert spec.k == 1 and _echoed_perturbation(spec)["k"] == 1
+    assert PerturbationSpec("low-rank", **factors).k is None
     assert PerturbationSpec("zero").k is None
 
 
@@ -338,7 +339,7 @@ def test_parse_null_budgets_keep_their_meaning():
     spec = parse_config(cfg_json(perturbation={
         "kind": "all-ones", "scale": 2.0, "rank_budget": None,
         "hs_budget_coefficient": None})).perturbation
-    assert (spec.rank_budget, spec.hs_budget_coefficient) == (1, math.inf)
+    assert (spec.rank_budget, spec.hs_budget_coefficient) == (None, math.inf)
 
 
 # A perturbation object's values: numbers (nan, inf and one too large for a

@@ -121,7 +121,6 @@ n,median_abs_delta,median_ks,min_smin,max_smax
     "output_dir": "out",
     "perturbation": {
       "hs_budget_coefficient": 4.5,
-      "k": 1,
       "kind": "low-rank",
       "left_factors": [
         [
