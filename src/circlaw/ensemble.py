@@ -23,6 +23,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .spectral import _blas
 
 __all__ = [
     "DISTRIBUTION_KINDS",
@@ -339,7 +340,7 @@ def numerical_rank(m: np.ndarray) -> int:
     """Count singular values above RANK_TOLERANCE * s1; an empty m has rank 0
     and takes no SVD."""
     m = np.asarray(m, dtype=np.complex128)
-    return _rank(np.linalg.svd(m, compute_uv=False)) if m.size else 0
+    return _rank(_blas(np.linalg.svd, m, compute_uv=False)) if m.size else 0
 
 
 def read_matrix_csv(path, n: int) -> np.ndarray:
@@ -419,7 +420,7 @@ def _low_rank_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.nd
 
 def _file_factors(spec: PerturbationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """U_r S_r and V_r of the file M's SVD, truncated at its numerical rank r."""
-    w, s, vh = np.linalg.svd(read_matrix_csv(spec.path, n))
+    w, s, vh = _blas(np.linalg.svd, read_matrix_csv(spec.path, n))
     r = _rank(s)
     return w[:, :r] * s[:r], vh[:r].conj().T
 
@@ -441,16 +442,20 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
     The factors come from the kind's row of _FACTORS, once per dim. For
     every kind the rank and ||M||^2_HS are the numerical rank (at
     RANK_TOLERANCE) and squared Frobenius norm of the k-by-k core R_U R_V*
-    from QR of the factors.
+    from QR of the factors; a core that overflows a float is rejected.
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     u, v = _FACTORS[spec.kind](spec, n)
     # U V* = Q_U (R_U R_V*) Q_V* with orthonormal columns in Q_U and Q_V,
     # so M and the k-by-k core share their singular values.
-    core = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is handled below
+        core = _blas(np.matmul, _blas(np.linalg.qr, u, mode="r"),
+                     _blas(np.linalg.qr, v, mode="r").conj().T)
+        hs_sq = float(np.sum(np.abs(core) ** 2))
+    if not np.all(np.isfinite(core)):
+        raise InvalidValueError(f"{spec.kind} perturbation: ||M|| overflows a float")
     rank = numerical_rank(core)
-    hs_sq = float(np.sum(np.abs(core) ** 2))
     if spec.rank_budget is not None and rank > spec.rank_budget:
         raise BudgetViolationError(
             f"{spec.kind} perturbation has numerical rank {rank}, "
@@ -481,7 +486,7 @@ def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
     inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
-    b = np.matmul(perturbation.u, perturbation.vh)
+    b = _blas(np.matmul, perturbation.u, perturbation.vh)
     b += x.entries
     b *= inv_sqrt_n
     a = x.entries

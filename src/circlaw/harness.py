@@ -2,11 +2,8 @@
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
 seeds are derived from the master seed, and units may execute in any order or
-in parallel. A unit at dim <= spectral.BLAS_PIN_MAX_DIM runs on one BLAS
-thread, so for such dims the CSV/JSON outputs are byte-identical across
-repetitions, worker counts and ambient BLAS thread counts; above it, at the
-same BLAS thread count. Floats are written in shortest round-trip decimal
-form.
+in parallel, so the CSV/JSON outputs are byte-identical across repetitions
+and worker counts. Floats are written in shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -359,17 +356,14 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
               replicate: int, stages) -> UnitResult:
     """One unit from one build_pair, computing only the requested stages:
     "delta" factors A - zI and B - zI on the grid, "disk" takes the one
-    eigensolve of B. The whole unit runs under spectral._blas_threads(dim),
-    so a unit at dim <= spectral.BLAS_PIN_MAX_DIM computes on one BLAS
-    thread wherever it runs.
+    eigensolve of B.
     """
     dim = perturbation.dim
-    with spectral._blas_threads(dim):
-        pair = build_pair(config, perturbation, replicate)
-        diags = ()
-        if "delta" in stages:
-            diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-        disk = disk_record(pair, dim, replicate) if "disk" in stages else None
+    pair = build_pair(config, perturbation, replicate)
+    diags = ()
+    if "delta" in stages:
+        diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
+    disk = disk_record(pair, dim, replicate) if "disk" in stages else None
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
@@ -393,10 +387,8 @@ def _output_dir(config: ExperimentConfig) -> Path:
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. With workers > 1 units run in forked processes. Every
-    unit pins its BLAS threads the same way wherever it runs (see
-    _run_unit), so the results do not depend on the worker count, nor, for
-    dims <= spectral.BLAS_PIN_MAX_DIM, on the ambient BLAS thread count."""
+    any unit samples. With workers > 1 units run in forked processes; the
+    results do not depend on the worker count."""
     _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
     if unknown or not stages:

@@ -5,8 +5,9 @@ increasing principal argument; singular values are nonincreasing. log|det|
 is computed from the singular values and cross-checked against an
 LU-factorization value; disagreement is an internal-consistency error.
 
-This module owns every LAPACK call, and so the BLAS thread count they run
-at: `_blas_threads(n)` runs a block on one thread for n <= BLAS_PIN_MAX_DIM.
+This module owns the BLAS thread count of every BLAS and LAPACK call in the
+package: each goes through `_blas`, which runs it on one thread when its
+matrix has no side above BLAS_PIN_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def check_dimension(n: int) -> None:
                               "(set CIRCLAW_MAX_N to raise it)")
 
 
-# Largest n whose LAPACK work runs on one BLAS thread. Measured on the work
-# of an earlier unit, 1 eigvals + 3 SVDs + 2 slogdet (a unit now takes no SVD
-# of A, so 2 SVDs), 2-core box, OpenBLAS 0.3.31:
+# Largest matrix side whose BLAS and LAPACK calls run on one thread (_blas).
+# Measured on the work of an earlier unit, 1 eigvals + 3 SVDs + 2 slogdet (a
+# unit now takes no SVD of A, so 2 SVDs), 2-core box, OpenBLAS 0.3.31:
 #
 #      n    1 thread: wall / CPU    2 threads: wall / CPU
 #    200    0.11 / 0.11 s           0.12 / 0.23 s
@@ -116,21 +117,20 @@ def blas_thread_count() -> int | None:
     return None if openblas is None else openblas[0]()
 
 
-@contextlib.contextmanager
-def _blas_threads(n: int):
-    """Run the block on one BLAS thread when n <= BLAS_PIN_MAX_DIM, and
-    restore the ambient count on exit, also when the block raises. Above
-    the constant, or without OpenBLAS's thread symbols, do nothing. The
-    count is process-wide, so one pinned block runs at a time per process."""
-    openblas = _openblas() if n <= BLAS_PIN_MAX_DIM else None
+def _blas(fn, m: np.ndarray, *args, **kwargs):
+    """fn(m, *args, **kwargs) on one BLAS thread when no side of m exceeds
+    BLAS_PIN_MAX_DIM, with the ambient count restored afterwards, also when
+    fn raises. Above the constant, or without OpenBLAS's thread symbols, fn
+    runs at the ambient count. The count is process-wide, so one pinned call
+    runs at a time per process."""
+    openblas = _openblas() if max(m.shape) <= BLAS_PIN_MAX_DIM else None
     if openblas is None:
-        yield
-        return
+        return fn(m, *args, **kwargs)
     get_threads, set_threads = openblas
     ambient = get_threads()
     set_threads(1)
     try:
-        yield
+        return fn(m, *args, **kwargs)
     finally:
         set_threads(ambient)
 
@@ -177,7 +177,7 @@ def eigenvalues(a) -> np.ndarray:
     Ties in modulus are broken by increasing principal argument in (-pi, pi].
     """
     m = _as_matrix(a)
-    vals = np.linalg.eigvals(m)
+    vals = _blas(np.linalg.eigvals, m)
     ang = np.angle(vals)
     # atan2 maps a negative-zero imaginary part on the negative real axis
     # to -pi; fold it back so the argument lives in (-pi, pi]
@@ -189,7 +189,7 @@ def eigenvalues(a) -> np.ndarray:
 def singular_values(a) -> np.ndarray:
     """Singular values in nonincreasing order; rectangular input allowed."""
     m = _as_matrix(a, square=False)
-    return np.linalg.svd(m, compute_uv=False)
+    return _blas(np.linalg.svd, m, compute_uv=False)
 
 
 @contextlib.contextmanager
@@ -215,7 +215,7 @@ def _shifted_in_place(m: np.ndarray, z: complex):
 def log_abs_det_lu(a) -> tuple[float, bool]:
     """log|det| from a pivoted LU factorization; (value, singular)."""
     m = _as_matrix(a)
-    sign, logdet = np.linalg.slogdet(m)
+    sign, logdet = _blas(np.linalg.slogdet, m)
     if sign == 0 or not np.isfinite(logdet):
         return float("-inf"), True
     return float(logdet), False

@@ -23,6 +23,7 @@ from circlaw import (
     sample_matrix,
     write_matrix_csv,
 )
+from circlaw import spectral
 from circlaw.ensemble import PERTURBATION_KINDS, RANK_TOLERANCE
 
 ALL_KINDS = [
@@ -518,6 +519,51 @@ def test_spec_with_no_budget_never_violates_one(case, tmp_path_factory):
     assert (spec.rank_budget, spec.hs_budget_coefficient) == (None, None)
     rank = build_perturbation(spec, n).rank
     assert build_perturbation(dataclasses.replace(spec, **implied), n).rank == rank
+
+
+def test_perturbation_whose_norm_overflows_is_rejected():
+    """An all-ones scale near the float maximum puts ||M|| past it: the QR
+    core is not finite, and the spec is rejected rather than given rank 0."""
+    with pytest.raises(InvalidValueError, match="all-ones perturbation: .*overflows"):
+        build_perturbation(PerturbationSpec("all-ones", scale=1.7e308), 4)
+    assert build_perturbation(PerturbationSpec("all-ones", scale=1e300), 4).rank == 1
+
+
+def test_file_factors_equal_at_one_and_two_ambient_threads(rank3_csv, at_ambient_threads):
+    n = 200
+    spec = PerturbationSpec("file", path=rank3_csv(n))
+
+    def factor_bytes():
+        p = build_perturbation(spec, n)
+        return p.u.tobytes(), p.vh.tobytes()
+
+    assert at_ambient_threads(1, factor_bytes) == at_ambient_threads(2, factor_bytes)
+
+
+def test_each_qr_and_svd_pins_by_its_own_matrix(rank3_csv, monkeypatch, at_ambient_threads):
+    """A call runs on one BLAS thread when its matrix has no side above
+    BLAS_PIN_MAX_DIM and at the ambient count otherwise: at n = 8 the file
+    SVD and the QRs run on 2 threads, the 3-by-3 core's SVD on 1."""
+    monkeypatch.setattr(spectral, "BLAS_PIN_MAX_DIM", 6)
+    get_threads = spectral._openblas()[0]
+    calls = []
+
+    def recording(name):
+        fn = getattr(np.linalg, name)
+
+        def record(a, *args, **kwargs):
+            calls.append((name, max(a.shape), get_threads()))
+            return fn(a, *args, **kwargs)
+
+        return record
+
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    spec = PerturbationSpec("file", path=rank3_csv(6))
+    for n in (6, 8):
+        at_ambient_threads(2, lambda: build_perturbation(spec, n))
+    assert calls == [("svd", 6, 1), ("qr", 6, 1), ("qr", 6, 1), ("svd", 3, 1),
+                     ("svd", 8, 2), ("qr", 8, 2), ("qr", 8, 2), ("svd", 3, 1)]
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])

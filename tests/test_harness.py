@@ -629,9 +629,8 @@ def test_disk_csv_bulk_max_modulus_is_the_units_largest_bulk_modulus(
     for row in disk:
         n, replicate = int(row["n"]), int(row["replicate"])
         perturbation = ensemble.build_perturbation(cfg.perturbation, n)
-        with spectral._blas_threads(n):
-            pair = harness.build_pair(cfg, perturbation, replicate)
-            bulk = spectral.eigenvalues(pair.b_matrix)[outliers:]
+        pair = harness.build_pair(cfg, perturbation, replicate)
+        bulk = spectral.eigenvalues(pair.b_matrix)[outliers:]
         assert row["bulk_max_modulus"] == repr(float(np.max(np.abs(bulk))))
 
 
@@ -882,18 +881,18 @@ def test_run_units_pin_one_blas_thread_and_restore_ambient(
     assert blas_threads_two() == 2
 
 
-def test_run_units_restore_ambient_blas_threads_when_a_unit_raises(
-    tmp_path, monkeypatch, blas_threads_two
+def test_lapack_call_restores_ambient_blas_threads_when_it_raises(
+    monkeypatch, blas_threads_two
 ):
     counts = []
 
-    def failing(pair, grid):
+    def failing(a, **kwargs):
         counts.append(blas_threads_two())
-        raise RuntimeError("unit failed")
+        raise RuntimeError("svd failed")
 
-    monkeypatch.setattr(diagnostics, "delta_scan", failing)
-    with pytest.raises(RuntimeError, match="unit failed"):
-        harness.run_units(small_config(tmp_path), {"delta"})
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(RuntimeError, match="svd failed"):
+        spectral.singular_values(np.eye(3))
     assert counts == [1]
     assert blas_threads_two() == 2
 
@@ -906,6 +905,36 @@ def test_run_units_above_pin_dim_run_at_ambient_blas_threads(
     harness.run_units(small_config(tmp_path, dims=(6, 8)), {"disk"})
     assert counts == [1, 1, 2, 2]
     assert blas_threads_two() == 2
+
+
+def test_file_config_reports_equal_at_one_and_two_ambient_threads(
+    tmp_path, rank3_csv, at_ambient_threads
+):
+    """A file M's own SVD and QRs run on one thread at n <= 400 too, so its
+    factors, and with them B, do not depend on the ambient count."""
+    n = 200
+    cfg = small_config(tmp_path, dims=(n,), replicates=1,
+                       perturbation=PerturbationSpec("file", path=rank3_csv(n)),
+                       z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 0.5))
+
+    def reports():
+        run_experiment(cfg)
+        return [(tmp_path / "out" / name).read_bytes()
+                for name in ("delta.csv", "disk.csv", "scaling.csv")]
+
+    assert at_ambient_threads(1, reports) == at_ambient_threads(2, reports)
+
+
+def test_cli_spectrum_out_equal_at_one_and_two_ambient_threads(
+    tmp_path, at_ambient_threads
+):
+    out = tmp_path / "eigenvalues.csv"
+
+    def written():
+        assert cli.main(["spectrum", "--n", "200", "--seed", "2", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert at_ambient_threads(1, written) == at_ambient_threads(2, written)
 
 
 def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
