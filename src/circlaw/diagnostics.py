@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ensemble, measures, spectral
-from .ensemble import _real
+from .ensemble import _finite, _is_int
 from .errors import (
     DomainError,
     InvalidValueError,
@@ -54,6 +54,14 @@ CHAIN_SLACK = 1e-8
 MAX_Z_GRID_POINTS = 10**6
 
 
+def _positive(value, label: str) -> float:
+    """A finite positive number as a float, by ensemble's number rule."""
+    x = _finite(value, label)
+    if not x > 0:
+        raise ValidationError(f"{label} must be positive, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ZGrid:
     """Finite rectangular grid of complex shift points.
@@ -68,18 +76,15 @@ class ZGrid:
     step: float
 
     def __post_init__(self) -> None:
-        step = _real(self.step, "grid step")
-        if not (math.isfinite(step) and step > 0):
-            raise ValidationError(f"grid step must be finite and positive, got {step}")
-        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "step", _positive(self.step, "grid step"))
         for name in ("re_range", "im_range"):
             pair = getattr(self, name)
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValidationError(
                     f"{name} must be a [lo, hi] pair of numbers, got {pair!r}")
-            lo, hi = (_real(v, name) for v in pair)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-                raise ValidationError(f"{name} must be a finite ordered pair, got {(lo, hi)}")
+            lo, hi = (_finite(v, name) for v in pair)
+            if hi < lo:
+                raise ValidationError(f"{name} must be an ordered pair, got {(lo, hi)}")
             object.__setattr__(self, name, (lo, hi))
         # Each span is checked first: an inf or huge span has no int count.
         if not all((hi - lo) / self.step < MAX_Z_GRID_POINTS
@@ -228,14 +233,8 @@ def verify_rank_inequality(a, b) -> RankCheck:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows = a.shape[0]
-
-    def padded(s: np.ndarray) -> np.ndarray:
-        if s.size < rows:
-            return np.concatenate([s, np.zeros(rows - s.size)])
-        return s
-
-    sv_a = padded(spectral.singular_values(a))
-    sv_b = padded(spectral.singular_values(b))
+    sv_a, sv_b = (np.pad(spectral.singular_values(m), (0, rows - min(m.shape)))
+                  for m in (a, b))
     ks = measures.kolmogorov_distance(
         EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
     )
@@ -383,7 +382,7 @@ def constant_case(
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned rectangle in the complex plane."""
+    """Axis-aligned rectangle in the complex plane; its bounds are finite floats."""
 
     re_lo: float
     re_hi: float
@@ -391,6 +390,8 @@ class Rectangle:
     im_hi: float
 
     def __post_init__(self) -> None:
+        for name in ("re_lo", "re_hi", "im_lo", "im_hi"):
+            object.__setattr__(self, name, _finite(getattr(self, name), f"rectangle {name}"))
         if not (self.re_lo < self.re_hi and self.im_lo < self.im_hi):
             raise ValidationError("rectangle bounds must satisfy lo < hi")
 
@@ -400,7 +401,8 @@ class BumpFunction:
     """Smooth compactly supported radial bump with an analytic Laplacian.
 
     f(z) = amplitude * exp(1 - 1/(1 - u)) with u = |z - center|^2 / radius^2
-    inside the support disc, 0 outside. f(center) = amplitude.
+    inside the support disc, 0 outside. f(center) = amplitude. The radius (> 0)
+    and the amplitude are finite numbers, stored as floats.
     """
 
     center: complex = 0.0 + 0.0j
@@ -408,8 +410,8 @@ class BumpFunction:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValidationError(f"bump radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", _positive(self.radius, "bump radius"))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude, "bump amplitude"))
 
     def _u(self, z: np.ndarray) -> np.ndarray:
         d = np.asarray(z, dtype=np.complex128) - self.center
@@ -468,10 +470,9 @@ def green_identity_residual(
     roots_arr = np.asarray(list(roots), dtype=np.complex128)
     if roots_arr.size == 0:
         raise ValidationError("at least one root is required")
-    if not np.all(np.isfinite(roots_arr.view(np.float64))):
+    if not np.isfinite(roots_arr).all():
         raise InvalidValueError("roots must be finite")
-    if grid_step <= 0:
-        raise ValidationError(f"grid step must be positive, got {grid_step}")
+    grid_step = _positive(grid_step, "grid step")
     if 2.0 * f.radius / grid_step < 8.0:
         raise ValidationError(
             f"grid step {grid_step} does not resolve the support width "
@@ -547,16 +548,9 @@ def _random_measure(rng: np.random.Generator, max_atoms: int, lo: float, hi: flo
 
 
 def _poly(coeffs: np.ndarray, scale: float):
-    """Polynomial sum(c_k (x/scale)^k) as a callable."""
-
-    def f(x):
-        x = np.asarray(x, dtype=np.float64)
-        acc = np.zeros_like(x)
-        for k, c in enumerate(coeffs):
-            acc = acc + c * (x / scale) ** k
-        return acc
-
-    return f
+    """Polynomial sum(c_k (x/scale)^k) as a callable. numpy.polynomial is
+    looked up at call time, so importing circlaw does not import it."""
+    return lambda x: np.polynomial.polynomial.polyval(x / scale, coeffs)
 
 
 def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
@@ -567,8 +561,8 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
     sets, the rank bound with a planted low-rank difference, and agreement
     of the Kolmogorov distance with a brute-force grid evaluation.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be positive, got {trials}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     ensemble._check_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     weyl = ibp_identity = ibp_bound = rank_bad = ks_bad = 0

@@ -102,6 +102,14 @@ def _real(value, label: str) -> float:
         raise ValidationError(f"{label} is an integer too large for a float") from None
 
 
+def _finite(value, label: str) -> float:
+    """A finite number as a float, by _real's number rule."""
+    x = _real(value, label)
+    if not math.isfinite(x):
+        raise ValidationError(f"{label} must be finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """A scalar entry law with mean 0 and E|X|^2 = 1.
@@ -172,7 +180,7 @@ class MatrixSample:
             raise ShapeError(
                 f"entries shape {self.entries.shape} does not match dim {self.dim}"
             )
-        if not np.all(np.isfinite(self.entries.view(np.float64))):
+        if not np.isfinite(self.entries).all():
             raise InvalidValueError("matrix sample contains non-finite entries")
 
 
@@ -255,10 +263,8 @@ class PerturbationSpec:
                 f"key {key!r} not applicable to perturbation kind {self.kind!r}"
                 for key in stray))
         if self.kind == "all-ones":
-            scale = _real(1.0 if self.scale is None else self.scale, "perturbation scale")
-            if not math.isfinite(scale):
-                raise ValidationError(f"perturbation scale must be finite, got {scale!r}")
-            object.__setattr__(self, "scale", scale)
+            object.__setattr__(self, "scale", _finite(
+                1.0 if self.scale is None else self.scale, "perturbation scale"))
         if self.kind == "file":
             if self.path is not None and not isinstance(self.path, (str, os.PathLike)):
                 raise ValidationError(

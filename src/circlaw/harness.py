@@ -24,8 +24,8 @@ from .diagnostics import DeltaDiagnostics, ScalingReport, ZGrid
 from .ensemble import (
     EntryDistribution,
     PerturbationSpec,
+    _finite,
     _is_int,
-    _real,
 )
 from .errors import MeasureError, ValidationError
 
@@ -124,10 +124,8 @@ class ExperimentConfig:
         if not isinstance(self.z_grid, ZGrid):
             problems.append("z_grid must be a ZGrid")
         try:
-            b0 = _real(self.reference_exponent_b0, "reference_exponent_b0")
-            if not math.isfinite(b0):
-                raise ValidationError(f"reference_exponent_b0 must be finite, got {b0!r}")
-            object.__setattr__(self, "reference_exponent_b0", b0)
+            object.__setattr__(self, "reference_exponent_b0", _finite(
+                self.reference_exponent_b0, "reference_exponent_b0"))
         except ValidationError as exc:
             problems.append(str(exc))
         if problems:

@@ -3,7 +3,10 @@
 The 1-d measures carry singular values; the 2-d measures carry eigenvalues.
 Kolmogorov distances are computed exactly from merged atom lists, and the
 integration-by-parts difference is evaluated as an exact piecewise sum (the
-CDF difference is constant between consecutive atoms).
+CDF difference is constant between consecutive atoms). Two private
+primitives carry every distance: `_ecdf`, the right-continuous ECDF of a 1-d
+measure, and `_ks_to_law`, the one-sample Kolmogorov distance of a sample to
+a continuous law. Atoms may come in any numpy memory layout.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ __all__ = [
 ]
 
 
+def _atoms(values, dtype, label: str) -> np.ndarray:
+    """values as a nonempty 1-d array of finite dtype entries."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != 1 or a.size == 0:
+        raise MeasureError(f"a {label} empirical measure needs at least one atom")
+    if not np.isfinite(a).all():
+        raise MeasureError("atoms must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure1D:
     """Uniform-weight atoms on the real line, stored sorted."""
@@ -35,12 +48,7 @@ class EmpiricalMeasure1D:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.atoms, dtype=np.float64)
-        if a.ndim != 1 or a.size == 0:
-            raise MeasureError("a 1-d empirical measure needs at least one atom")
-        if not np.all(np.isfinite(a)):
-            raise MeasureError("atoms must be finite")
-        object.__setattr__(self, "atoms", np.sort(a))
+        object.__setattr__(self, "atoms", np.sort(_atoms(self.atoms, np.float64, "1-d")))
 
     @property
     def n(self) -> int:
@@ -54,21 +62,31 @@ class EmpiricalMeasure2D:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.atoms, dtype=np.complex128)
-        if a.ndim != 1 or a.size == 0:
-            raise MeasureError("a 2-d empirical measure needs at least one atom")
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise MeasureError("atoms must be finite")
-        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "atoms", _atoms(self.atoms, np.complex128, "2-d"))
 
     @property
     def n(self) -> int:
         return int(self.atoms.size)
 
 
+def _ecdf(m: EmpiricalMeasure1D, x):
+    """Right-continuous ECDF at x, a number or an array: fraction of atoms <= x."""
+    return np.searchsorted(m.atoms, x, side="right") / m.n
+
+
+def _ks_to_law(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sup |F_n - F| of the sample's ECDF F_n against a continuous CDF F: the
+    largest of i/n - F(x_i) and F(x_i) - (i-1)/n over the sorted sample, as
+    the sup is attained at a sample point or its left limit."""
+    f = cdf(np.sort(sample))
+    n = f.size
+    return float(max((np.arange(1, n + 1) / n - f).max(),
+                     (f - np.arange(0, n) / n).max(), 0.0))
+
+
 def ecdf_eval(m: EmpiricalMeasure1D, x: float) -> float:
     """Right-continuous ECDF: fraction of atoms <= x."""
-    return float(np.searchsorted(m.atoms, x, side="right")) / m.n
+    return float(_ecdf(m, x))
 
 
 def kolmogorov_distance(mu: EmpiricalMeasure1D, nu: EmpiricalMeasure1D) -> float:
@@ -79,9 +97,7 @@ def kolmogorov_distance(mu: EmpiricalMeasure1D, nu: EmpiricalMeasure1D) -> float
     left endpoint, so the supremum is attained on the merged atom list.
     """
     pts = np.concatenate([mu.atoms, nu.atoms])
-    f_mu = np.searchsorted(mu.atoms, pts, side="right") / mu.n
-    f_nu = np.searchsorted(nu.atoms, pts, side="right") / nu.n
-    return float(np.max(np.abs(f_mu - f_nu)))
+    return float(np.max(np.abs(_ecdf(mu, pts) - _ecdf(nu, pts))))
 
 
 @dataclass(frozen=True)
@@ -125,10 +141,7 @@ def ibp_difference(
     lhs = float(np.mean(f(mu.atoms)) - np.mean(f(nu.atoms)))
 
     cuts = np.unique(np.concatenate([mu.atoms, nu.atoms]))
-    diff = (
-        np.searchsorted(mu.atoms, cuts, side="right") / mu.n
-        - np.searchsorted(nu.atoms, cuts, side="right") / nu.n
-    )
+    diff = _ecdf(mu, cuts) - _ecdf(nu, cuts)
     f_cuts = np.asarray(f(cuts), dtype=np.float64)
     # Difference vanishes beyond the last atom, so the piece reaching beta
     # contributes nothing; pieces before the first atom carry zero difference.
@@ -155,17 +168,8 @@ def log_integral_diff(mu: EmpiricalMeasure1D, nu: EmpiricalMeasure1D) -> float:
 
 
 def radial_disk_distance(m: EmpiricalMeasure2D) -> float:
-    """Sup distance between the radial ECDF and the unit-disk radial CDF r^2.
-
-    Evaluated at atom radii and their left limits, which is where the sup of
-    a step function against a continuous CDF is attained.
-    """
-    r = np.sort(np.abs(m.atoms))
-    n = r.size
-    target = np.minimum(r * r, 1.0)
-    above = np.arange(1, n + 1) / n - target
-    below = target - np.arange(0, n) / n
-    return float(max(above.max(), below.max(), 0.0))
+    """Sup distance between the radial ECDF and the unit-disk radial CDF r^2."""
+    return _ks_to_law(np.abs(m.atoms), lambda r: np.minimum(r * r, 1.0))
 
 
 def angular_disk_distance(m: EmpiricalMeasure2D) -> float:
@@ -177,8 +181,4 @@ def angular_disk_distance(m: EmpiricalMeasure2D) -> float:
     atoms = m.atoms[np.abs(m.atoms) > 0.0]
     if atoms.size == 0:
         raise MeasureError("angular distance undefined: all atoms at the origin")
-    u = np.sort(np.mod(np.angle(atoms) / (2.0 * np.pi), 1.0))
-    n = u.size
-    above = np.arange(1, n + 1) / n - u
-    below = u - np.arange(0, n) / n
-    return float(max(above.max(), below.max(), 0.0))
+    return _ks_to_law(np.mod(np.angle(atoms) / (2.0 * np.pi), 1.0), lambda u: u)

@@ -136,12 +136,14 @@ def _blas(fn, m: np.ndarray, *args, **kwargs):
 
 
 def _as_matrix(a, square: bool = True) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    """a as a finite C-contiguous complex128 matrix, copied only when it is
+    not one, so every layout of the same entries gives the same bytes."""
+    m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise InvalidValueError("matrix contains non-finite entries")
     check_dimension(max(m.shape))
     return m

@@ -30,7 +30,7 @@ from circlaw import (
     sample_matrix,
     verify_rank_inequality,
 )
-from circlaw import spectral
+from circlaw import diagnostics, spectral
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -235,6 +235,20 @@ def test_verify_rank_inequality_shift_invariance():
     assert r1.holds
 
 
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+def test_verify_rank_inequality_rectangular(shape):
+    """n-by-m singular values are zero-padded to the n rows; a rank-one
+    difference moves one atom of n."""
+    rows, cols = shape
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = a + np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    r = verify_rank_inequality(a, b)
+    assert r.bound == 1.0 / rows
+    assert r.ks == pytest.approx(r.bound, abs=1e-15)
+    assert r.holds
+
+
 def test_verify_rank_inequality_shape_mismatch():
     with pytest.raises(ShapeError):
         verify_rank_inequality(np.eye(3), np.eye(4))
@@ -381,6 +395,29 @@ def test_bump_function_rejects_bad_radius():
         BumpFunction(radius=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("radius", "1"), ("radius", float("nan")), ("radius", float("inf")), ("radius", True),
+    ("amplitude", "1"), ("amplitude", float("nan")),
+])
+def test_bump_function_rejects_other_than_finite_numbers(field, value):
+    with pytest.raises(ValidationError, match=f"bump {field}"):
+        BumpFunction(**{field: value})
+
+
+@pytest.mark.parametrize("bounds", [("0", "1", "0", "1"), (0.0, float("nan"), 0.0, 1.0),
+                                    (0.0, 1.0, float("-inf"), 1.0)])
+def test_rectangle_rejects_bounds_other_than_finite_numbers(bounds):
+    with pytest.raises(ValidationError, match="rectangle"):
+        Rectangle(*bounds)
+
+
+@pytest.mark.parametrize("step", ["0.1", float("nan"), float("inf")])
+def test_green_identity_rejects_step_other_than_finite_number(step):
+    b = BumpFunction(center=0j, radius=1.0, amplitude=1.0)
+    with pytest.raises(ValidationError, match="grid step"):
+        green_identity_residual([0j], b, step, Rectangle(-1.5, 1.5, -1.5, 1.5))
+
+
 def test_green_identity_single_root():
     """P(z) = z with a bump at the origin: lhs = f(0) = 1."""
     b = BumpFunction(center=0j, radius=1.0, amplitude=1.0)
@@ -431,6 +468,18 @@ def test_green_identity_validation():
         green_identity_residual([0j], b, 0.01, Rectangle(-0.8, 0.8, -0.8, 0.8))
 
 
+def test_poly_matches_power_sum():
+    """The lemma suite's polynomial (numpy's polyval, Horner order) against
+    the power sum sum(c_k (x/scale)^k): terms at most 1 in size, at most 5 of
+    them, so the two orders differ by a few float64 ulps of 5."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(1.0, 10.0, 50)
+    for degree in range(5):
+        c = rng.uniform(-1.0, 1.0, degree + 1)
+        expected = sum(ck * (x / 10.0) ** k for k, ck in enumerate(c))
+        assert np.max(np.abs(diagnostics._poly(c, 10.0)(x) - expected)) <= 1e-14
+
+
 def test_lemma_trials_all_pass():
     rep = run_lemma_trials(50, seed=3)
     assert rep.trials == 50
@@ -440,6 +489,12 @@ def test_lemma_trials_all_pass():
 def test_lemma_trials_rejects_bad_count():
     with pytest.raises(ValidationError):
         run_lemma_trials(0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [True, 2.0, "3"])
+def test_lemma_trials_rejects_count_other_than_int(trials):
+    with pytest.raises(ValidationError, match="trials"):
+        run_lemma_trials(trials, seed=1)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circlaw import (
@@ -287,6 +287,39 @@ def test_disk_distances_on_central_sample():
     m = m2(*eig)
     assert radial_disk_distance(m) <= 0.1
     assert angular_disk_distance(m) <= 0.1
+
+
+def test_disk_distances_of_strided_atoms():
+    """Strided complex atoms build a measure with the distances of their
+    contiguous copy."""
+    rng = np.random.default_rng(9)
+    eig = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    view, copy = EmpiricalMeasure2D(eig[::2]), EmpiricalMeasure2D(eig[::2].copy())
+    assert radial_disk_distance(view) == radial_disk_distance(copy)
+    assert angular_disk_distance(view) == angular_disk_distance(copy)
+
+
+def _sup_distance_brute_force(sample, cdf):
+    """max |F_n - F| over a dense grid holding the sample points, the points
+    just left of them and an even spread around them."""
+    grid = np.concatenate([sample, np.nextafter(sample, -np.inf),
+                           np.linspace(sample.min() - 1.0, sample.max() + 1.0, 201)])
+    f_n = np.mean(sample[None, :] <= grid[:, None], axis=1)
+    return float(np.max(np.abs(f_n - cdf(grid))))
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_disk_distances_match_brute_force(zs):
+    z = np.array(zs, dtype=complex)
+    radial = _sup_distance_brute_force(np.abs(z), lambda r: np.clip(r, 0.0, 1.0) ** 2)
+    assert abs(radial_disk_distance(m2(*z)) - radial) <= 1e-12
+    nonzero = z[np.abs(z) > 0.0]
+    assume(nonzero.size)
+    u = np.mod(np.angle(nonzero) / (2.0 * np.pi), 1.0)
+    angular = _sup_distance_brute_force(u, lambda t: np.clip(t, 0.0, 1.0))
+    assert abs(angular_disk_distance(m2(*z)) - angular) <= 1e-12
 
 
 @given(st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=1, max_size=12))

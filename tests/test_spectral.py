@@ -1,5 +1,7 @@
 """Tests for eigenvalue/singular-value summaries and the Weyl comparison."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from circlaw import (
     max_dimension,
     singular_values,
     summarize,
+    verify_rank_inequality,
 )
 from circlaw import spectral
 
@@ -219,6 +222,26 @@ def test_rejects_non_finite():
         eigenvalues(m)
     with pytest.raises(InvalidValueError):
         singular_values(m)
+
+
+_RNG = np.random.default_rng(21)
+_M = _RNG.standard_normal((16, 16)) + 1j * _RNG.standard_normal((16, 16))
+_N = _M + np.outer(_RNG.standard_normal(16), np.ones(16))
+_LAYOUT_CASES = [(eigenvalues, 1), (singular_values, 1), (log_abs_det_lu, 1),
+                 (summarize, 1), (check_weyl, 1), (verify_rank_inequality, 2)]
+
+
+@pytest.mark.parametrize("fn, arity", _LAYOUT_CASES,
+                         ids=[fn.__name__ for fn, _ in _LAYOUT_CASES])
+@pytest.mark.parametrize("view", [np.transpose, lambda m: m[::2, ::2]],
+                         ids=["transpose", "strided"])
+def test_any_layout_gives_the_contiguous_bytes(fn, arity, view):
+    """A transposed or strided complex view gives the bytes of its
+    contiguous copy."""
+    args = [view(m) for m in (_M, _N)[:arity]]
+    assert not any(a.flags.c_contiguous for a in args)
+    expected = fn(*(np.ascontiguousarray(a) for a in args))
+    assert pickle.dumps(fn(*args)) == pickle.dumps(expected)
 
 
 def test_dimension_cap(monkeypatch):
