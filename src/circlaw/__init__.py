@@ -31,11 +31,14 @@ from .ensemble import (
     build_perturbation,
     derive_seed,
     numerical_rank,
+    perturbed,
     read_matrix_csv,
     sample_matrix,
+    scaled,
     write_matrix_csv,
 )
 from .spectral import (
+    ShiftedSpectrum,
     SpectralSummary,
     WeylCheck,
     check_weyl,
@@ -43,6 +46,7 @@ from .spectral import (
     log_abs_det_lu,
     logdet_agree,
     max_dimension,
+    shifted,
     singular_values,
     summarize,
 )
@@ -71,6 +75,7 @@ from .diagnostics import (
     aggregate_scaling,
     constant_case,
     delta_at,
+    delta_row,
     delta_scan,
     green_identity_residual,
     ks_distance_brute_force,

@@ -213,7 +213,7 @@ def _cmd_run(args) -> int:
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "
           f"n={n} holds {harness.unit_dense_bytes(n) / 2**20:.3g} MiB dense "
-          "(A, B and LAPACK's working copy)")
+          "(A or B, never both, and LAPACK's working copy)")
     report = harness.run_experiment(config, workers=args.workers)
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")

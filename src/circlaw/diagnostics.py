@@ -9,6 +9,7 @@ the Green-identity quadrature for polynomial root-counting measures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +37,7 @@ __all__ = [
     "Rectangle",
     "BumpFunction",
     "LemmaSuiteReport",
+    "delta_row",
     "delta_at",
     "verify_rank_inequality",
     "delta_scan",
@@ -171,42 +173,37 @@ class RankCheck:
     holds: bool
 
 
-def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
-    """Evaluate the normalized log|det| gap and its bounds at one shift.
+def delta_row(a: spectral.ShiftedSpectrum, b: spectral.ShiftedSpectrum,
+              rank: int) -> DeltaDiagnostics:
+    """The normalized log|det| gap and its bounds at one shift, from the
+    shifted spectra of A - zI and B - zI (spectral.shifted) and the rank of
+    M, which bounds the KS distance by rank / n.
 
     If either shifted matrix is numerically singular the record comes back
     with ``singular_flag`` set and NaN gap values instead of an exception.
-
-    A - zI and B - zI are formed in the pair's own arrays, one at a time, and
-    the diagonals are restored on return, also when a call raises. So one
-    pair must not be shared by two threads at once.
     """
-    n = pair.dim
-    with spectral._shifted_in_place(pair.a_matrix, z) as shifted_a:
-        sv_a = spectral.singular_values(shifted_a)
-        lu_a, sing_a = spectral.log_abs_det_lu(shifted_a)
-    with spectral._shifted_in_place(pair.b_matrix, z) as shifted_b:
-        sv_b = spectral.singular_values(shifted_b)
-        lu_b, sing_b = spectral.log_abs_det_lu(shifted_b)
-
+    sv_a, sv_b = a.singular_values, b.singular_values
+    if a.z != b.z or sv_a.shape != sv_b.shape:
+        raise ShapeError(f"shifted spectra of A at {a.z} ({sv_a.size} values) and "
+                         f"B at {b.z} ({sv_b.size} values) do not pair")
+    n = sv_a.size
     mu_a, mu_b = EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
     ks = measures.kolmogorov_distance(mu_a, mu_b)
-    rank_bound = pair.perturbation_rank / n
     s_max_a, s_min_a = float(sv_a[0]), float(sv_a[-1])
     s_max_b, s_min_b = float(sv_b[0]), float(sv_b[-1])
 
-    singular = bool(sing_a or sing_b or s_min_a == 0.0 or s_min_b == 0.0)
+    singular = bool(a.singular or b.singular or s_min_a == 0.0 or s_min_b == 0.0)
     if singular:
         delta = delta_logdet = ibp_bound = float("nan")
     else:
         delta = measures.log_integral_diff(mu_a, mu_b)
-        delta_logdet = (lu_a - lu_b) / n
+        delta_logdet = (a.log_abs_det - b.log_abs_det) / n
         s_max = max(s_max_a, s_max_b)
         s_min = min(s_min_a, s_min_b)
         ibp_bound = (math.log(s_max) - math.log(s_min)) * ks
 
     return DeltaDiagnostics(
-        z=complex(z),
+        z=a.z,
         delta=delta,
         delta_logdet=delta_logdet,
         s_max_a=s_max_a,
@@ -214,10 +211,22 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
         s_max_b=s_max_b,
         s_min_b=s_min_b,
         ks=ks,
-        rank_bound=rank_bound,
+        rank_bound=rank / n,
         ibp_bound=ibp_bound,
         singular_flag=singular,
     )
+
+
+def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
+    """delta_row of the pair's A - zI and B - zI at one shift.
+
+    Each shifted matrix is formed in the pair's own array, one at a time,
+    and restored bit for bit on return, also when a call raises (see
+    spectral.shifted). So one pair must not be shared by two threads at
+    once.
+    """
+    return delta_row(spectral.shifted(pair.a_matrix, z),
+                     spectral.shifted(pair.b_matrix, z), pair.perturbation_rank)
 
 
 def verify_rank_inequality(a, b) -> RankCheck:
@@ -368,16 +377,18 @@ def constant_case(
 ) -> ConstantCaseRecord:
     """Sample X from the raw seed, perturb by the all-ones matrix, and
     report as the record of replicate 0 the two largest-modulus eigenvalues
-    of B (one eigensolve) and the operator norm of A (one SVD)."""
+    of B (one eigensolve) and the operator norm of A (one SVD). As in a run
+    unit, B and A are formed one at a time, each from its own draw of X."""
     if n < 2:
         raise ShapeError(f"constant case needs n >= 2, got {n}")
     spectral.check_dimension(n)
     perturbation = ensemble.build_perturbation(ensemble.PerturbationSpec("all-ones"), n)
-    pair = ensemble.assemble(ensemble.sample_matrix(dist, n, seed), perturbation)
-    eig = spectral.eigenvalues(pair.b_matrix)
+    eig = spectral.eigenvalues(
+        ensemble.perturbed(ensemble.sample_matrix(dist, n, seed), perturbation))
+    a = ensemble.scaled(ensemble.sample_matrix(dist, n, seed))
     return ConstantCaseRecord(
         dim=n, replicate=0, lambda1=complex(eig[0]), lambda2=complex(eig[1]),
-        s1_central=float(spectral.singular_values(pair.a_matrix)[0]))
+        s1_central=float(spectral.singular_values(a)[0]))
 
 
 @dataclass(frozen=True)
@@ -401,8 +412,9 @@ class BumpFunction:
     """Smooth compactly supported radial bump with an analytic Laplacian.
 
     f(z) = amplitude * exp(1 - 1/(1 - u)) with u = |z - center|^2 / radius^2
-    inside the support disc, 0 outside. f(center) = amplitude. The radius (> 0)
-    and the amplitude are finite numbers, stored as floats.
+    inside the support disc, 0 outside. f(center) = amplitude. The center is
+    a finite number or [re, im] pair of reals, stored as a complex; the
+    radius (> 0) and the amplitude are finite numbers, stored as floats.
     """
 
     center: complex = 0.0 + 0.0j
@@ -410,6 +422,10 @@ class BumpFunction:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        center = ensemble._complex(self.center, "bump center")
+        if not cmath.isfinite(center):
+            raise ValidationError(f"bump center must be finite, got {center!r}")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", _positive(self.radius, "bump radius"))
         object.__setattr__(self, "amplitude", _finite(self.amplitude, "bump amplitude"))
 

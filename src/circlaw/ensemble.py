@@ -3,7 +3,7 @@
 Entry laws are standardized to mean 0 and unit second absolute moment, so the
 scaled matrix X/sqrt(n) has bulk spectrum filling the unit disc. Perturbations
 are declared by a small spec (kind, rank budget, Hilbert-Schmidt budget) and
-realized, for every kind, as n-by-k factors of M = U V*; no n-by-n M is formed.
+realized, for every kind, as n-by-k factors of M = U V*; no n-by-n M is kept.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ __all__ = [
     "AssembledPair",
     "sample_matrix",
     "build_perturbation",
+    "perturbed",
+    "scaled",
     "assemble",
     "numerical_rank",
     "derive_seed",
@@ -61,24 +63,36 @@ _SQRT_HALF = np.sqrt(0.5)
 _SQRT_THREE = np.sqrt(3.0)
 
 
-def _interleaved(s: np.ndarray) -> np.ndarray:
-    """Entry k from draws 2k (real part) and 2k+1 (imaginary part)."""
-    return (s[0::2] + 1j * s[1::2]) * _SQRT_HALF
+def _unit_complex(parts: np.ndarray) -> None:
+    """Scale a complex row's interleaved standard parts to E|x|^2 = 1."""
+    parts *= _SQRT_HALF
 
 
-# Each entry law's row draw, draw(rng, n, p) -> n real or complex entries,
-# and the open interval its parameter p lies in, or None for a law without
-# one. Entry k of a row consumes a fixed prefix of the row's stream (draws 2k
-# and 2k+1 for a complex law), independent of n. The kinds are its keys.
+# Each entry law's row fill, fill(rng, parts, p), and the open interval its
+# parameter p lies in, or None for a law without one. parts is the row's
+# float64 view, real and imaginary parts interleaved, zero on entry; a real
+# law fills the real parts only. Entry k of a row consumes a fixed prefix of
+# the row's stream (draws 2k and 2k+1 for a complex law), independent of n.
+# The kinds are its keys.
 _DISTRIBUTIONS = {
-    "complex-gaussian": (lambda rng, n, p: _interleaved(rng.standard_normal(2 * n)), None),
-    "real-gaussian": (lambda rng, n, p: rng.standard_normal(n), None),
-    "rademacher": (lambda rng, n, p: 2.0 * rng.integers(0, 2, n) - 1.0, None),
+    "complex-gaussian": (
+        lambda rng, parts, p: _unit_complex(rng.standard_normal(out=parts)), None),
+    "real-gaussian": (
+        lambda rng, parts, p: np.copyto(parts[::2], rng.standard_normal(parts.size // 2)),
+        None),
+    "rademacher": (
+        lambda rng, parts, p: np.copyto(
+            parts[::2], 2.0 * rng.integers(0, 2, parts.size // 2) - 1.0), None),
     "complex-rademacher": (
-        lambda rng, n, p: _interleaved(2.0 * rng.integers(0, 2, 2 * n) - 1.0), None),
+        lambda rng, parts, p: _unit_complex(np.subtract(
+            2.0 * rng.integers(0, 2, parts.size), 1.0, out=parts)), None),
     "centered-bernoulli": (
-        lambda rng, n, p: ((rng.random(n) < p) - p) / np.sqrt(p * (1.0 - p)), (0, 1)),
-    "centered-uniform": (lambda rng, n, p: (2.0 * rng.random(n) - 1.0) * _SQRT_THREE, None),
+        lambda rng, parts, p: np.copyto(
+            parts[::2], ((rng.random(parts.size // 2) < p) - p) / np.sqrt(p * (1.0 - p))),
+        (0, 1)),
+    "centered-uniform": (
+        lambda rng, parts, p: np.copyto(
+            parts[::2], (2.0 * rng.random(parts.size // 2) - 1.0) * _SQRT_THREE), None),
 }
 DISTRIBUTION_KINDS = tuple(_DISTRIBUTIONS)
 
@@ -202,7 +216,8 @@ def _sequence(value, label: str):
 
 
 def _complex(value, label: str) -> complex:
-    """A factor entry: a number (not a bool) or an [re, im] pair of reals."""
+    """A complex number given as a number (not a bool) or an [re, im] pair
+    of reals."""
     if isinstance(value, numbers.Real):
         return complex(_real(value, label), 0.0)
     if isinstance(value, numbers.Complex):
@@ -210,12 +225,12 @@ def _complex(value, label: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real(value[0], label), _real(value[1], label))
     raise ValidationError(
-        f"{label} entries must be numbers or [re, im] pairs, got {value!r}")
+        f"{label} must be a number or an [re, im] pair of reals, got {value!r}")
 
 
 def _complex_factors(vectors, label: str) -> tuple[tuple[complex, ...], ...]:
     """Factor vectors as tuples of complex; None stands for none."""
-    return tuple(tuple(_complex(v, label) for v in _sequence(vec, label))
+    return tuple(tuple(_complex(v, f"{label} entry") for v in _sequence(vec, label))
                  for vec in _sequence(() if vectors is None else vectors, label))
 
 
@@ -316,23 +331,70 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(values: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix step on uint32 values; the hash constant is
+    advanced by mult and returned with them."""
+    values = values ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    values = values * np.uint32(hash_const)
+    return values ^ (values >> np.uint32(16)), hash_const
+
+
+def _row_keys(seed: int, n: int) -> np.ndarray:
+    """Row j's Philox key, SeedSequence(seed, spawn_key=(0, j))
+    .generate_state(2, np.uint64), for every j < n at once.
+
+    Row j's assembled entropy is that of SeedSequence(seed, spawn_key=(0,))
+    (the seed's words, zero-padded to the 4-word pool, then the spawn word
+    0) followed by the word j. So its pool is that sequence's pool with j
+    mixed into each of the 4 words, after the 20 hashmix steps the shared
+    words took (4 fill, 12 cross-mix, 4 for the word 0); generate_state
+    then hashes the 4 pool words into the key's 4 uint32 words. Every row
+    takes the same uint32 steps, so they run on a vector of j.
+    """
+    pool = np.random.SeedSequence(seed, spawn_key=(0,)).pool
+    j = np.arange(n, dtype=np.uint32)
+    words = np.empty((n, 4), dtype=np.uint32)
+    hash_a = _INIT_A * pow(_MULT_A, 20, 1 << 32) & _MASK32
+    hash_b = _INIT_B
+    for i, word in enumerate(pool):
+        mixed_j, hash_a = _hashmix(j, hash_a, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * int(word) & _MASK32) - np.uint32(_MIX_MULT_R) * mixed_j
+        words[:, i], hash_b = _hashmix(mixed ^ (mixed >> np.uint32(16)), hash_b, _MULT_B)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     """Draw an n-by-n matrix of i.i.d. standardized entries.
 
     Entry (j, k) is a pure function of (seed, j, k): each row has its own
-    counter-based bit stream keyed by (seed, j), and entry k consumes a fixed
-    prefix of it. Two calls with equal arguments return bitwise-identical
-    matrices, and rows may be generated in any order.
+    counter-based Philox stream, keyed by SeedSequence(seed, spawn_key=(0, j)),
+    and entry k consumes a fixed prefix of it. Two calls with equal arguments
+    return bitwise-identical matrices, and rows may be generated in any
+    order. One Philox serves every row: setting its state to a row's key
+    (_row_keys) and a zero counter starts the stream Philox(that
+    SeedSequence) would, without building a bit generator per row.
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     _check_seed(seed)
-    draw = _DISTRIBUTIONS[dist.kind][0]
-    entries = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        # The spawn key's leading 0 is part of every sample's bytes.
-        ss = np.random.SeedSequence(seed, spawn_key=(0, j))
-        entries[j] = draw(np.random.Generator(np.random.Philox(ss)), n, dist.p)
+    fill = _DISTRIBUTIONS[dist.kind][0]
+    entries = np.zeros((n, n), dtype=np.complex128)
+    parts = entries.view(np.float64)
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for j, key in enumerate(_row_keys(seed, n)):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        fill(rng, parts[j], dist.p)
     return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
 
 
@@ -402,7 +464,8 @@ class Perturbation:
     """M = U V* of one spec at one dim, its numerical rank, budgets checked.
 
     ``u`` is the read-only n-by-k factor U and ``vh`` the read-only k-by-n
-    V*, both built once per dim; no n-by-n M is formed or kept.
+    V*, both built once per dim; no n-by-n M is kept (a unit forms U V* only
+    to add it to X).
     """
 
     spec: PerturbationSpec
@@ -478,25 +541,45 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
     return Perturbation(spec, n, rank, u, vh)
 
 
-def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
-    """Form A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M.
-
-    B is a new array holding U V*, to which X is added and which is then
-    scaled; x is spent: x.entries is scaled in place and becomes A, so a unit
-    holds two n-by-n arrays rather than three. A caller who wants to keep X
-    passes a copy. IEEE addition commutes, so the bytes are those of x * s
-    and (x + U V*) * s with s = 1/sqrt(n).
-    """
+def _check_dims(x: MatrixSample, perturbation: Perturbation) -> None:
     if perturbation.dim != x.dim:
         raise ShapeError(
             f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
         )
-    inv_sqrt_n = 1.0 / np.sqrt(float(x.dim))
+
+
+def perturbed(x: MatrixSample, perturbation: Perturbation) -> np.ndarray:
+    """B = (X + M)/sqrt(n) for the perturbation's M, in x's own array: x is
+    spent, its entries become B. U V* is formed in a temporary array, added
+    to X and dropped, and the sum is scaled by s = 1/sqrt(n).
+    """
+    _check_dims(x, perturbation)
+    b = x.entries
+    b += _blas(np.matmul, perturbation.u, perturbation.vh)
+    b *= 1.0 / np.sqrt(float(x.dim))
+    return b
+
+
+def scaled(x: MatrixSample) -> np.ndarray:
+    """A = X/sqrt(n) in x's own array: x is spent, its entries become A."""
+    a = x.entries
+    a *= 1.0 / np.sqrt(float(x.dim))
+    return a
+
+
+def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
+    """A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M.
+
+    B is a new array holding U V*, to which X is added and which is then
+    scaled; then x is spent by scaled and becomes A, so the pair holds two
+    n-by-n arrays rather than three. A caller who wants to keep X passes a
+    copy. IEEE addition commutes, so B's bytes are perturbed's, (x + U V*) * s
+    with s = 1/sqrt(n).
+    """
+    _check_dims(x, perturbation)
     b = _blas(np.matmul, perturbation.u, perturbation.vh)
     b += x.entries
-    b *= inv_sqrt_n
-    a = x.entries
-    a *= inv_sqrt_n
+    b *= 1.0 / np.sqrt(float(x.dim))
     return AssembledPair(
-        a_matrix=a, b_matrix=b, dim=x.dim, perturbation_rank=perturbation.rank,
+        a_matrix=scaled(x), b_matrix=b, dim=x.dim, perturbation_rank=perturbation.rank,
     )

@@ -287,15 +287,21 @@ class RunReport:
 
 
 def disk_record(pair, dim: int, replicate: int) -> DiskRecord:
-    """Disc-law distances of the perturbed ESD for one assembled pair.
+    """Disc-law distances of the perturbed ESD for one assembled pair: its
+    B and the rank of its perturbation (see _disk)."""
+    return _disk(pair.b_matrix, pair.perturbation_rank, dim, replicate)
+
+
+def _disk(b: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord:
+    """Disc-law distances of the eigenvalues of B, one eigensolve.
 
     When the perturbation has rank >= 1 the single largest-modulus eigenvalue
     is excluded from the distances and reported as top_eigen_modulus. The
     eigenvalues are sorted by nonincreasing modulus, so the bulk's first one
     has its largest modulus.
     """
-    eig = spectral.eigenvalues(pair.b_matrix)
-    if pair.perturbation_rank >= 1:
+    eig = spectral.eigenvalues(b)
+    if rank >= 1:
         top_modulus = float(np.abs(eig[0]))
         bulk = eig[1:]
     else:
@@ -321,18 +327,22 @@ def disk_record(pair, dim: int, replicate: int) -> DiskRecord:
     )
 
 
+def _sample(config: ExperimentConfig, dim: int, replicate: int) -> ensemble.MatrixSample:
+    """The unit's X. Its seed is a pure function of (master_seed, dim,
+    replicate), so units can be computed in any order or concurrently, and a
+    unit can draw its X again instead of keeping it."""
+    seed = ensemble.derive_seed(config.master_seed, dim, replicate)
+    return ensemble.sample_matrix(config.distribution, dim, seed)
+
+
 def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
                replicate: int) -> ensemble.AssembledPair:
     """Sample and assemble one (dim, replicate) unit at the perturbation's dim.
 
-    The sample seed is a pure function of (master_seed, dim, replicate), so
-    units can be computed in any order or concurrently. assemble spends the
-    sample, whose buffer becomes A, so the unit allocates X and B only.
+    assemble spends the sample, whose buffer becomes A, so the pair holds X
+    and B only. The run itself holds one of them at a time (_run_unit).
     """
-    dim = perturbation.dim
-    seed = ensemble.derive_seed(config.master_seed, dim, replicate)
-    x = ensemble.sample_matrix(config.distribution, dim, seed)
-    return ensemble.assemble(x, perturbation)
+    return ensemble.assemble(_sample(config, perturbation.dim, replicate), perturbation)
 
 
 def lapack_work(config: ExperimentConfig) -> int:
@@ -344,24 +354,39 @@ def lapack_work(config: ExperimentConfig) -> int:
 
 
 def unit_dense_bytes(n: int) -> int:
-    """What one unit at dim n holds densely at its peak, three n-by-n
-    complex128 matrices: A, B and the copy LAPACK works on. Assembly holds
-    no more, since X's buffer becomes A beside the new B."""
-    return 3 * 16 * n * n
+    """What one unit at dim n holds densely at its peak, two n-by-n
+    complex128 matrices: at each LAPACK call the one matrix it factors, A
+    or B, and the copy LAPACK works on; while B is formed in X's array, X
+    and U V*. A unit also keeps n singular values per grid point of B - zI
+    until A's pass.
+    """
+    return 2 * 16 * n * n
 
 
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
               replicate: int, stages) -> UnitResult:
-    """One unit from one build_pair, computing only the requested stages:
-    "delta" factors A - zI and B - zI on the grid, "disk" takes the one
-    eigensolve of B.
+    """One unit, computing only the requested stages, with one n-by-n matrix
+    alive at a time: A and B never coexist.
+
+    B's pass: X is drawn and B = (X + M)/sqrt(n) formed in its array.
+    "disk" takes the one eigensolve of B; "delta" the SVD and LU of B - zI
+    at every grid point, keeping only their spectral.shifted results. A's
+    pass, for "delta" only: B is dropped, X drawn again from its seed and
+    scaled in place into A, and the SVD and LU of A - zI at each grid point
+    complete that point's row (diagnostics.delta_row). The bytes are those
+    of delta_scan and disk_record on build_pair's pair.
     """
-    dim = perturbation.dim
-    pair = build_pair(config, perturbation, replicate)
+    dim, rank = perturbation.dim, perturbation.rank
+    b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
+    disk = _disk(b, rank, dim, replicate) if "disk" in stages else None
     diags = ()
     if "delta" in stages:
-        diags = tuple(diagnostics.delta_scan(pair, config.z_grid))
-    disk = disk_record(pair, dim, replicate) if "disk" in stages else None
+        points = config.z_grid.points()
+        b_side = [spectral.shifted(b, z) for z in points]
+        del b
+        a = ensemble.scaled(_sample(config, dim, replicate))
+        diags = tuple(diagnostics.delta_row(spectral.shifted(a, z), b_z, rank)
+                      for z, b_z in zip(points, b_side))
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 

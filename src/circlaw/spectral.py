@@ -30,9 +30,11 @@ from .errors import (
 
 __all__ = [
     "SpectralSummary",
+    "ShiftedSpectrum",
     "WeylCheck",
     "eigenvalues",
     "singular_values",
+    "shifted",
     "summarize",
     "check_weyl",
     "log_abs_det_lu",
@@ -135,6 +137,13 @@ def _blas(fn, m: np.ndarray, *args, **kwargs):
         set_threads(ambient)
 
 
+def _check_entries(m: np.ndarray) -> None:
+    """The one scan of a matrix for non-finite entries, and the size cap."""
+    if not np.isfinite(m).all():
+        raise InvalidValueError("matrix contains non-finite entries")
+    check_dimension(max(m.shape))
+
+
 def _as_matrix(a, square: bool = True) -> np.ndarray:
     """a as a finite C-contiguous complex128 matrix, copied only when it is
     not one, so every layout of the same entries gives the same bytes."""
@@ -143,9 +152,7 @@ def _as_matrix(a, square: bool = True) -> np.ndarray:
         raise ShapeError(f"expected a 2-d matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidValueError("matrix contains non-finite entries")
-    check_dimension(max(m.shape))
+    _check_entries(m)
     return m
 
 
@@ -164,6 +171,19 @@ class SpectralSummary:
     spectral_radius: float
     operator_norm: float
     hs_norm_sq: float
+
+
+@dataclass(frozen=True)
+class ShiftedSpectrum:
+    """Singular values (nonincreasing) and LU log|det| of one m - z*I.
+
+    ``log_abs_det`` is -inf when ``singular`` is set, as in log_abs_det_lu.
+    """
+
+    z: complex
+    singular_values: np.ndarray
+    log_abs_det: float
+    singular: bool
 
 
 @dataclass(frozen=True)
@@ -188,10 +208,13 @@ def eigenvalues(a) -> np.ndarray:
     return vals[order]
 
 
+def _svd_values(m: np.ndarray) -> np.ndarray:
+    return _blas(np.linalg.svd, m, compute_uv=False)
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values in nonincreasing order; rectangular input allowed."""
-    m = _as_matrix(a, square=False)
-    return _blas(np.linalg.svd, m, compute_uv=False)
+    return _svd_values(_as_matrix(a, square=False))
 
 
 @contextlib.contextmanager
@@ -199,8 +222,7 @@ def _shifted_in_place(m: np.ndarray, z: complex):
     """Shift a square complex128 array to m - z*I for the block, without an
     n-by-n copy: only the diagonal changes, by the one subtraction a shifted
     copy would make. The saved diagonal is written back on exit, also when
-    the block raises, so m comes back bit for bit. Callers pass the array to
-    the checked public functions."""
+    the block raises, so m comes back bit for bit."""
     if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
             and m.ndim == 2 and m.shape[0] == m.shape[1]):
         raise ShapeError("in-place shift needs a square complex128 array, got "
@@ -214,13 +236,31 @@ def _shifted_in_place(m: np.ndarray, z: complex):
         m[idx, idx] = diagonal
 
 
-def log_abs_det_lu(a) -> tuple[float, bool]:
-    """log|det| from a pivoted LU factorization; (value, singular)."""
-    m = _as_matrix(a)
+def _lu_log_abs_det(m: np.ndarray) -> tuple[float, bool]:
     sign, logdet = _blas(np.linalg.slogdet, m)
     if sign == 0 or not np.isfinite(logdet):
         return float("-inf"), True
     return float(logdet), False
+
+
+def log_abs_det_lu(a) -> tuple[float, bool]:
+    """log|det| from a pivoted LU factorization; (value, singular)."""
+    return _lu_log_abs_det(_as_matrix(a))
+
+
+def shifted(m: np.ndarray, z: complex) -> ShiftedSpectrum:
+    """The singular values and LU log|det| of m - z*I, both factored from
+    one shift of m's own array (see _shifted_in_place), which is scanned for
+    non-finite entries once. m is a square complex128 array and comes back
+    bit for bit, also when a call raises, so it must not be shared by two
+    threads at once. The values are those of singular_values and
+    log_abs_det_lu on a shifted copy."""
+    with _shifted_in_place(m, z) as s:
+        _check_entries(s)
+        sv = _svd_values(s)
+        log_abs_det, singular = _lu_log_abs_det(s)
+    return ShiftedSpectrum(z=complex(z), singular_values=sv,
+                           log_abs_det=log_abs_det, singular=singular)
 
 
 def logdet_agree(x: float, y: float) -> bool:

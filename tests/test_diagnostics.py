@@ -1,6 +1,7 @@
 """Tests for log-determinant gap diagnostics, scaling fits, and identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from circlaw import (
     build_perturbation,
     constant_case,
     delta_at,
+    delta_row,
     delta_scan,
     disk_record,
     eigenvalues,
@@ -149,16 +151,16 @@ def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
     while its matrix is shifted."""
     pair = make_pair(12, seed=4)
     a, b = pair.a_matrix.tobytes(), pair.b_matrix.tobytes()
-    singular_values = spectral.singular_values
+    svd_values = spectral._svd_values
     calls = []
 
     def failing(m):
         calls.append(m)
         if len(calls) == failing_call:
             raise InvalidValueError("injected")
-        return singular_values(m)
+        return svd_values(m)
 
-    monkeypatch.setattr(spectral, "singular_values", failing)
+    monkeypatch.setattr(spectral, "_svd_values", failing)
     with pytest.raises(InvalidValueError, match="injected"):
         delta_at(pair, 0.3 + 0.1j)
     assert calls[-1] is (pair.a_matrix, pair.b_matrix)[failing_call - 1]
@@ -166,12 +168,41 @@ def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
     assert pair.b_matrix.tobytes() == b
 
 
+def test_delta_at_scans_each_shifted_matrix_once(monkeypatch):
+    """One np.isfinite pass over A - zI and one over B - zI, where the SVD
+    and the LU each took their own."""
+    n = 12
+    pair = make_pair(n, seed=2)
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            scans.append(1)
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    delta_at(pair, 0.3 + 0.2j)
+    assert len(scans) == 2
+
+
+def test_delta_row_rejects_spectra_that_do_not_pair():
+    pair = make_pair(6, seed=1)
+    a = spectral.shifted(pair.a_matrix, 0.5)
+    with pytest.raises(ShapeError, match="do not pair"):
+        delta_row(a, spectral.shifted(pair.b_matrix, 0.25), 1)
+    with pytest.raises(ShapeError, match="do not pair"):
+        delta_row(a, spectral.shifted(make_pair(7, seed=1).b_matrix, 0.5), 1)
+    assert repr(delta_row(a, spectral.shifted(pair.b_matrix, 0.5), 1)) \
+        == repr(delta_at(pair, 0.5))
+
+
 def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted):
     """The SVD and LU inputs are bitwise the copy-based oracle's a - z*I."""
     pair = make_pair(16, seed=8)
     z = -0.7 + 0.4j
     seen = []
-    for name in ("singular_values", "log_abs_det_lu"):
+    for name in ("_svd_values", "_lu_log_abs_det"):
         fn = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda m, fn=fn: seen.append(m.tobytes()) or fn(m))
@@ -353,6 +384,34 @@ def test_constant_case_outlier_near_sqrt_n():
     assert 1.0 <= r.s1_central <= 3.0
 
 
+def test_constant_case_is_the_pairs_record_one_matrix_at_a_time(monkeypatch):
+    """The record of B's eigenvalues and A's top singular value from
+    assemble's pair, byte for byte, with at most 1.25 n-by-n arrays traced
+    at each LAPACK call (A beside B would show 2)."""
+    n, seed = 120, 9
+    pair = assemble(sample_matrix(CG, n, seed),
+                    build_perturbation(PerturbationSpec("all-ones"), n))
+    eig = eigenvalues(pair.b_matrix)
+    s1 = float(spectral.singular_values(pair.a_matrix)[0])
+    current = []
+    blas = spectral._blas
+
+    def recording(fn, m, *args, **kwargs):
+        current.append(tracemalloc.get_traced_memory()[0] - start)
+        return blas(fn, m, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_blas", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        r = constant_case(n, CG, seed)
+    finally:
+        tracemalloc.stop()
+    assert repr((r.lambda1, r.lambda2, r.s1_central)) == repr(
+        (complex(eig[0]), complex(eig[1]), s1))
+    assert max(current) <= 1.25 * 16 * n * n
+
+
 def test_constant_case_rejects_tiny_n():
     with pytest.raises(ShapeError):
         constant_case(1, CG, seed=0)
@@ -402,6 +461,20 @@ def test_bump_function_rejects_bad_radius():
 def test_bump_function_rejects_other_than_finite_numbers(field, value):
     with pytest.raises(ValidationError, match=f"bump {field}"):
         BumpFunction(**{field: value})
+
+
+@pytest.mark.parametrize("center", ["0", float("nan"), complex(0.0, float("inf")),
+                                    [0.0, float("nan")], True])
+def test_bump_function_rejects_other_than_a_finite_center(center):
+    with pytest.raises(ValidationError, match="bump center"):
+        BumpFunction(center=center)
+
+
+@pytest.mark.parametrize("center, stored", [(1, 1 + 0j), (0.5, 0.5 + 0j),
+                                            ([0.25, -1], 0.25 - 1j), (2j, 2j)])
+def test_bump_function_stores_its_center_as_complex(center, stored):
+    b = BumpFunction(center=center)
+    assert type(b.center) is complex and b.center == stored
 
 
 @pytest.mark.parametrize("bounds", [("0", "1", "0", "1"), (0.0, float("nan"), 0.0, 1.0),

@@ -1,6 +1,7 @@
 """Tests for entry distributions, seeding, and perturbation assembly."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from circlaw import (
     sample_matrix,
     write_matrix_csv,
 )
-from circlaw import spectral
+from circlaw import ensemble, spectral
 from circlaw.ensemble import PERTURBATION_KINDS, RANK_TOLERANCE
 
 ALL_KINDS = [
@@ -99,6 +100,34 @@ def test_sampling_matches_reference_draws(text):
                 rng = np.random.Generator(np.random.Philox(ss))
                 ref = np.asarray(_reference_row(text, rng, n), dtype=np.complex128)
                 assert x[j].tobytes() == ref.tobytes(), (n, seed, j)
+
+
+# sha256 of sample_matrix(law, 7, seed=11).entries, recorded when each row
+# still built its own Philox bit generator; the bytes must never change.
+GOLDEN_SAMPLE_SHA256 = {
+    "complex-gaussian": "26542c0252d70957cedf3ba84ab05013b8307f4949824c8b2f88817b00638153",
+    "real-gaussian": "86438657d727a8bd4904816be18c21fd275bee8284fc04498b6f922ea1f64370",
+    "rademacher": "1f575f6f73d52e3468fa43eab3074dd0b8069b4b33852cf043ae942e0db1aa0a",
+    "complex-rademacher": "9c6eb547046d3f85bcf52abc1518f47f9a077dbc5fef78746b7322b6b0738fb1",
+    "centered-bernoulli(0.3)":
+        "ceb1dc2d91cbece03256e990b7d6da51fcac556c0f1d3f92bbcc20c666594c10",
+    "centered-uniform": "d0bb16eec55cd0aefc926938bd0954c1751b860e192bec3d06f53ea5d4b7f974",
+}
+
+
+@pytest.mark.parametrize("text", ALL_KINDS)
+def test_sampling_matches_golden_bytes(text):
+    entries = sample_matrix(EntryDistribution.parse(text), 7, seed=11).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[text]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789012345])
+def test_row_keys_are_the_rows_seed_sequence_states(seed):
+    keys = ensemble._row_keys(seed, 2000)
+    assert keys.shape == (2000, 2) and keys.dtype == np.uint64
+    for j in (*range(40), 1023, 1999):
+        ref = np.random.SeedSequence(seed, spawn_key=(0, j)).generate_state(2, np.uint64)
+        assert keys[j].tobytes() == ref.tobytes(), j
 
 
 def test_sampling_is_bitwise_deterministic():
@@ -617,6 +646,24 @@ def test_assemble_rejects_shape_mismatch():
     x = sample_matrix(d, 4, seed=2)
     with pytest.raises(ShapeError, match="perturbation dim 3"):
         assemble(x, build_perturbation(PerturbationSpec("all-ones"), 3))
+
+
+def test_perturbed_and_scaled_spend_x_into_the_assembled_pair():
+    """perturbed turns X's own array into B and scaled turns it into A; the
+    results are assemble's pair, byte for byte."""
+    d = EntryDistribution.parse("complex-gaussian")
+    p = build_perturbation(PerturbationSpec("all-ones", scale=0.7), 9)
+    pair = assemble(sample_matrix(d, 9, seed=4), p)
+    x = sample_matrix(d, 9, seed=4)
+    b = ensemble.perturbed(x, p)
+    assert b is x.entries
+    assert b.tobytes() == pair.b_matrix.tobytes()
+    x = sample_matrix(d, 9, seed=4)
+    a = ensemble.scaled(x)
+    assert a is x.entries
+    assert a.tobytes() == pair.a_matrix.tobytes()
+    with pytest.raises(ShapeError, match="perturbation dim 8"):
+        ensemble.perturbed(x, build_perturbation(PerturbationSpec("zero"), 8))
 
 
 def test_assemble_exact_linearity_in_perturbation():

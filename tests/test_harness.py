@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,9 +565,9 @@ def test_parse_config_rejects_over_long_integer_literal():
                          ids=["typo", "one-typo", "empty"])
 def test_run_units_rejects_unknown_stages(tmp_path, monkeypatch, stages):
     def no_units(*args):
-        raise AssertionError("a unit was built")
+        raise AssertionError("a unit was run")
 
-    monkeypatch.setattr(harness, "build_pair", no_units)
+    monkeypatch.setattr(harness, "_run_unit", no_units)
     with pytest.raises(ValidationError, match="stages") as exc:
         harness.run_units(small_config(tmp_path), stages)
     for stage in stages - set(harness.STAGES):
@@ -643,6 +644,82 @@ def test_build_pair_holds_two_dense_matrices(tmp_path, traced_peak):
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
     harness.build_pair(cfg, perturbation, 1)
     assert traced_peak(harness.build_pair, cfg, perturbation, 0) < 2.25 * n * n * 16
+
+
+def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypatch):
+    """At each SVD, LU and eigensolve of a unit tracemalloc sees at most
+    1.25 n-by-n complex128 arrays: the one matrix factored, A or B, and the
+    per-shift results (LAPACK's own copy is not traced). A unit holding A
+    beside B would show 2. A first unit imports modules lazily, so one
+    runs before the measured one."""
+    n = 200
+    cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
+    perturbation = ensemble.build_perturbation(cfg.perturbation, n)
+    harness._run_unit(cfg, perturbation, 1, harness.STAGES)
+    current = []
+    blas = spectral._blas
+
+    def recording(fn, m, *args, **kwargs):
+        current.append(tracemalloc.get_traced_memory()[0] - start)
+        return blas(fn, m, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_blas", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._run_unit(cfg, perturbation, 0, harness.STAGES)
+    finally:
+        tracemalloc.stop()
+    assert len(current) == 4 * len(cfg.z_grid) + 1
+    assert max(current) <= 1.25 * 16 * n * n
+
+
+def _unit_configs(tmp_path, rank3_csv):
+    """One config per perturbation kind at dim 40, and all-ones at 400."""
+    n = 40
+    rng = np.random.default_rng(23)
+    left, right = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
+    grid = ZGrid((-0.5, 0.5), (0.0, 0.5), 0.5)
+    specs = {
+        "zero": PerturbationSpec("zero"),
+        "all-ones": PerturbationSpec("all-ones"),
+        "low-rank": PerturbationSpec("low-rank", left_factors=left, right_factors=right),
+        "file": PerturbationSpec("file", path=rank3_csv(n)),
+    }
+    configs = [small_config(tmp_path, dims=(n,), perturbation=spec, z_grid=grid)
+               for spec in specs.values()]
+    configs.append(small_config(tmp_path, dims=(400,), replicates=1,
+                                z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0)))
+    return configs
+
+
+@pytest.mark.parametrize("stages", [{"delta"}, {"disk"}, {"delta", "disk"}],
+                         ids=["delta", "disk", "both"])
+def test_run_unit_bytes_are_those_of_the_pair_entry_points(tmp_path, rank3_csv,
+                                                           stages):
+    """A unit's rows and disc record, from one matrix at a time and a second
+    draw of X, are bitwise delta_scan and disk_record of build_pair's pair."""
+    for cfg in _unit_configs(tmp_path, rank3_csv):
+        n = cfg.dims[0]
+        perturbation = ensemble.build_perturbation(cfg.perturbation, n)
+        for replicate in range(cfg.replicates):
+            unit = harness._run_unit(cfg, perturbation, replicate, stages)
+            pair = harness.build_pair(cfg, perturbation, replicate)
+            rows = diagnostics.delta_scan(pair, cfg.z_grid) if "delta" in stages else []
+            disk = harness.disk_record(pair, n, replicate) if "disk" in stages else None
+            assert [repr(d) for d in unit.diagnostics] == [repr(d) for d in rows]
+            assert repr(unit.disk) == repr(disk)
+
+
+def test_run_unit_draws_x_twice_for_delta_and_once_for_disk(tmp_path, sample_calls):
+    """A disk-only unit never forms A, so it draws X once; with delta it
+    draws X again, from the same seed, for A's pass."""
+    cfg = small_config(tmp_path, dims=(6,), replicates=1)
+    perturbation = ensemble.build_perturbation(cfg.perturbation, 6)
+    harness._run_unit(cfg, perturbation, 0, {"disk"})
+    assert len(sample_calls) == 1
+    harness._run_unit(cfg, perturbation, 0, harness.STAGES)
+    assert len(sample_calls) == 3 and sample_calls[1] == sample_calls[2]
 
 
 def low_rank_config(tmp_path, n=8):
@@ -991,19 +1068,20 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
     tmp_path, capsys, monkeypatch
 ):
     """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
-    LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all."""
+    LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all. A
+    unit holds two 8-by-8 complex128 matrices, 2 * 1024 bytes."""
     path = write_config(tmp_path, replicates=1)
     printed = []
-    build_pair = harness.build_pair
+    sample_matrix = ensemble.sample_matrix
 
     def recording(*args):
         printed.append(capsys.readouterr().out)
-        return build_pair(*args)
+        return sample_matrix(*args)
 
-    monkeypatch.setattr(harness, "build_pair", recording)
+    monkeypatch.setattr(ensemble, "sample_matrix", recording)
     assert cli.main(["run", "--config", str(path)]) == 0
     line = ("preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds "
-            "0.00293 MiB dense (A, B and LAPACK's working copy)\n")
+            "0.00195 MiB dense (A or B, never both, and LAPACK's working copy)\n")
     assert printed[0] == line
     assert line not in capsys.readouterr().out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):

@@ -51,6 +51,59 @@ def test_shifted_in_place_rejects_other_than_square_complex128(m):
             pass
 
 
+def test_shifted_equals_the_checked_functions_on_a_shifted_copy(shifted):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    before = m.tobytes()
+    z = np.complex128(0.4 - 1.1j)
+    result = spectral.shifted(m, z)
+    assert m.tobytes() == before
+    copy = shifted(m, z)
+    assert result.z == complex(z) and type(result.z) is complex
+    assert result.singular_values.tobytes() == singular_values(copy).tobytes()
+    assert (result.log_abs_det, result.singular) == log_abs_det_lu(copy)
+
+
+def test_shifted_flags_a_singular_shift():
+    result = spectral.shifted(np.eye(3, dtype=complex), 1.0)
+    assert result.singular and result.log_abs_det == float("-inf")
+    assert result.singular_values[-1] == 0.0
+
+
+def _count_square_isfinite(monkeypatch, n):
+    """The np.isfinite scans of n-by-n arrays, counted."""
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            scans.append(1)
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    return scans
+
+
+def test_shifted_scans_its_matrix_once(monkeypatch):
+    """One finiteness scan serves the SVD and the LU; the public functions
+    each keep their own."""
+    m = np.eye(5, dtype=complex)
+    scans = _count_square_isfinite(monkeypatch, 5)
+    spectral.shifted(m, 0.5)
+    assert len(scans) == 1
+    singular_values(m)
+    log_abs_det_lu(m)
+    assert len(scans) == 3
+
+
+@pytest.mark.parametrize("z", [float("nan"), complex(0.0, float("inf"))])
+def test_shifted_rejects_a_non_finite_shift_and_restores(z):
+    m = np.eye(4, dtype=complex)
+    with pytest.raises(InvalidValueError, match="non-finite"):
+        spectral.shifted(m, z)
+    assert m.tobytes() == np.eye(4, dtype=complex).tobytes()
+
+
 def test_eigenvalues_diagonal_order():
     """Modulus-descending order, so 2i comes before 1."""
     vals = eigenvalues(np.diag([1.0, 2.0j]))
