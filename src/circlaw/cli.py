@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation or input errors, 2 numerical-consistency
-failures (cross-check disagreement or lemma violations). Human-readable
-summaries go to stdout; machine-readable output goes to files.
+failures (a delta row failing a rule of diagnostics.ROW_CHECKS, or a lemma
+violation). Summaries go to stdout; machine-readable output goes to files.
 """
 
 from __future__ import annotations
@@ -153,13 +153,12 @@ def _cmd_delta_scan(args) -> int:
     units = harness.run_units(config, {"delta"})
     rows = [(u.dim, u.replicate, d) for u in units for d in u.diagnostics]
     harness.write_delta_csv(path, rows)
-    clean = [d for _, _, d in rows if not d.singular_flag]
-    flagged = len(rows) - len(clean)
-    print(f"delta-scan: {len(rows)} rows ({flagged} singular-flagged)")
+    summary = harness.consistency_section(rows)
+    print(f"delta-scan: {len(rows)} rows ({summary['flagged_points']} singular-flagged)")
+    clean = [abs(d.delta) for _, _, d in rows if not d.singular_flag]
     if clean:
-        print(f"  max |delta| = {max(abs(d.delta) for d in clean):.6g}")
-        print(f"  max cross-check gap = "
-              f"{max(abs(d.delta - d.delta_logdet) for d in clean):.3g}")
+        print(f"  max |delta| = {max(clean):.6g}")
+        print(f"  max cross-check gap = {summary['max_cross_check_gap']:.3g}")
     print(f"  wrote {path}")
     return _consistency_status(rows)
 
@@ -226,8 +225,8 @@ def _cmd_run(args) -> int:
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     threads = spectral.blas_thread_count()
     print("  BLAS: " + ("unknown" if threads is None else
-                        f"{threads} ambient threads, 1 per unit for "
-                        f"n <= {spectral.BLAS_PIN_MAX_DIM}"))
+                        f"{threads} ambient threads, 1 per call on a matrix "
+                        f"with no side above {spectral.BLAS_PIN_MAX_DIM}"))
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .measures import EmpiricalMeasure1D
 
 __all__ = [
     "ZGrid",
+    "ROW_CHECKS",
     "DeltaDiagnostics",
     "RankCheck",
     "DimScalingStats",
@@ -112,13 +113,33 @@ class ZGrid:
         return math.prod(self._counts())
 
 
+# The checks of every delta row, by name. A RowRule gives a check's two sides
+# on a row, whether they hold (slacks are read at each call) and the line
+# that names a failure by both sides; unless on_flagged, it holds vacuously
+# on a singular-flagged row. A RowCheck is a rule evaluated on one row.
+RowRule = NamedTuple("RowRule", [("sides", Callable), ("holds", Callable),
+                                 ("line", str), ("on_flagged", bool)])
+RowCheck = NamedTuple("RowCheck", [("lhs", float), ("rhs", float), ("holds", bool)])
+ROW_CHECKS = {
+    "cross_check": RowRule(  # the SVD and LU routes agree
+        lambda d: (d.delta, d.delta_logdet), lambda x, y: spectral.logdet_agree(x, y),
+        "cross-check: delta={!r} vs delta_logdet={!r}", False),
+    "rank_inequality": RowRule(
+        lambda d: (d.ks, d.rank_bound), lambda x, y: x <= y + RANK_SLACK,
+        "rank inequality: ks={!r} > rank_bound={!r}", True),
+    "chain_bound": RowRule(  # |delta| <= (log s_max - log s_min) * ks
+        lambda d: (abs(d.delta), d.ibp_bound), lambda x, y: x <= y + CHAIN_SLACK,
+        "chain bound: |delta|={!r} > ibp_bound={!r}", False),
+}
+
+
 @dataclass(frozen=True)
 class DeltaDiagnostics:
     """Per-shift record of the log|det| gap and its controlling inequalities.
 
     ``delta`` is the singular-value route (mean log-atom difference);
     ``delta_logdet`` is the independent LU-factorization route. Both are NaN
-    when ``singular_flag`` is set.
+    when ``singular_flag`` is set. Its checks are the rules of ROW_CHECKS.
     """
 
     z: complex
@@ -133,37 +154,25 @@ class DeltaDiagnostics:
     ibp_bound: float
     singular_flag: bool
 
-    @property
-    def cross_check_ok(self) -> bool:
-        """Both delta routes agree (spectral.logdet_agree); vacuous when flagged."""
-        if self.singular_flag:
-            return True
-        return spectral.logdet_agree(self.delta, self.delta_logdet)
+    def check(self, name: str) -> RowCheck:
+        """The rule ROW_CHECKS[name] on this row."""
+        rule = ROW_CHECKS[name]
+        lhs, rhs = rule.sides(self)
+        vacuous = self.singular_flag and not rule.on_flagged
+        return RowCheck(lhs, rhs, bool(vacuous or rule.holds(lhs, rhs)))
 
-    @property
-    def rank_inequality_ok(self) -> bool:
-        return self.ks <= self.rank_bound + RANK_SLACK
+    def checks(self) -> dict[str, RowCheck]:
+        """Every rule of ROW_CHECKS on this row, by name."""
+        return {name: self.check(name) for name in ROW_CHECKS}
 
-    @property
-    def chain_bound_ok(self) -> bool:
-        """|delta| <= (log s_max - log s_min) * ks; vacuous when flagged."""
-        if self.singular_flag:
-            return True
-        return abs(self.delta) <= self.ibp_bound + CHAIN_SLACK
+    cross_check_ok = property(lambda self: self.check("cross_check").holds)
+    rank_inequality_ok = property(lambda self: self.check("rank_inequality").holds)
+    chain_bound_ok = property(lambda self: self.check("chain_bound").holds)
 
     def failed_checks(self) -> list[str]:
         """One line per failing check, with both sides of its inequality."""
-        failed = []
-        if not self.cross_check_ok:
-            failed.append(f"cross-check: delta={self.delta!r} vs "
-                          f"delta_logdet={self.delta_logdet!r}")
-        if not self.rank_inequality_ok:
-            failed.append(f"rank inequality: ks={self.ks!r} > "
-                          f"rank_bound={self.rank_bound!r}")
-        if not self.chain_bound_ok:
-            failed.append(f"chain bound: |delta|={abs(self.delta)!r} > "
-                          f"ibp_bound={self.ibp_bound!r}")
-        return failed
+        return [ROW_CHECKS[name].line.format(c.lhs, c.rhs)
+                for name, c in self.checks().items() if not c.holds]
 
 
 @dataclass(frozen=True)

@@ -1019,7 +1019,7 @@ def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
     path = write_config(tmp_path, replicates=1)
     assert cli.main(["run", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert ("BLAS: 2 ambient threads, 1 per unit for n <= "
+    assert ("BLAS: 2 ambient threads, 1 per call on a matrix with no side above "
             f"{spectral.BLAS_PIN_MAX_DIM}") in out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
         assert "BLAS" not in (tmp_path / "out" / name).read_text()
@@ -1125,19 +1125,63 @@ def test_cli_run_rejects_non_finite_factor(tmp_path, capsys):
 @pytest.mark.parametrize("slack, check", [
     ("CROSS_CHECK_ATOL", "cross-check: delta="),
     ("RANK_SLACK", "rank inequality: ks="),
+    ("CHAIN_SLACK", "chain bound: |delta|="),
 ])
 def test_cli_run_consistency_failure_names_first_row(
     tmp_path, capsys, monkeypatch, slack, check
 ):
+    """A slack of -1 fails its check on every row; run and delta-scan both
+    exit 2 and name the first row and its check on stderr."""
     module = spectral if slack == "CROSS_CHECK_ATOL" else diagnostics
     monkeypatch.setattr(module, slack, -1.0)
     path = write_config(tmp_path, replicates=1)
-    code = cli.main(["run", "--config", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in captured.err
-    assert "first at n=6 replicate=0 z=0j: " + check in captured.err
-    assert "CONSISTENCY" not in captured.out
+    for command in ("run", "delta-scan"):
+        code = cli.main([command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in captured.err
+        assert "first at n=6 replicate=0 z=0j: " + check in captured.err
+        assert "CONSISTENCY" not in captured.out
+
+
+def test_cli_a_check_added_to_the_table_gates_everything(tmp_path, capsys, monkeypatch):
+    """A fourth rule, put into diagnostics.ROW_CHECKS only, is in
+    failed_checks, in report.json as <name>_ok, in the stderr line and in
+    the exit code of run and delta-scan."""
+    monkeypatch.setitem(diagnostics.ROW_CHECKS, "always_fails", diagnostics.RowRule(
+        lambda d: (d.ks, d.rank_bound), lambda x, y: False,
+        "always fails: ks={!r} vs rank_bound={!r}", True))
+    path = write_config(tmp_path, replicates=1)
+    for command in ("run", "delta-scan"):
+        assert cli.main([command, "--config", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in err
+        assert "first at n=6 replicate=0 z=0j: always fails: ks=" in err
+    report = run_experiment(harness.load_config(path))
+    assert not report.consistency_ok
+    for _, _, d in report.delta_rows:
+        assert d.failed_checks() == [
+            f"always fails: ks={d.ks!r} vs rank_bound={d.rank_bound!r}"]
+        assert d.cross_check_ok and d.rank_inequality_ok and d.chain_bound_ok
+    cons = json.loads((tmp_path / "out" / "report.json").read_text())["consistency"]
+    assert {k: v for k, v in cons.items() if k.endswith("_ok")} == {
+        "always_fails_ok": False, "chain_bound_ok": True, "cross_check_ok": True,
+        "rank_inequality_ok": True}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_cli_delta_scan_summary_is_runs_consistency(tmp_path, capsys, kind):
+    """delta-scan's flagged count and max cross-check gap are report.json's
+    flagged_points and max_cross_check_gap from run."""
+    path = str(config_file(tmp_path, CONFIGS[kind](tmp_path)))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert cli.main(["delta-scan", "--config", path, "--out", str(tmp_path / "d")]) == 0
+    out = capsys.readouterr().out
+    cons = json.loads((tmp_path / "run" / "report.json").read_text())["consistency"]
+    assert (f"delta-scan: {cons['delta_rows']} rows "
+            f"({cons['flagged_points']} singular-flagged)\n") in out
+    assert f"  max cross-check gap = {cons['max_cross_check_gap']:.3g}\n" in out
 
 
 @pytest.mark.parametrize("command", ["run", "delta-scan", "circular-law"])

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,18 @@ def test_every_all_name_exists(layer):
     tracer runs getattr on every such name."""
     module = importlib.import_module(f"circlaw.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_import_loads_neither_multiprocessing_nor_numpy_polynomial():
+    """A fresh `import circlaw.cli` loads only what every command needs:
+    run_units imports multiprocessing for workers > 1 only, and the lemma
+    suite looks numpy.polynomial up at call time."""
+    src = str(Path(circlaw.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, circlaw.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "circlaw.cli" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] == "multiprocessing" or m.startswith("numpy.polynomial")] == []
