@@ -121,7 +121,7 @@ def _cmd_spectrum(args) -> int:
     dist = ensemble.EntryDistribution.parse(args.dist)
     spectral.check_dimension(args.n)
     sample = ensemble.sample_matrix(dist, args.n, args.seed)
-    summary = spectral.summarize(sample.entries / np.sqrt(float(args.n)))
+    summary = spectral.summarize(ensemble.scaled(sample))
     print(f"spectrum of X/sqrt(n): n={args.n} dist={dist} seed={args.seed}")
     print(f"  spectral radius = {summary.spectral_radius:.6g}")
     print(f"  operator norm   = {summary.operator_norm:.6g}")

@@ -188,8 +188,9 @@ def delta_row(a: spectral.ShiftedSpectrum, b: spectral.ShiftedSpectrum,
     shifted spectra of A - zI and B - zI (spectral.shifted) and the rank of
     M, which bounds the KS distance by rank / n.
 
-    If either shifted matrix is numerically singular the record comes back
-    with ``singular_flag`` set and NaN gap values instead of an exception.
+    If either shifted matrix is singular, by spectral's one rule (its
+    ``singular`` field), the record comes back with ``singular_flag`` set and
+    NaN gap values instead of an exception.
     """
     sv_a, sv_b = a.singular_values, b.singular_values
     if a.z != b.z or sv_a.shape != sv_b.shape:
@@ -201,7 +202,7 @@ def delta_row(a: spectral.ShiftedSpectrum, b: spectral.ShiftedSpectrum,
     s_max_a, s_min_a = float(sv_a[0]), float(sv_a[-1])
     s_max_b, s_min_b = float(sv_b[0]), float(sv_b[-1])
 
-    singular = bool(a.singular or b.singular or s_min_a == 0.0 or s_min_b == 0.0)
+    singular = bool(a.singular or b.singular)
     if singular:
         delta = delta_logdet = ibp_bound = float("nan")
     else:
@@ -246,12 +247,11 @@ def verify_rank_inequality(a, b) -> RankCheck:
     rank(a - b) / n. The bound is shift-invariant: subtracting z*I from both
     operands leaves a - b unchanged.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b = (spectral._as_matrix(m, square=False) for m in (a, b))
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows = a.shape[0]
-    sv_a, sv_b = (np.pad(spectral.singular_values(m), (0, rows - min(m.shape)))
+    sv_a, sv_b = (np.pad(spectral._svd_values(m), (0, rows - min(m.shape)))
                   for m in (a, b))
     ks = measures.kolmogorov_distance(
         EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
@@ -307,8 +307,8 @@ def _fit_slope(dims: Sequence[int], values: Sequence[float]) -> float:
            if np.isfinite(v) and v > 0]
     if len(pts) < 2:
         return 0.0
-    xs, ys = zip(*pts)
-    slope, _ = np.polyfit(xs, ys, 1)
+    xs, ys = np.array(pts).T
+    slope, _ = spectral._blas(np.polyfit, xs, ys, 1)
     return float(slope)
 
 

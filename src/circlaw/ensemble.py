@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .spectral import _blas
+from .spectral import _as_matrix, _blas, _svd_values
 
 __all__ = [
     "DISTRIBUTION_KINDS",
@@ -404,11 +404,12 @@ def _rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """Count singular values above RANK_TOLERANCE * s1; an empty m has rank 0
-    and takes no SVD."""
-    m = np.asarray(m, dtype=np.complex128)
-    return _rank(_blas(np.linalg.svd, m, compute_uv=False)) if m.size else 0
+def numerical_rank(m) -> int:
+    """Count singular values above RANK_TOLERANCE * s1. m is checked as
+    spectral's functions check a matrix, and may be rectangular; an empty m
+    has rank 0 and takes no SVD."""
+    m = _as_matrix(m, square=False)
+    return _rank(_svd_values(m)) if m.size else 0
 
 
 def read_matrix_csv(path, n: int) -> np.ndarray:

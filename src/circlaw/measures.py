@@ -32,10 +32,18 @@ __all__ = [
 
 
 def _atoms(values, dtype, label: str) -> np.ndarray:
-    """values as a nonempty 1-d array of finite dtype entries."""
-    a = np.asarray(values, dtype=dtype)
-    if a.ndim != 1 or a.size == 0:
+    """values as a nonempty 1-d array of finite dtype entries; they must be
+    numbers (no bool or string), real for a real dtype."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise MeasureError(f"{label} atoms must form a 1-d array, got shape {a.shape}")
+    if a.size == 0:
         raise MeasureError(f"a {label} empirical measure needs at least one atom")
+    if a.dtype.kind not in "iufc":
+        raise MeasureError(f"atoms must be numbers, got {a.dtype} values")
+    if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise MeasureError(f"{label} atoms must be real, got complex values")
+    a = a.astype(dtype, copy=False)
     if not np.isfinite(a).all():
         raise MeasureError("atoms must be finite")
     return a

@@ -5,9 +5,11 @@ increasing principal argument; singular values are nonincreasing. log|det|
 is computed from the singular values and cross-checked against an
 LU-factorization value; disagreement is an internal-consistency error.
 
-This module owns the BLAS thread count of every BLAS and LAPACK call in the
-package: each goes through `_blas`, which runs it on one thread when its
-matrix has no side above BLAS_PIN_MAX_DIM.
+A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
+decides that a matrix is singular. This module owns the BLAS thread count
+of every BLAS and LAPACK call in the package, least squares included: each
+goes through `_blas`, which runs it on one thread when its matrix has no
+side above BLAS_PIN_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -160,8 +162,8 @@ def _as_matrix(a, square: bool = True) -> np.ndarray:
 class SpectralSummary:
     """Eigenvalues, singular values, and derived norms of one matrix.
 
-    ``log_abs_det`` is None when the matrix is singular (a zero singular
-    value, or a determinant that vanishes or underflows).
+    ``log_abs_det`` is the singular-value sum, cross-checked against the
+    LU value, or None when the matrix is singular (see _log_abs_det).
     """
 
     eigenvalues: np.ndarray
@@ -177,7 +179,7 @@ class SpectralSummary:
 class ShiftedSpectrum:
     """Singular values (nonincreasing) and LU log|det| of one m - z*I.
 
-    ``log_abs_det`` is -inf when ``singular`` is set, as in log_abs_det_lu.
+    ``log_abs_det`` is -inf when ``singular`` is set (see _log_abs_det).
     """
 
     z: complex
@@ -193,12 +195,7 @@ class WeylCheck:
     holds: bool
 
 
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues, sorted by nonincreasing modulus, then by argument.
-
-    Ties in modulus are broken by increasing principal argument in (-pi, pi].
-    """
-    m = _as_matrix(a)
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
     vals = _blas(np.linalg.eigvals, m)
     ang = np.angle(vals)
     # atan2 maps a negative-zero imaginary part on the negative real axis
@@ -206,6 +203,12 @@ def eigenvalues(a) -> np.ndarray:
     ang[ang == -np.pi] = np.pi
     order = np.lexsort((ang, -np.abs(vals)))
     return vals[order]
+
+
+def eigenvalues(a) -> np.ndarray:
+    """All eigenvalues, sorted by nonincreasing modulus, with ties broken by
+    increasing principal argument in (-pi, pi]."""
+    return _eigenvalues(_as_matrix(a))
 
 
 def _svd_values(m: np.ndarray) -> np.ndarray:
@@ -236,16 +239,24 @@ def _shifted_in_place(m: np.ndarray, z: complex):
         m[idx, idx] = diagonal
 
 
-def _lu_log_abs_det(m: np.ndarray) -> tuple[float, bool]:
-    sign, logdet = _blas(np.linalg.slogdet, m)
-    if sign == 0 or not np.isfinite(logdet):
+def _lu_log_abs_det(m: np.ndarray):
+    return _blas(np.linalg.slogdet, m)
+
+
+def _log_abs_det(lu, sv: np.ndarray | None = None) -> tuple[float, bool]:
+    """The one singular rule: (log|det|, singular) from an LU's (sign,
+    log|det|) and the matrix's singular values sv, where known. It is
+    singular, with log|det| -inf, when the LU finds a zero or non-finite
+    determinant or the smallest singular value is 0."""
+    sign, logdet = lu
+    if sign == 0 or not np.isfinite(logdet) or (sv is not None and sv.size and sv[-1] == 0):
         return float("-inf"), True
     return float(logdet), False
 
 
 def log_abs_det_lu(a) -> tuple[float, bool]:
     """log|det| from a pivoted LU factorization; (value, singular)."""
-    return _lu_log_abs_det(_as_matrix(a))
+    return _log_abs_det(_lu_log_abs_det(_as_matrix(a)))
 
 
 def shifted(m: np.ndarray, z: complex) -> ShiftedSpectrum:
@@ -254,38 +265,34 @@ def shifted(m: np.ndarray, z: complex) -> ShiftedSpectrum:
     non-finite entries once. m is a square complex128 array and comes back
     bit for bit, also when a call raises, so it must not be shared by two
     threads at once. The values are those of singular_values and
-    log_abs_det_lu on a shifted copy."""
+    log_abs_det_lu on a shifted copy, unless a zero singular value makes it
+    singular."""
     with _shifted_in_place(m, z) as s:
         _check_entries(s)
         sv = _svd_values(s)
-        log_abs_det, singular = _lu_log_abs_det(s)
+        lu = _lu_log_abs_det(s)
+    log_abs_det, singular = _log_abs_det(lu, sv)
     return ShiftedSpectrum(z=complex(z), singular_values=sv,
                            log_abs_det=log_abs_det, singular=singular)
 
 
 def logdet_agree(x: float, y: float) -> bool:
-    """|x - y| within CROSS_CHECK_RTOL relative plus CROSS_CHECK_ATOL absolute."""
-    return abs(x - y) <= CROSS_CHECK_RTOL * max(abs(x), abs(y)) + CROSS_CHECK_ATOL
+    """|x - y| within CROSS_CHECK_RTOL relative plus CROSS_CHECK_ATOL absolute;
+    an infinite value agrees with nothing."""
+    gap = abs(x - y)
+    return gap < np.inf and gap <= CROSS_CHECK_RTOL * max(abs(x), abs(y)) + CROSS_CHECK_ATOL
 
 
 def summarize(a) -> SpectralSummary:
     """Full spectral summary with the log|det| cross-check applied."""
     m = _as_matrix(a)
-    eig = eigenvalues(m)
-    sv = singular_values(m)
-    hs_norm_sq = float(np.sum(np.abs(m) ** 2))
-    spectral_radius = float(np.abs(eig[0])) if eig.size else 0.0
-    operator_norm = float(sv[0]) if sv.size else 0.0
-
-    lu_val, lu_singular = log_abs_det_lu(m)
-    singular = bool(sv.size == 0 or sv[-1] == 0.0) or lu_singular
-    if singular:
-        log_abs_det = None
-    else:
+    eig = _eigenvalues(m)
+    sv = _svd_values(m)
+    lu_val, singular = _log_abs_det(_lu_log_abs_det(m), sv)
+    log_abs_det = None
+    if not singular:
         log_abs_det = float(np.sum(np.log(sv)))
-        if not np.isfinite(log_abs_det):
-            singular, log_abs_det = True, None
-        elif not logdet_agree(log_abs_det, lu_val):
+        if not logdet_agree(log_abs_det, lu_val):
             raise NumericalConsistencyError(
                 f"log|det| disagreement: singular-value sum {log_abs_det} "
                 f"vs LU factorization {lu_val}"
@@ -295,9 +302,9 @@ def summarize(a) -> SpectralSummary:
         singular_values=sv,
         log_abs_det=log_abs_det,
         singular=singular,
-        spectral_radius=spectral_radius,
-        operator_norm=operator_norm,
-        hs_norm_sq=hs_norm_sq,
+        spectral_radius=float(np.abs(eig[0])) if eig.size else 0.0,
+        operator_norm=float(sv[0]) if sv.size else 0.0,
+        hs_norm_sq=float(np.sum(np.abs(m) ** 2)),
     )
 
 
@@ -308,6 +315,6 @@ def check_weyl(a) -> WeylCheck:
     for normal matrices.
     """
     m = _as_matrix(a)
-    lhs = float(np.sum(np.abs(eigenvalues(m)) ** 2))
-    rhs = float(np.sum(singular_values(m) ** 2))
+    lhs = float(np.sum(np.abs(_eigenvalues(m)) ** 2))
+    rhs = float(np.sum(_svd_values(m) ** 2))
     return WeylCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-8 * rhs))

@@ -285,6 +285,13 @@ def test_verify_rank_inequality_shape_mismatch():
         verify_rank_inequality(np.eye(3), np.eye(4))
 
 
+def test_verify_rank_inequality_rejects_an_overflowing_difference():
+    """a - b has an inf entry; its rank is not 0, and no false violation
+    (ks 0.5 > bound 0.0) is reported."""
+    with np.errstate(over="ignore"), pytest.raises(InvalidValueError, match="non-finite"):
+        verify_rank_inequality(np.diag([1e308, 1.0]), np.diag([-1e308, 2.0]))
+
+
 def test_delta_scan_zero_perturbation():
     pair = make_pair(15, seed=3, spec=PerturbationSpec("zero"))
     rows = delta_scan(pair, ZGrid((-1.0, 1.0), (-1.0, 1.0), 1.0))

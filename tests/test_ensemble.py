@@ -220,6 +220,24 @@ def test_numerical_rank_examples():
     assert numerical_rank(np.ones((4, 4))) == 1
 
 
+@pytest.mark.parametrize("m, error", [
+    ([[float("inf"), 1.0], [1.0, 1.0]], InvalidValueError),
+    ([[float("nan")]], InvalidValueError),
+    (np.ones(3), ShapeError),
+])
+def test_numerical_rank_checks_its_matrix(m, error):
+    """The input rule of spectral's functions, where an unchecked SVD gave
+    rank 0 for an inf entry and numpy's raw LinAlgError for the others."""
+    with pytest.raises(error):
+        numerical_rank(m)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_numerical_rank_of_an_empty_matrix_is_zero_without_an_svd(monkeypatch, shape):
+    monkeypatch.setattr(np.linalg, "svd", None)
+    assert numerical_rank(np.zeros(shape)) == 0
+
+
 def _product(p):
     """A perturbation's M as the product U V* of its factors."""
     return p.u @ p.vh

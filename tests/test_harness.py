@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -1399,6 +1400,19 @@ def test_cli_sample_and_spectrum(tmp_path, capsys):
     assert code == 0
     assert "spectral radius" in captured
     assert "np.float64" not in captured
+
+
+def test_cli_spectrum_file_keeps_the_bytes_of_x_over_root_n(tmp_path, capsys):
+    """spectrum forms A as a run does (ensemble.scaled, X times 1/sqrt(n)
+    in X's own array); its file has the sha256 of the eigenvalues of
+    X / sqrt(n), the formula it used before."""
+    out = tmp_path / "eig.csv"
+    assert cli.main(["spectrum", "--n", "200", "--seed", "2", "--out", str(out)]) == 0
+    x = ensemble.sample_matrix(CG, 200, 2)
+    eig = spectral.eigenvalues(x.entries / np.sqrt(200.0))
+    text = "\n".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in eig) + "\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_cli_sample_rejects_bad_dist(capsys):

@@ -47,6 +47,26 @@ def test_measures_reject_empty_and_non_finite():
         EmpiricalMeasure2D(atoms=(complex("inf"),))
 
 
+@pytest.mark.parametrize("cls", [EmpiricalMeasure1D, EmpiricalMeasure2D])
+def test_measures_reject_atoms_that_are_not_1d(cls):
+    with pytest.raises(MeasureError, match=r"1-d array, got shape \(4, 4\)"):
+        cls(atoms=np.ones((4, 4)))
+
+
+def test_1d_measure_rejects_complex_atoms():
+    for atoms in ([1.0, 2.0j], np.array([1.0, 2.0], dtype=complex)):
+        with pytest.raises(MeasureError, match="must be real"):
+            EmpiricalMeasure1D(atoms=atoms)
+
+
+@pytest.mark.parametrize("cls", [EmpiricalMeasure1D, EmpiricalMeasure2D])
+@pytest.mark.parametrize("atoms", [["1", "2"], [True, False], [1.0, None]],
+                         ids=["strings", "bools", "none"])
+def test_measures_reject_atoms_that_are_not_numbers(cls, atoms):
+    with pytest.raises(MeasureError, match="must be numbers"):
+        cls(atoms=atoms)
+
+
 def test_measure_atoms_sorted():
     m = m1(3.0, 1.0, 2.0)
     assert np.array_equal(m.atoms, [1.0, 2.0, 3.0])

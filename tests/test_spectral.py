@@ -11,6 +11,7 @@ from circlaw import (
     ShapeError,
     ValidationError,
     check_weyl,
+    delta_row,
     eigenvalues,
     log_abs_det_lu,
     logdet_agree,
@@ -20,6 +21,7 @@ from circlaw import (
     verify_rank_inequality,
 )
 from circlaw import spectral
+from circlaw.ensemble import numerical_rank
 
 
 def test_shifted_in_place_matches_shifted_and_restores(shifted):
@@ -94,6 +96,69 @@ def test_shifted_scans_its_matrix_once(monkeypatch):
     singular_values(m)
     log_abs_det_lu(m)
     assert len(scans) == 3
+
+
+@pytest.mark.parametrize("fn", [summarize, check_weyl, numerical_rank],
+                         ids=lambda fn: fn.__name__)
+def test_each_public_function_scans_its_matrix_once(monkeypatch, fn):
+    """One finiteness scan of the caller's matrix serves every LAPACK step
+    after it."""
+    m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    scans = _count_square_isfinite(monkeypatch, 5)
+    fn(m)
+    assert len(scans) == 1
+
+
+def test_summarize_of_the_empty_matrix_agrees_with_the_lu():
+    s = summarize(np.zeros((0, 0)))
+    assert log_abs_det_lu(np.zeros((0, 0))) == (0.0, False)
+    assert (s.singular, s.log_abs_det) == (False, 0.0)
+
+
+def _zero_last_singular_value(monkeypatch):
+    """_svd_values with its smallest value set to 0, as for a matrix whose
+    LU factors without a zero pivot."""
+    svd_values = spectral._svd_values
+
+    def zeroed(m):
+        sv = svd_values(m)
+        sv[-1] = 0.0
+        return sv
+
+    monkeypatch.setattr(spectral, "_svd_values", zeroed)
+
+
+def test_a_zero_singular_value_makes_the_matrix_singular(monkeypatch):
+    """The one singular rule: the LU finds no zero here, but the smallest
+    singular value is 0, so shifted and summarize both call m singular."""
+    m = np.diag([2.0, 3.0, 4.0]).astype(complex)
+    _zero_last_singular_value(monkeypatch)
+    assert log_abs_det_lu(m) == (pytest.approx(np.log(24.0)), False)
+    result = spectral.shifted(m, 1.0j)
+    assert result.singular and result.log_abs_det == float("-inf")
+    s = summarize(m)
+    assert s.singular and s.log_abs_det is None
+
+
+def test_every_singular_verdict_is_the_one_rule(monkeypatch):
+    """shifted, summarize, log_abs_det_lu and, through shifted, a delta row
+    all take their verdict from _log_abs_det."""
+    monkeypatch.setattr(spectral, "_log_abs_det", lambda lu, sv=None: (-np.inf, True))
+    m = np.eye(3, dtype=complex)
+    side = spectral.shifted(m, 0.5)
+    assert side.singular and side.singular_values[-1] == 0.5
+    assert delta_row(side, side, 0).singular_flag
+    assert summarize(m).singular
+    assert log_abs_det_lu(m) == (-np.inf, True)
+
+
+def test_summarize_rejects_an_overflowing_singular_value_sum():
+    """s1 overflows to inf while the LU stays finite: the routes disagree,
+    so the summary raises rather than report log|det| = inf."""
+    m = 1e307 * (np.eye(40) + 0.5 * np.ones((40, 40)))
+    assert not log_abs_det_lu(m)[1]
+    with pytest.raises(NumericalConsistencyError, match="inf"):
+        summarize(m)
 
 
 @pytest.mark.parametrize("z", [float("nan"), complex(0.0, float("inf"))])
@@ -191,6 +256,13 @@ def test_logdet_agree_tolerance():
     assert not logdet_agree(100.0, 100.0 + 1.1e-6)
     assert logdet_agree(0.0, 0.9e-12) and logdet_agree(0.9e-12, 0.0)
     assert not logdet_agree(0.0, 1.1e-12)
+
+
+def test_logdet_agree_rejects_an_infinite_value():
+    """An infinite value agrees with nothing, though rtol * inf is inf."""
+    assert not logdet_agree(float("inf"), 1.0)
+    assert not logdet_agree(1.0, float("-inf"))
+    assert not logdet_agree(float("inf"), float("inf"))
 
 
 def test_summarize_cross_check_uses_logdet_agree(monkeypatch):
