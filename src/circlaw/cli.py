@@ -209,10 +209,12 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     harness._check_workers(args.workers)
     n = config.dims[-1]
+    lanes = spectral._lanes(n, len(config.z_grid), args.workers)
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "
-          f"n={n} holds {harness.unit_dense_bytes(n) / 2**20:.3g} MiB dense "
-          "(A or B, never both, and LAPACK's working copy)")
+          f"n={n} holds {harness.unit_dense_bytes(n, lanes) / 2**20:.3g} MiB "
+          f"dense (A or B, never both, and LAPACK's working copy on each of "
+          f"{lanes} lane{'s' * (lanes > 1)})")
     report = harness.run_experiment(config, workers=args.workers)
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")
@@ -224,9 +226,11 @@ def _cmd_run(args) -> int:
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     threads = spectral.blas_thread_count()
+    lanes = spectral._lanes(config.dims[0], len(config.z_grid), args.workers)
     print("  BLAS: " + ("unknown" if threads is None else
                         f"{threads} ambient threads, 1 per call on a matrix "
-                        f"with no side above {spectral.BLAS_PIN_MAX_DIM}"))
+                        f"with no side above {spectral.BLAS_PIN_MAX_DIM}")
+          + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}")
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

@@ -230,10 +230,10 @@ def delta_row(a: spectral.ShiftedSpectrum, b: spectral.ShiftedSpectrum,
 def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
     """delta_row of the pair's A - zI and B - zI at one shift.
 
-    Each shifted matrix is formed in the pair's own array, one at a time,
-    and restored bit for bit on return, also when a call raises (see
-    spectral.shifted). So one pair must not be shared by two threads at
-    once.
+    The pair's arrays are only read: each shifted matrix is formed in a
+    working copy, one at a time, and factored there (spectral.shifted). One
+    shift takes one lane; delta_scan spends the ambient BLAS thread budget
+    across a grid's shifts at n <= 400, with the same bytes.
     """
     return delta_row(spectral.shifted(pair.a_matrix, z),
                      spectral.shifted(pair.b_matrix, z), pair.perturbation_rank)
@@ -256,13 +256,19 @@ def verify_rank_inequality(a, b) -> RankCheck:
     ks = measures.kolmogorov_distance(
         EmpiricalMeasure1D(sv_a), EmpiricalMeasure1D(sv_b)
     )
-    bound = ensemble.numerical_rank(a - b) / rows
+    with np.errstate(over="ignore", invalid="ignore"):  # numerical_rank rejects inf
+        difference = a - b
+    bound = ensemble.numerical_rank(difference) / rows
     return RankCheck(ks=ks, bound=bound, holds=bool(ks <= bound + RANK_SLACK))
 
 
 def delta_scan(pair: ensemble.AssembledPair, grid: ZGrid) -> list[DeltaDiagnostics]:
-    """Evaluate delta_at on every grid point; flagged points are kept."""
-    return [delta_at(pair, z) for z in grid.points()]
+    """delta_at on every grid point, each side's shifts factored by one
+    spectral.shifted call; flagged points are kept."""
+    points = grid.points()
+    return [delta_row(a_z, b_z, pair.perturbation_rank) for a_z, b_z in
+            zip(spectral.shifted(pair.a_matrix, points),
+                spectral.shifted(pair.b_matrix, points))]
 
 
 @dataclass(frozen=True)

@@ -349,18 +349,18 @@ def lapack_work(config: ExperimentConfig) -> int:
     return config.replicates * per_unit * sum(n**3 for n in config.dims)
 
 
-def unit_dense_bytes(n: int) -> int:
-    """What one unit at dim n holds densely at its peak, two n-by-n
-    complex128 matrices: at each LAPACK call the one matrix it factors, A
-    or B, and the copy LAPACK works on; while B is formed in X's array, X
-    and U V*. A unit also keeps n singular values per grid point of B - zI
-    until A's pass.
+def unit_dense_bytes(n: int, lanes: int = 1) -> int:
+    """What one unit at dim n holds densely at its peak, in n-by-n
+    complex128 matrices: the one matrix it factors, A or B, and the working
+    copy of each of its lanes (spectral.shifted), which LAPACK factors; while
+    B is formed in X's array, X and U V*. A unit also keeps n singular values
+    per grid point of B - zI until A's pass.
     """
-    return 2 * 16 * n * n
+    return (1 + lanes) * 16 * n * n
 
 
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
-              replicate: int, stages) -> UnitResult:
+              replicate: int, stages, workers: int = 1) -> UnitResult:
     """One unit, computing only the requested stages, with one n-by-n matrix
     alive at a time: A and B never coexist.
 
@@ -369,8 +369,12 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     at every grid point, keeping only their spectral.shifted results. A's
     pass, for "delta" only: B is dropped, X drawn again from its seed and
     scaled in place into A, and the SVD and LU of A - zI at each grid point
-    complete that point's row (diagnostics.delta_row). The bytes are those
-    of delta_scan and disk_record on build_pair's pair.
+    complete that point's row (diagnostics.delta_row). Each pass is one
+    spectral.shifted call over the grid's points, which at n <= 400 spends
+    the ambient BLAS thread budget, shared among the run's `workers`, on
+    lanes of one shift at a time, each with its own working copy; the
+    matrix itself is only read. The bytes are those of delta_scan and
+    disk_record on build_pair's pair, at any lane count.
     """
     dim, rank = perturbation.dim, perturbation.rank
     b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
@@ -378,11 +382,11 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     diags = ()
     if "delta" in stages:
         points = config.z_grid.points()
-        b_side = [spectral.shifted(b, z) for z in points]
+        b_side = spectral.shifted(b, points, workers)
         del b
         a = ensemble.scaled(_sample(config, dim, replicate))
-        diags = tuple(diagnostics.delta_row(spectral.shifted(a, z), b_z, rank)
-                      for z, b_z in zip(points, b_side))
+        diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z
+                      in zip(spectral.shifted(a, points, workers), b_side))
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
@@ -406,7 +410,8 @@ def _output_dir(config: ExperimentConfig) -> Path:
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. With workers > 1 units run in forked processes; the
+    any unit samples. With workers > 1 units run in forked processes, each
+    unit's lanes on its share of the ambient BLAS threads (_run_unit); the
     results do not depend on the worker count."""
     _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
@@ -415,7 +420,7 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
             f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
     perturbations = [ensemble.build_perturbation(config.perturbation, dim)
                      for dim in config.dims]
-    tasks = [(config, perturbation, replicate, stages)
+    tasks = [(config, perturbation, replicate, stages, workers)
              for perturbation in perturbations
              for replicate in range(config.replicates)]
     if workers > 1:

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MeasureError, SingularSupportError
+from .spectral import _numbers
 
 __all__ = [
     "EmpiricalMeasure1D",
@@ -33,14 +34,13 @@ __all__ = [
 
 def _atoms(values, dtype, label: str) -> np.ndarray:
     """values as a nonempty 1-d array of finite dtype entries; they must be
-    numbers (no bool or string), real for a real dtype."""
-    a = np.asarray(values)
+    numbers by the package's one rule (spectral._numbers), real for a real
+    dtype."""
+    a = _numbers(values, "atoms", MeasureError, MeasureError)
     if a.ndim != 1:
         raise MeasureError(f"{label} atoms must form a 1-d array, got shape {a.shape}")
     if a.size == 0:
         raise MeasureError(f"a {label} empirical measure needs at least one atom")
-    if a.dtype.kind not in "iufc":
-        raise MeasureError(f"atoms must be numbers, got {a.dtype} values")
     if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise MeasureError(f"{label} atoms must be real, got complex values")
     a = a.astype(dtype, copy=False)

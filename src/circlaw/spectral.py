@@ -8,8 +8,11 @@ LU-factorization value; disagreement is an internal-consistency error.
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
 of every BLAS and LAPACK call in the package, least squares included: each
-goes through `_blas`, which runs it on one thread when its matrix has no
-side above BLAS_PIN_MAX_DIM.
+goes through `_blas`, or runs in `shifted`'s lanes, and runs on one thread
+when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`). The lanes
+factor a matrix's shifts on parallel threads through numpy's own OpenBLAS
+LAPACK, called by ctypes without the GIL; their values are bitwise those of
+np.linalg.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
+import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,18 +101,26 @@ BLAS_PIN_MAX_DIM = 400
 
 
 @functools.cache
+def _openblas_lib():
+    """numpy's bundled OpenBLAS, loaded through ctypes, or None where it is
+    missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        return ctypes.CDLL(libs[0]) if libs else None
+    except OSError:
+        return None
+
+
+@functools.cache
 def _openblas():
     """numpy's bundled OpenBLAS (get, set) thread-count functions through
     ctypes, or None where the library or its symbols are missing."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "libscipy_openblas64_*.so"))
-    if not libs:
-        return None
+    lib = _openblas_lib()
     try:
-        lib = ctypes.CDLL(libs[0])
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
+    except AttributeError:  # no such symbol, or no library (None)
         return None
     get_threads.argtypes = []
     get_threads.restype = ctypes.c_int
@@ -115,41 +129,123 @@ def _openblas():
     return get_threads, set_threads
 
 
+class _Lapack(NamedTuple):
+    zgesdd: Callable
+    zgetrf: Callable
+
+
+class _FortranArray:
+    """The ctypes argument type of a Fortran-contiguous numpy array: its
+    data pointer. numpy's ndpointer passes one through a cast that leaves
+    cyclic garbage behind on every call."""
+
+    @staticmethod
+    def from_param(a: np.ndarray) -> ctypes.c_void_p:
+        if not a.flags.f_contiguous:
+            raise TypeError("LAPACK needs a Fortran-contiguous array")
+        return ctypes.c_void_p(a.ctypes.data)
+
+
+@functools.cache
+def _lapack() -> _Lapack | None:
+    """The same OpenBLAS's zgesdd and zgetrf (ILP64 ints) through ctypes, or
+    None where the library or its symbols are missing. A ctypes call
+    releases the GIL, so lanes (_Lane) factor their shifts at the same time;
+    np.linalg holds it through each call."""
+    lib = _openblas_lib()
+    try:
+        zgesdd, zgetrf = lib.scipy_zgesdd_64_, lib.scipy_zgetrf_64_
+    except AttributeError:  # no such symbol, or no library (None)
+        return None
+    int_p, array = ctypes.POINTER(ctypes.c_int64), _FortranArray
+    # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork, info
+    zgesdd.argtypes = [ctypes.c_char_p, int_p, int_p, array, int_p, array, array,
+                       int_p, array, int_p, array, int_p, array, array, int_p]
+    # m, n, a, lda, ipiv, info
+    zgetrf.argtypes = [int_p, int_p, array, int_p, array, int_p]
+    zgesdd.restype = zgetrf.restype = None
+    return _Lapack(zgesdd, zgetrf)
+
+
 def blas_thread_count() -> int | None:
     """The ambient OpenBLAS thread count; None where it cannot be read."""
     openblas = _openblas()
     return None if openblas is None else openblas[0]()
 
 
-def _blas(fn, m: np.ndarray, *args, **kwargs):
-    """fn(m, *args, **kwargs) on one BLAS thread when no side of m exceeds
-    BLAS_PIN_MAX_DIM, with the ambient count restored afterwards, also when
-    fn raises. Above the constant, or without OpenBLAS's thread symbols, fn
-    runs at the ambient count. The count is process-wide, so one pinned call
-    runs at a time per process."""
-    openblas = _openblas() if max(m.shape) <= BLAS_PIN_MAX_DIM else None
+@contextlib.contextmanager
+def _pinned(n: int):
+    """The block on one BLAS thread when n <= BLAS_PIN_MAX_DIM, with the
+    ambient count restored after it, also when it raises. Above the
+    constant, or without OpenBLAS's thread symbols, the block runs at the
+    ambient count. The count is process-wide, so a block that runs lanes
+    pins once for all of them: a restore inside one would unpin the
+    others."""
+    openblas = _openblas() if n <= BLAS_PIN_MAX_DIM else None
     if openblas is None:
-        return fn(m, *args, **kwargs)
+        yield
+        return
     get_threads, set_threads = openblas
     ambient = get_threads()
     set_threads(1)
     try:
-        return fn(m, *args, **kwargs)
+        yield
     finally:
         set_threads(ambient)
 
 
-def _check_entries(m: np.ndarray) -> None:
-    """The one scan of a matrix for non-finite entries, and the size cap."""
+def _blas(fn, m: np.ndarray, *args, **kwargs):
+    """fn(m, *args, **kwargs), pinned by the largest side of m (_pinned).
+    One pinned call runs at a time per process."""
+    with _pinned(max(m.shape)):
+        return fn(m, *args, **kwargs)
+
+
+def _lanes(n: int, shifts: int, workers: int = 1) -> int:
+    """How many threads shifted factors `shifts` shifts of an n-by-n matrix
+    on: the ambient OpenBLAS thread count shared among `workers` processes,
+    at least 1 and at most the number of shifts. One above
+    BLAS_PIN_MAX_DIM, where each call runs at the ambient count, and where
+    OpenBLAS's LAPACK or thread-count symbols are missing."""
+    openblas = _openblas()
+    if openblas is None or _lapack() is None or n > BLAS_PIN_MAX_DIM:
+        return 1
+    return max(1, min(shifts, openblas[0]() // workers))
+
+
+def _check_finite(m: np.ndarray) -> None:
+    """The one scan of a matrix for non-finite entries."""
     if not np.isfinite(m).all():
         raise InvalidValueError("matrix contains non-finite entries")
+
+
+def _check_entries(m: np.ndarray) -> None:
+    """The finiteness scan and the size cap."""
+    _check_finite(m)
     check_dimension(max(m.shape))
 
 
+def _numbers(values, what: str, value_error=InvalidValueError,
+             shape_error=ShapeError) -> np.ndarray:
+    """The one number rule: values as a numpy array of ints, floats or
+    complex numbers, never of bools, strings or other objects (value_error),
+    and never from a ragged nesting (shape_error); `what` names them in the
+    message."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise shape_error(f"{what} must form a regular array, got a ragged "
+                          "nesting") from None
+    if a.dtype.kind not in "iufc":
+        raise value_error(f"{what} must be numbers, got {a.dtype} values")
+    return a
+
+
 def _as_matrix(a, square: bool = True) -> np.ndarray:
-    """a as a finite C-contiguous complex128 matrix, copied only when it is
-    not one, so every layout of the same entries gives the same bytes."""
-    m = np.asarray(a, dtype=np.complex128, order="C")
+    """a as a finite C-contiguous complex128 matrix of numbers (_numbers),
+    copied only when it is not one, so every layout of the same entries
+    gives the same bytes."""
+    m = np.asarray(_numbers(a, "matrix entries"), dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
@@ -220,25 +316,6 @@ def singular_values(a) -> np.ndarray:
     return _svd_values(_as_matrix(a, square=False))
 
 
-@contextlib.contextmanager
-def _shifted_in_place(m: np.ndarray, z: complex):
-    """Shift a square complex128 array to m - z*I for the block, without an
-    n-by-n copy: only the diagonal changes, by the one subtraction a shifted
-    copy would make. The saved diagonal is written back on exit, also when
-    the block raises, so m comes back bit for bit."""
-    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
-            and m.ndim == 2 and m.shape[0] == m.shape[1]):
-        raise ShapeError("in-place shift needs a square complex128 array, got "
-                         f"{type(m).__name__} {getattr(m, 'shape', '')}")
-    idx = np.arange(m.shape[0])
-    diagonal = m[idx, idx]
-    m[idx, idx] -= z
-    try:
-        yield m
-    finally:
-        m[idx, idx] = diagonal
-
-
 def _lu_log_abs_det(m: np.ndarray):
     return _blas(np.linalg.slogdet, m)
 
@@ -259,21 +336,145 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
     return _log_abs_det(_lu_log_abs_det(_as_matrix(a)))
 
 
-def shifted(m: np.ndarray, z: complex) -> ShiftedSpectrum:
-    """The singular values and LU log|det| of m - z*I, both factored from
-    one shift of m's own array (see _shifted_in_place), which is scanned for
-    non-finite entries once. m is a square complex128 array and comes back
-    bit for bit, also when a call raises, so it must not be shared by two
-    threads at once. The values are those of singular_values and
-    log_abs_det_lu on a shifted copy, unless a zero singular value makes it
-    singular."""
-    with _shifted_in_place(m, z) as s:
-        _check_entries(s)
-        sv = _svd_values(s)
-        lu = _lu_log_abs_det(s)
-    log_abs_det, singular = _log_abs_det(lu, sv)
-    return ShiftedSpectrum(z=complex(z), singular_values=sv,
-                           log_abs_det=log_abs_det, singular=singular)
+class _Lane:
+    """One lane: a Fortran-order n-by-n working buffer, into which each
+    shift m - z*I is written, and LAPACK's calls on it. The SVD workspace
+    is sized once by an lwork = -1 query, as numpy's svd queries, and like
+    numpy's it is held only through each SVD. Without a lapack handle the
+    buffer goes to numpy's functions instead. A lane calls private
+    functions only: perfbench's tracer, which wraps the public ones, keeps
+    one span stack and is not thread-safe."""
+
+    def __init__(self, n: int, lapack: _Lapack | None):
+        self.lapack = lapack
+        self.a = np.empty((n, n), dtype=np.complex128, order="F")
+        self._diagonal = self.a.reshape(-1, order="F")[:: n + 1]
+        if lapack is None:
+            return
+        self._n, self._one, self._info = (ctypes.c_int64(v) for v in (n, 1, 0))
+        self._ld = ctypes.c_int64(max(n, 1))
+        self._ipiv = np.empty(n, dtype=np.int64)
+        self.lwork = ctypes.c_int64(-1)
+        query = np.empty(1, dtype=np.complex128)
+        self._gesdd(np.empty(n), query)
+        self.lwork.value = max(1, int(query[0].real))
+
+    def workspace_nbytes(self) -> int:
+        """The bytes each SVD allocates beside the buffer: work, and
+        numpy's sizes of rwork and iwork for jobz 'N'."""
+        return 16 * self.lwork.value + 8 * (7 + 8) * self.a.shape[0]
+
+    def fill(self, m: np.ndarray, z: complex) -> None:
+        """The buffer as m - z*I: the one subtraction a shifted copy makes.
+        An overflow to inf is left to _check_finite."""
+        self.a[...] = m
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._diagonal -= z
+
+    def _gesdd(self, s: np.ndarray, work: np.ndarray) -> None:
+        n = self.a.shape[0]
+        self.lapack.zgesdd(b"N", self._n, self._n, self.a, self._ld, s, work,
+                           self._one, work, self._one, work, self.lwork,
+                           np.empty(7 * n), np.empty(8 * n, dtype=np.int64), self._info)
+
+    def svd_values(self) -> np.ndarray:
+        """The buffer's singular values, nonincreasing; zgesdd overwrites
+        the buffer."""
+        if self.lapack is None:
+            return _svd_values(self.a)
+        s = np.empty(self.a.shape[0])
+        self._gesdd(s, np.empty(self.lwork.value, dtype=np.complex128))
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return s
+
+    def lu_log_abs_det(self) -> tuple[float, float]:
+        """numpy's slogdet of the buffer as (sign, log|det|), with a sign
+        that is only told apart from 0; zgetrf overwrites the buffer. The
+        sum runs in numpy's order with the same libm calls, so it has
+        slogdet's bits (np.log and np.abs differ from them by an ulp)."""
+        if self.lapack is None:
+            return _lu_log_abs_det(self.a)
+        self.lapack.zgetrf(self._n, self._n, self.a, self._ld, self._ipiv, self._info)
+        if self._info.value != 0:  # a zero pivot, as numpy reads it
+            return 0.0, -math.inf
+        logdet = 0.0
+        try:
+            for d in self.a.diagonal().tolist():
+                logdet += math.log(abs(d))
+        except OverflowError:  # |d| beyond a float; numpy's sum is inf
+            logdet = math.inf
+        return 1.0, logdet
+
+    def factor(self, m: np.ndarray, z: complex) -> ShiftedSpectrum:
+        """m - z*I scanned once, then its SVD and, refilled, its LU."""
+        self.fill(m, z)
+        _check_finite(self.a)
+        sv = self.svd_values()
+        self.fill(m, z)
+        log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
+        return ShiftedSpectrum(z=z, singular_values=sv, log_abs_det=log_abs_det,
+                               singular=singular)
+
+
+def _factor_on_lanes(m: np.ndarray, points: list[complex], lanes: int) -> list:
+    """The ShiftedSpectrum of m - z*I at each point, on `lanes` threads
+    pinned together (_pinned): lane k takes points k, k + lanes, ..., and
+    the calling thread is lane 0. A lane that raises stops every lane at
+    the points after its own, and the error of the first failing point is
+    raised once every lane has ended, as a serial loop would raise it."""
+    lapack = _lapack()
+    out = [None] * len(points)
+    errors: dict[int, Exception] = {}
+    first_error = [len(points)]
+    lock = threading.Lock()
+
+    def lane(k: int) -> None:
+        i = k
+        try:
+            work = _Lane(m.shape[0], lapack)
+            for i in range(k, len(points), lanes):
+                if i > first_error[0]:
+                    return
+                out[i] = work.factor(m, points[i])
+        except Exception as exc:
+            with lock:
+                errors[i] = exc
+                first_error[0] = min(first_error[0], i)
+
+    with _pinned(m.shape[0]):
+        helpers = [threading.Thread(target=lane, args=(k,)) for k in range(1, lanes)]
+        for helper in helpers:
+            helper.start()
+        try:
+            lane(0)
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def shifted(m: np.ndarray, z, workers: int = 1):
+    """The singular values and LU log|det| of m - z*I, at one shift z or at
+    each of a sequence of shifts: one ShiftedSpectrum, or a list of them in
+    the order of z. m is a square complex128 array and is only read. Each
+    shift is written into a lane's working buffer (_Lane), scanned for
+    non-finite entries once and factored there. The shifts run on
+    _lanes(n, shifts, workers) threads, every LAPACK call on one BLAS
+    thread at n <= BLAS_PIN_MAX_DIM, so the values are the same at any lane
+    count. They are those of singular_values and log_abs_det_lu on a
+    shifted copy, unless a zero singular value makes it singular."""
+    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
+            and m.ndim == 2 and m.shape[0] == m.shape[1]):
+        raise ShapeError("shifted needs a square complex128 array, got "
+                         f"{type(m).__name__} {getattr(m, 'shape', '')}")
+    check_dimension(m.shape[0])
+    one = np.ndim(z) == 0
+    points = [complex(z)] if one else [complex(p) for p in z]
+    spectra = _factor_on_lanes(m, points, _lanes(m.shape[0], len(points), workers))
+    return spectra[0] if one else spectra
 
 
 def logdet_agree(x: float, y: float) -> bool:

@@ -41,6 +41,47 @@ def shifted():
 
 
 @pytest.fixture
+def lane_nbytes():
+    """of(n): a lane's n-by-n working buffer and the workspace its SVD
+    holds beside it, in bytes; no workspace on numpy's route, which
+    allocates its own untraced."""
+
+    def of(n):
+        lane = spectral._Lane(n, spectral._lapack())
+        return lane.a.nbytes, lane.workspace_nbytes() if lane.lapack else 0
+
+    return of
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """on(record): each zgesdd and zgetrf call of shifted's LAPACK route is
+    reported first as record("svd", a) or record("slogdet", a), with a the
+    n-by-n working buffer handed to LAPACK, from the lane that makes it;
+    the lwork query is not a call. Where that route is missing, nothing is
+    patched: numpy's route is then the test's own np.linalg patches."""
+
+    def on(record):
+        real = spectral._lapack()
+        if real is None:
+            return
+
+        def zgesdd(*args):
+            if args[11].value != -1:
+                record("svd", args[3])
+            return real.zgesdd(*args)
+
+        def zgetrf(*args):
+            record("slogdet", args[2])
+            return real.zgetrf(*args)
+
+        handle = spectral._Lapack(zgesdd, zgetrf)
+        monkeypatch.setattr(spectral, "_lapack", lambda: handle)
+
+    return on
+
+
+@pytest.fixture
 def at_ambient_threads():
     """at(count, fn): fn() run at an ambient OpenBLAS thread count of count,
     with the ambient count restored after. Skips where the count cannot be

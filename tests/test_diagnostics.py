@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,12 +129,15 @@ def test_delta_at_of_real_sample_matches_complex(dtype):
     assert records[0] == records[1]
 
 
-def test_delta_at_allocates_no_shifted_copy(traced_peak):
-    """A - zI and B - zI are formed in the pair's arrays: delta_at allocates
-    well under one n-by-n complex array, where two shifted copies took 2."""
+def test_delta_at_allocates_no_shifted_copy(traced_peak, lane_nbytes):
+    """A - zI and B - zI are formed one at a time in LAPACK's working copy,
+    never beside another shifted copy: delta_at allocates that one n-by-n
+    buffer and LAPACK's workspace (numpy's route allocates its workspace
+    untraced), and well under a quarter of an n-by-n array more. A shifted
+    copy beside numpy's own working copy took 2 n-by-n arrays."""
     n = 200
     pair = make_pair(n, seed=3)
-    assert traced_peak(delta_at, pair, 0.3 + 0.2j) < n * n * 16 / 4
+    assert traced_peak(delta_at, pair, 0.3 + 0.2j) < 1.25 * n * n * 16 + lane_nbytes(n)[1]
 
 
 def test_delta_at_leaves_pair_bitwise_unchanged():
@@ -146,10 +150,13 @@ def test_delta_at_leaves_pair_bitwise_unchanged():
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])
-def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
-    """The first SVD is of A - zI, the second of B - zI; either may raise
-    while its matrix is shifted."""
+def test_delta_at_restores_pair_when_svd_raises(monkeypatch, shifted, lapack_calls,
+                                                failing_call):
+    """The first SVD is of A - zI, the second of B - zI; either may raise.
+    Each is handed a working copy of its shifted matrix, so the pair is
+    never written."""
     pair = make_pair(12, seed=4)
+    z = 0.3 + 0.1j
     a, b = pair.a_matrix.tobytes(), pair.b_matrix.tobytes()
     svd_values = spectral._svd_values
     calls = []
@@ -161,9 +168,12 @@ def test_delta_at_restores_pair_when_svd_raises(monkeypatch, failing_call):
         return svd_values(m)
 
     monkeypatch.setattr(spectral, "_svd_values", failing)
+    lapack_calls(lambda name, m: failing(m) if name == "svd" else None)
     with pytest.raises(InvalidValueError, match="injected"):
-        delta_at(pair, 0.3 + 0.1j)
-    assert calls[-1] is (pair.a_matrix, pair.b_matrix)[failing_call - 1]
+        delta_at(pair, z)
+    matrix = (pair.a_matrix, pair.b_matrix)[failing_call - 1]
+    assert calls[-1] is not matrix
+    assert calls[-1].tobytes() == shifted(matrix, z).tobytes()
     assert pair.a_matrix.tobytes() == a
     assert pair.b_matrix.tobytes() == b
 
@@ -197,8 +207,9 @@ def test_delta_row_rejects_spectra_that_do_not_pair():
         == repr(delta_at(pair, 0.5))
 
 
-def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted):
-    """The SVD and LU inputs are bitwise the copy-based oracle's a - z*I."""
+def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted, lapack_calls):
+    """The SVD and LU inputs are bitwise the copy-based oracle's a - z*I, on
+    numpy's route and on the lane route."""
     pair = make_pair(16, seed=8)
     z = -0.7 + 0.4j
     seen = []
@@ -206,6 +217,7 @@ def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted):
         fn = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda m, fn=fn: seen.append(m.tobytes()) or fn(m))
+    lapack_calls(lambda name, m: seen.append(m.tobytes()))
     delta_at(pair, z)
     shifted_a = shifted(pair.a_matrix, z).tobytes()
     shifted_b = shifted(pair.b_matrix, z).tobytes()
@@ -290,6 +302,15 @@ def test_verify_rank_inequality_rejects_an_overflowing_difference():
     (ks 0.5 > bound 0.0) is reported."""
     with np.errstate(over="ignore"), pytest.raises(InvalidValueError, match="non-finite"):
         verify_rank_inequality(np.diag([1e308, 1.0]), np.diag([-1e308, 2.0]))
+
+
+def test_verify_rank_inequality_overflow_warns_nothing():
+    """The overflowing a - b is rejected with InvalidValueError alone, with
+    no numpy RuntimeWarning printed ahead of it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidValueError, match="non-finite"):
+            verify_rank_inequality(np.diag([1e308, 1.0]), np.diag([-1e308, 2.0]))
 
 
 def test_delta_scan_zero_perturbation():

@@ -647,16 +647,20 @@ def test_build_pair_holds_two_dense_matrices(tmp_path, traced_peak):
     assert traced_peak(harness.build_pair, cfg, perturbation, 0) < 2.25 * n * n * 16
 
 
-def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypatch):
+def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypatch,
+                                                             lapack_calls, lane_nbytes):
     """At each SVD, LU and eigensolve of a unit tracemalloc sees at most
-    1.25 n-by-n complex128 arrays: the one matrix factored, A or B, and the
-    per-shift results (LAPACK's own copy is not traced). A unit holding A
-    beside B would show 2. A first unit imports modules lazily, so one
+    1.25 n-by-n complex128 arrays beside the lanes' working copies and
+    LAPACK workspace: the one matrix factored, A or B, and the per-shift
+    results (numpy's route does not trace its own copy). A unit holding A
+    beside B would show 2 more. A first unit imports modules lazily, so one
     runs before the measured one."""
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
     harness._run_unit(cfg, perturbation, 1, harness.STAGES)
+    lanes = spectral._lanes(n, len(cfg.z_grid))
+    per_lane = sum(lane_nbytes(n))
     current = []
     blas = spectral._blas
 
@@ -665,6 +669,7 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
         return blas(fn, m, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_blas", recording)
+    lapack_calls(lambda name, a: current.append(tracemalloc.get_traced_memory()[0] - start))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -672,7 +677,7 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert len(current) == 4 * len(cfg.z_grid) + 1
-    assert max(current) <= 1.25 * 16 * n * n
+    assert max(current) <= 1.25 * 16 * n * n + lanes * per_lane
 
 
 def _unit_configs(tmp_path, rank3_csv):
@@ -764,10 +769,11 @@ CONFIGS = {"all-ones": small_config, "low-rank": low_rank_config, "file": file_c
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
+def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, lapack_calls, kind):
     """The n-by-n SVDs are of A - zI and B - zI at each z, for every kind,
     and of a file M once per dim. Every M adds one SVD of its k-by-k core
-    per dim: k is 1 for all-ones, 2 for this low-rank M and 3 for this file."""
+    per dim: k is 1 for all-ones, 2 for this low-rank M and 3 for this file.
+    Shifted SVDs are counted on numpy's route or on the lane route."""
     cfg = CONFIGS[kind](tmp_path)
     shapes = []
     svd = np.linalg.svd
@@ -777,6 +783,7 @@ def test_run_experiment_takes_no_svd_of_m(tmp_path, monkeypatch, kind):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    lapack_calls(lambda name, a: shapes.append(a.shape) if name == "svd" else None)
     run_experiment(cfg)
     units = len(cfg.dims) * cfg.replicates
     per_unit = 2 * len(cfg.z_grid)
@@ -1003,6 +1010,26 @@ def test_file_config_reports_equal_at_one_and_two_ambient_threads(
     assert at_ambient_threads(1, reports) == at_ambient_threads(2, reports)
 
 
+def test_low_rank_reports_equal_at_one_and_two_ambient_threads(
+    tmp_path, monkeypatch, at_ambient_threads
+):
+    """One lane at one ambient thread, two lanes at two, two workers of one
+    lane each at two, and numpy's route: the same report bytes."""
+    cfg = dataclasses.replace(low_rank_config(tmp_path, n=120),
+                              z_grid=ZGrid((-1.0, 1.0), (0.0, 0.5), 1.0))
+
+    def reports(workers=1):
+        run_experiment(cfg, workers=workers)
+        return [(tmp_path / "out" / name).read_bytes()
+                for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json")]
+
+    one = at_ambient_threads(1, reports)
+    assert at_ambient_threads(2, reports) == one
+    assert at_ambient_threads(2, lambda: reports(workers=2)) == one
+    monkeypatch.setattr(spectral, "_lapack", lambda: None)
+    assert reports() == one
+
+
 def test_cli_spectrum_out_equal_at_one_and_two_ambient_threads(
     tmp_path, at_ambient_threads
 ):
@@ -1021,7 +1048,7 @@ def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
     assert cli.main(["run", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert ("BLAS: 2 ambient threads, 1 per call on a matrix with no side above "
-            f"{spectral.BLAS_PIN_MAX_DIM}") in out
+            f"{spectral.BLAS_PIN_MAX_DIM}; a unit's grid shifts on up to 2 lanes\n") in out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
         assert "BLAS" not in (tmp_path / "out" / name).read_text()
 
@@ -1039,10 +1066,11 @@ def test_cli_run_without_openblas_symbols_does_not_pin(
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS) + ["all-ones-scale-0"])
-def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
+def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, lapack_calls,
+                                                  kind):
     """lapack_work is the n^3 summed over the units' n-by-n SVDs, LUs and
-    eigensolves, the same for every kind; a file M's own SVD per dim comes
-    on top."""
+    eigensolves, on numpy's route or on the lane route, the same for every
+    kind; a file M's own SVD per dim comes on top."""
     if kind == "all-ones-scale-0":
         cfg = small_config(tmp_path,
                            perturbation=PerturbationSpec("all-ones", scale=0.0))
@@ -1058,6 +1086,7 @@ def test_lapack_work_counts_the_units_lapack_calls(tmp_path, monkeypatch, kind):
             return fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    lapack_calls(lambda name, a: work.append(a.shape[0] ** 3))
     harness.run_units(cfg, harness.STAGES)
     m_svd = sum(n**3 for n in cfg.dims) if kind == "file" else 0
     assert sum(work) == harness.lapack_work(cfg) + m_svd
@@ -1070,7 +1099,8 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
 ):
     """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
     LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all. A
-    unit holds two 8-by-8 complex128 matrices, 2 * 1024 bytes."""
+    unit holds one 8-by-8 complex128 matrix and a working copy per lane,
+    1024 bytes each: 2 * 1024 on one lane, 3 * 1024 on two."""
     path = write_config(tmp_path, replicates=1)
     printed = []
     sample_matrix = ensemble.sample_matrix
@@ -1081,8 +1111,11 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
 
     monkeypatch.setattr(ensemble, "sample_matrix", recording)
     assert cli.main(["run", "--config", str(path)]) == 0
-    line = ("preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds "
-            "0.00195 MiB dense (A or B, never both, and LAPACK's working copy)\n")
+    held = {1: "0.00195 MiB dense (A or B, never both, and LAPACK's working copy "
+               "on each of 1 lane)",
+            2: "0.00293 MiB dense (A or B, never both, and LAPACK's working copy "
+               "on each of 2 lanes)"}[spectral._lanes(8, 2)]
+    line = f"preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds {held}\n"
     assert printed[0] == line
     assert line not in capsys.readouterr().out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
@@ -1339,11 +1372,13 @@ def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kind):
+def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys,
+                                             lapack_calls, kind):
     """n-by-n LAPACK calls per command: delta-scan takes 2 SVDs and 2 LUs per
     z per unit, circular-law one eigensolve per unit, run both and nothing
     more for any kind, and constant-case one eigensolve and one SVD. A file
-    M adds one SVD per dim to each config command."""
+    M adds one SVD per dim to each config command. Shifted SVDs and LUs are
+    counted on numpy's route or on the lane route."""
     cfg = CONFIGS[kind](tmp_path)
     path = str(config_file(tmp_path, cfg))
     calls = []
@@ -1357,6 +1392,7 @@ def test_cli_commands_do_no_extra_lapack_work(tmp_path, monkeypatch, capsys, kin
 
     for name in ("svd", "eigvals", "slogdet"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    lapack_calls(lambda name, a: calls.append(name))
 
     units = len(cfg.dims) * cfg.replicates
     per_z = 2 * len(cfg.z_grid) * units

@@ -67,6 +67,12 @@ def test_measures_reject_atoms_that_are_not_numbers(cls, atoms):
         cls(atoms=atoms)
 
 
+@pytest.mark.parametrize("cls", [EmpiricalMeasure1D, EmpiricalMeasure2D])
+def test_measures_reject_ragged_atoms(cls):
+    with pytest.raises(MeasureError, match="regular array, got a ragged nesting"):
+        cls(atoms=[[1.0], [1.0, 2.0]])
+
+
 def test_measure_atoms_sorted():
     m = m1(3.0, 1.0, 2.0)
     assert np.array_equal(m.atoms, [1.0, 2.0, 3.0])

@@ -50,8 +50,13 @@ def test_import_loads_neither_multiprocessing_nor_numpy_polynomial():
             if m.split(".")[0] == "multiprocessing" or m.startswith("numpy.polynomial")] == []
 
 
-# numpy names that run BLAS or LAPACK, and so must go through spectral._blas
+# numpy names that run BLAS or LAPACK, and so must go through spectral._blas;
+# np.linalg's exception class runs nothing
 _BLAS_NAMES = ("np.linalg", "np.matmul", "np.polyfit")
+_NOT_BLAS = ("np.linalg.LinAlgError",)
+# the routines of spectral's ctypes LAPACK handle, which must run inside a
+# `with _pinned(...)` block
+_LAPACK_HANDLES = ("zgesdd", "zgetrf")
 
 
 def _dotted(node) -> str | None:
@@ -65,9 +70,54 @@ def _dotted(node) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
+def _unpinned_lapack(tree) -> list[str]:
+    """Each call of a _LAPACK_HANDLES routine that may run outside every
+    `with _pinned(...)` block, as 'line: text'. A call runs inside one when
+    it lies in such a block, or in a function each reference to which does
+    (a call, a thread target, a method attribute; a class stands for its
+    __init__)."""
+    parent = {id(child): node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    pinned_blocks = {id(node) for node in ast.walk(tree) if isinstance(node, ast.With)
+                     and any(isinstance(item.context_expr, ast.Call)
+                             and (_dotted(item.context_expr.func) or "").endswith("_pinned")
+                             for item in node.items)}
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def enclosing(node):
+        """The innermost pinned block or function around node, or None."""
+        node = parent.get(id(node))
+        while node is not None and id(node) not in pinned_blocks \
+                and node not in functions:
+            node = parent.get(id(node))
+        return node
+
+    def names(fn):
+        if fn.name == "__init__" and isinstance(parent.get(id(fn)), ast.ClassDef):
+            return {fn.name, parent[id(fn)].name}
+        return {fn.name}
+
+    def runs_pinned(node, seen=()):
+        around = enclosing(node)
+        if around is None or around in seen:
+            return False
+        if id(around) in pinned_blocks:
+            return True
+        refs = [ref for ref in ast.walk(tree)
+                if (isinstance(ref, ast.Name) and ref.id in names(around))
+                or (isinstance(ref, ast.Attribute) and ref.attr in names(around))]
+        return bool(refs) and all(runs_pinned(ref, (*seen, around)) for ref in refs)
+
+    return [f"{node.lineno}: {_dotted(node.func)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LAPACK_HANDLES and not runs_pinned(node)]
+
+
 def _unpinned_blas(tree) -> list[str]:
     """Each `@`, numpy.linalg import and use of a _BLAS_NAMES name that is
-    not a _blas(...) call's first argument, as 'line: text'."""
+    not a _blas(...) call's first argument, and each _unpinned_lapack call,
+    as 'line: text'."""
     pinned = set()  # pinned names and the inner links of every chain
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -79,14 +129,14 @@ def _unpinned_blas(tree) -> list[str]:
     found = []
     for node in ast.walk(tree):
         name = _dotted(node) if isinstance(node, ast.Attribute) else None
-        if name and id(node) not in pinned and any(
+        if name and id(node) not in pinned and name not in _NOT_BLAS and any(
                 name == b or name.startswith(b + ".") for b in _BLAS_NAMES):
             found.append(f"{node.lineno}: {name}")
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append(f"{node.lineno}: @")
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
             found.append(f"{node.lineno}: from {node.module} import")
-    return sorted(found)
+    return sorted(found + _unpinned_lapack(tree))
 
 
 def test_the_pin_rule_check_finds_each_unpinned_form():
@@ -96,6 +146,12 @@ def test_the_pin_rule_check_finds_each_unpinned_form():
     assert _unpinned_blas(tree) == ["3: np.linalg.eigvals", "4: np.linalg.svd",
                                     "5: np.matmul", "6: @", "7: @",
                                     "8: from numpy.linalg import"]
+    tree = ast.parse("def lane(h):\n    h.zgesdd(1)\n"
+                     "class Lane:\n    def __init__(self, h):\n        h.zgetrf(2)\n"
+                     "def loose(h):\n    h.zgetrf(3)\n"
+                     "with _pinned(n):\n    lane(h)\n    Lane(h)\n    loose(h)\n"
+                     "loose(h)\nh.zgesdd(4)\nraise np.linalg.LinAlgError('x')\n")
+    assert _unpinned_blas(tree) == ["13: h.zgesdd", "7: h.zgetrf"]
 
 
 @pytest.mark.parametrize(

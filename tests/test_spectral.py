@@ -1,6 +1,8 @@
 """Tests for eigenvalue/singular-value summaries and the Weyl comparison."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,19 +26,27 @@ from circlaw import spectral
 from circlaw.ensemble import numerical_rank
 
 
-def test_shifted_in_place_matches_shifted_and_restores(shifted):
+def test_shifted_in_place_matches_shifted_and_restores(monkeypatch, shifted, lapack_calls):
+    """A lane writes m - z*I in place into its own buffer, by the one
+    subtraction a shifted copy makes; m is only read, so it is as before
+    also when a LAPACK call raises. (Named for the in-place shift of m
+    itself, which the lanes replaced.)"""
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     before = m.tobytes()
     z = 0.3 - 0.7j
-    expected = shifted(m, z).tobytes()
-    with spectral._shifted_in_place(m, z) as s:
-        assert s is m
-        assert m.tobytes() == expected
+    lane = spectral._Lane(5, spectral._lapack())
+    lane.fill(m, z)
+    assert lane.a.tobytes() == shifted(m, z).tobytes()
     assert m.tobytes() == before
-    with pytest.raises(RuntimeError, match="block failed"):
-        with spectral._shifted_in_place(m, z):
-            raise RuntimeError("block failed")
+
+    def failing(*args):
+        raise RuntimeError("call failed")
+
+    lapack_calls(failing)
+    monkeypatch.setattr(spectral, "_svd_values", failing)
+    with pytest.raises(RuntimeError, match="call failed"):
+        spectral.shifted(m, [z, -z])
     assert m.tobytes() == before
 
 
@@ -48,9 +58,10 @@ def test_shifted_in_place_matches_shifted_and_restores(shifted):
     [[1.0 + 0j]],
 ])
 def test_shifted_in_place_rejects_other_than_square_complex128(m):
+    """shifted reads m as it is, so it takes only a square complex128 array,
+    as the in-place shift it replaced did."""
     with pytest.raises(ShapeError, match="square complex128"):
-        with spectral._shifted_in_place(m, 1.0):
-            pass
+        spectral.shifted(m, 1.0)
 
 
 def test_shifted_equals_the_checked_functions_on_a_shifted_copy(shifted):
@@ -64,6 +75,106 @@ def test_shifted_equals_the_checked_functions_on_a_shifted_copy(shifted):
     assert result.z == complex(z) and type(result.z) is complex
     assert result.singular_values.tobytes() == singular_values(copy).tobytes()
     assert (result.log_abs_det, result.singular) == log_abs_det_lu(copy)
+
+
+def _numpy_route(monkeypatch, fn):
+    """fn() with shifted on numpy's route, as where the LAPACK symbols are
+    missing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_lapack", lambda: None)
+        return fn()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 400])
+def test_lanes_are_bitwise_numpys_route(monkeypatch, n):
+    """The lane route's singular values and log|det| are bitwise those of
+    np.linalg's svd and slogdet, on one lane and on two, at an exactly
+    singular shift too: m's first column is z times e_1."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    rng = np.random.default_rng(n)
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    m[:, 0] = 0.0
+    m[0, 0] = 0.5 + 0.5j
+    points = [0.5 + 0.5j, 0.0, -1.0, 2.5j, 0.3 - 0.9j]
+    expected = _numpy_route(monkeypatch, lambda: spectral.shifted(m, points))
+    assert expected[0].singular and not expected[1].singular
+    for lanes in (1, 2):
+        got = spectral._factor_on_lanes(m, points, lanes)
+        assert [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
+                for s in got] == \
+            [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
+             for s in expected]
+
+
+def test_lanes_run_pinned_and_leave_no_thread(lapack_calls, at_ambient_threads):
+    """Every lane call at n <= BLAS_PIN_MAX_DIM runs on one BLAS thread, two
+    lanes share the shifts, and the ambient count comes back, also when a
+    lane raises on an overflowing diagonal; no lane thread outlives the
+    call."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    get_threads = spectral._openblas()[0]
+    seen = []
+    lapack_calls(lambda name, a: seen.append((get_threads(), threading.get_ident())))
+    m = np.eye(8, dtype=complex)
+    m[0, 0] = 1.7e308
+    points = [0.5, 0.25j, -1.0, 1.5, 2.0j, -0.5j]
+
+    def run(shifts):
+        before = threading.active_count()
+        result = spectral.shifted(m, shifts)
+        assert threading.active_count() == before
+        return get_threads(), result
+
+    threads, spectra = at_ambient_threads(2, lambda: run(points))
+    assert threads == 2 and len(spectra) == len(points)
+    assert len(seen) == 2 * len(points)
+    assert {count for count, _ in seen} == {1}
+    assert len({ident for _, ident in seen}) == 2
+
+    def failing(shifts):
+        before = threading.active_count()
+        with pytest.raises(InvalidValueError, match="non-finite"):
+            spectral.shifted(m, shifts)
+        return get_threads(), threading.active_count() - before
+
+    for bad in ([0.5, 0.25j, -1.7e308, 1.5, -1.7e308j], [-1.7e308, 0.5]):
+        assert at_ambient_threads(2, lambda: failing(bad)) == (2, 0)
+    assert {count for count, _ in seen} == {1}
+
+
+def test_lanes_under_fast_thread_switching_lose_no_shift(monkeypatch, lapack_calls):
+    """Eight lanes, more than the cores, switching threads every
+    microsecond: every shift's spectrum lands at its own index, bitwise the
+    serial one. Of three failing shifts the first one's error is raised at
+    any lane count, as a serial loop raises it."""
+    m = np.eye(6, dtype=complex) + 0.25j
+    points = [complex(0.1 * k, 0.05) for k in range(40)]
+    serial = spectral._factor_on_lanes(m, points, 1)
+    fails = {13, 27, 31}
+
+    def failing(name, a):
+        k = round((1.0 - a[1, 1].real) * 10)
+        if name == "svd" and k in fails:
+            raise RuntimeError(f"failed at {k}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = spectral._factor_on_lanes(m, points, 8)
+            assert [(s.z, s.singular_values.tobytes(), s.log_abs_det) for s in got] == \
+                [(s.z, s.singular_values.tobytes(), s.log_abs_det) for s in serial]
+        svd_values = spectral._svd_values
+        monkeypatch.setattr(spectral, "_svd_values",
+                            lambda a: failing("svd", a) or svd_values(a))
+        lapack_calls(failing)
+        for lanes in (1, 2, 3, 8, 8, 8):
+            with pytest.raises(RuntimeError, match="failed at 13$"):
+                spectral._factor_on_lanes(m, points, lanes)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_shifted_flags_a_singular_shift():
@@ -116,8 +227,8 @@ def test_summarize_of_the_empty_matrix_agrees_with_the_lu():
 
 
 def _zero_last_singular_value(monkeypatch):
-    """_svd_values with its smallest value set to 0, as for a matrix whose
-    LU factors without a zero pivot."""
+    """_svd_values and the lane route's zgesdd with the smallest value set
+    to 0, as for a matrix whose LU factors without a zero pivot."""
     svd_values = spectral._svd_values
 
     def zeroed(m):
@@ -126,6 +237,14 @@ def _zero_last_singular_value(monkeypatch):
         return sv
 
     monkeypatch.setattr(spectral, "_svd_values", zeroed)
+    lapack = spectral._lapack()
+    if lapack is not None:
+        def zgesdd(*args):
+            lapack.zgesdd(*args)
+            args[5][-1:] = 0.0
+
+        handle = spectral._Lapack(zgesdd, lapack.zgetrf)
+        monkeypatch.setattr(spectral, "_lapack", lambda: handle)
 
 
 def test_a_zero_singular_value_makes_the_matrix_singular(monkeypatch):
@@ -347,6 +466,26 @@ def test_rejects_non_finite():
         eigenvalues(m)
     with pytest.raises(InvalidValueError):
         singular_values(m)
+
+
+@pytest.mark.parametrize("fn", [eigenvalues, singular_values, log_abs_det_lu, summarize,
+                                numerical_rank], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("entries", [[["1", "0"], ["0", "2"]], [[True, False], [False, True]],
+                                     [["a", "b"], ["c", "d"]], [[1.0, None], [0.0, 1.0]]],
+                         ids=["numeric-strings", "bools", "strings", "none"])
+def test_matrix_entries_must_be_numbers(fn, entries):
+    """The measures' number rule: no string, bool or object is read as a
+    number, where complex128 conversion took '1' as 1 and True as 1."""
+    with pytest.raises(InvalidValueError, match="entries must be numbers"):
+        fn(entries)
+
+
+@pytest.mark.parametrize("fn", [eigenvalues, singular_values, verify_rank_inequality],
+                         ids=lambda fn: fn.__name__)
+def test_a_ragged_matrix_is_a_shape_error(fn):
+    args = ([[1.0, 2.0], [3.0]],) * (2 if fn is verify_rank_inequality else 1)
+    with pytest.raises(ShapeError, match="regular array, got a ragged nesting"):
+        fn(*args)
 
 
 _RNG = np.random.default_rng(21)
