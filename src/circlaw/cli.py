@@ -210,11 +210,13 @@ def _cmd_run(args) -> int:
     harness._check_workers(args.workers)
     n = config.dims[-1]
     lanes = spectral._lanes(n, len(config.z_grid), args.workers)
+    held, units = harness._in_flight(config, args.workers)
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "
           f"n={n} holds {harness.unit_dense_bytes(n, lanes) / 2**20:.3g} MiB "
           f"dense (A or B, never both, and LAPACK's working copy on each of "
-          f"{lanes} lane{'s' * (lanes > 1)})")
+          f"{lanes} lane{'s' * (lanes > 1)}); at most {held / 2**20:.3g} MiB "
+          f"in {units} unit{'s' * (units > 1)} in flight")
     report = harness.run_experiment(config, workers=args.workers)
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")

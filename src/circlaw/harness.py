@@ -2,8 +2,9 @@
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
 seeds are derived from the master seed, and units may execute in any order or
-in parallel, so the CSV/JSON outputs are byte-identical across repetitions
-and worker counts. Floats are written in shortest round-trip decimal form.
+on parallel threads, so the CSV/JSON outputs are byte-identical across
+repetitions and worker counts. Floats are written in shortest round-trip
+decimal form.
 """
 
 from __future__ import annotations
@@ -352,15 +353,26 @@ def lapack_work(config: ExperimentConfig) -> int:
 def unit_dense_bytes(n: int, lanes: int = 1) -> int:
     """What one unit at dim n holds densely at its peak, in n-by-n
     complex128 matrices: the one matrix it factors, A or B, and the working
-    copy of each of its lanes (spectral.shifted), which LAPACK factors; while
-    B is formed in X's array, X and U V*. A unit also keeps n singular values
-    per grid point of B - zI until A's pass.
+    copy of each of its lanes (spectral.shifted), which LAPACK factors, or
+    the eigensolve's one copy of B; while B is formed in X's array, X and
+    U V*. A unit also keeps n singular values per grid point of B - zI until
+    A's pass. A run holds this once per unit in flight (_in_flight).
     """
     return (1 + lanes) * 16 * n * n
 
 
+def _in_flight(config: ExperimentConfig, workers: int) -> tuple[int, int]:
+    """(bytes, units): the most dense bytes run_units holds at once, with
+    unit_dense_bytes for each unit in flight, and their count: up to
+    `workers` at dims <= spectral.BLAS_PIN_MAX_DIM, one above it."""
+    pin, shifts = spectral.BLAS_PIN_MAX_DIM, len(config.z_grid)
+    pinned = min(workers, config.replicates * sum(n <= pin for n in config.dims))
+    return max((k * unit_dense_bytes(n, spectral._lanes(n, shifts, workers)), k)
+               for n in config.dims for k in [pinned if n <= pin else 1])
+
+
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
-              replicate: int, stages, workers: int = 1) -> UnitResult:
+              replicate: int, stages, lanes: int | None = None) -> UnitResult:
     """One unit, computing only the requested stages, with one n-by-n matrix
     alive at a time: A and B never coexist.
 
@@ -370,10 +382,10 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     pass, for "delta" only: B is dropped, X drawn again from its seed and
     scaled in place into A, and the SVD and LU of A - zI at each grid point
     complete that point's row (diagnostics.delta_row). Each pass is one
-    spectral.shifted call over the grid's points, which at n <= 400 spends
-    the ambient BLAS thread budget, shared among the run's `workers`, on
-    lanes of one shift at a time, each with its own working copy; the
-    matrix itself is only read. The bytes are those of delta_scan and
+    spectral.shifted call over the grid's points on `lanes` threads of one
+    shift at a time, each with its own working copy, by default the ambient
+    BLAS thread count at n <= 400; run_units passes each unit its share.
+    The matrix itself is only read. The bytes are those of delta_scan and
     disk_record on build_pair's pair, at any lane count.
     """
     dim, rank = perturbation.dim, perturbation.rank
@@ -382,11 +394,11 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     diags = ()
     if "delta" in stages:
         points = config.z_grid.points()
-        b_side = spectral.shifted(b, points, workers)
+        b_side = spectral.shifted(b, points, lanes)
         del b
         a = ensemble.scaled(_sample(config, dim, replicate))
         diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z
-                      in zip(spectral.shifted(a, points, workers), b_side))
+                      in zip(spectral.shifted(a, points, lanes), b_side))
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
@@ -410,8 +422,11 @@ def _output_dir(config: ExperimentConfig) -> Path:
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. With workers > 1 units run in forked processes, each
-    unit's lanes on its share of the ambient BLAS threads (_run_unit); the
+    any unit samples. Units at dims <= spectral.BLAS_PIN_MAX_DIM run up to
+    `workers` at a time on threads (spectral._on_lanes) in one region pinned
+    to one BLAS thread, each unit's shifts on its share of the ambient
+    count, read before the pin; units above it run one at a time at the
+    ambient count. At workers=1 every unit runs on the calling thread. The
     results do not depend on the worker count."""
     _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
@@ -420,24 +435,18 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
             f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
     perturbations = [ensemble.build_perturbation(config.perturbation, dim)
                      for dim in config.dims]
-    tasks = [(config, perturbation, replicate, stages, workers)
+    tasks = [(perturbation, replicate,
+              spectral._lanes(perturbation.dim, len(config.z_grid), workers))
              for perturbation in perturbations
              for replicate in range(config.replicates)]
-    if workers > 1:
-        import multiprocessing  # here, so that importing the package skips it
-        # fork avoids re-importing __main__ in the children; results do not
-        # depend on the start method or the worker count.
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        ctx = multiprocessing.get_context(method)
-        with ctx.Pool(min(workers, len(tasks))) as pool:
-            units = pool.starmap(_run_unit, tasks)
-    else:
-        units = [_run_unit(*task) for task in tasks]
+    pinned = sum(p.dim <= spectral.BLAS_PIN_MAX_DIM for p, _, _ in tasks)
 
-    seen = {(u.dim, u.replicate) for u in units}
-    if len(units) != len(tasks) or len(seen) != len(tasks):
-        raise RuntimeError("unit accounting mismatch: a (dim, replicate) was dropped")
-    return units
+    def run(_, task):
+        perturbation, replicate, lanes = task
+        return _run_unit(config, perturbation, replicate, stages, lanes)
+
+    return (spectral._on_lanes(run, tasks[:pinned], workers, spectral.BLAS_PIN_MAX_DIM)
+            + spectral._on_lanes(run, tasks[pinned:], 1, config.dims[-1]))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:

@@ -8,11 +8,11 @@ LU-factorization value; disagreement is an internal-consistency error.
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
 of every BLAS and LAPACK call in the package, least squares included: each
-goes through `_blas`, or runs in `shifted`'s lanes, and runs on one thread
-when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`). The lanes
-factor a matrix's shifts on parallel threads through numpy's own OpenBLAS
-LAPACK, called by ctypes without the GIL; their values are bitwise those of
-np.linalg.
+goes through `_blas`, or runs on a lane (`_Lane`), and runs on one thread
+when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`). A lane
+calls numpy's own OpenBLAS LAPACK by ctypes, without the GIL, so lanes run
+a matrix's shifts, or whole units (`_on_lanes`), on parallel threads; their
+values are bitwise those of np.linalg.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ def _openblas():
 class _Lapack(NamedTuple):
     zgesdd: Callable
     zgetrf: Callable
+    zgeev: Callable
 
 
 class _FortranArray:
@@ -148,23 +149,26 @@ class _FortranArray:
 
 @functools.cache
 def _lapack() -> _Lapack | None:
-    """The same OpenBLAS's zgesdd and zgetrf (ILP64 ints) through ctypes, or
-    None where the library or its symbols are missing. A ctypes call
-    releases the GIL, so lanes (_Lane) factor their shifts at the same time;
-    np.linalg holds it through each call."""
+    """The same OpenBLAS's zgesdd, zgetrf and zgeev (ILP64 ints) through
+    ctypes, or None where the library or its symbols are missing. A ctypes
+    call releases the GIL, so lanes (_Lane) run their calls at the same
+    time; np.linalg holds it through each call."""
     lib = _openblas_lib()
     try:
-        zgesdd, zgetrf = lib.scipy_zgesdd_64_, lib.scipy_zgetrf_64_
+        lapack = _Lapack(lib.scipy_zgesdd_64_, lib.scipy_zgetrf_64_, lib.scipy_zgeev_64_)
     except AttributeError:  # no such symbol, or no library (None)
         return None
-    int_p, array = ctypes.POINTER(ctypes.c_int64), _FortranArray
+    char, int_p, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), _FortranArray
     # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork, info
-    zgesdd.argtypes = [ctypes.c_char_p, int_p, int_p, array, int_p, array, array,
-                       int_p, array, int_p, array, int_p, array, array, int_p]
+    lapack.zgesdd.argtypes = [char, int_p, int_p, array, int_p, array, array,
+                              int_p, array, int_p, array, int_p, array, array, int_p]
     # m, n, a, lda, ipiv, info
-    zgetrf.argtypes = [int_p, int_p, array, int_p, array, int_p]
-    zgesdd.restype = zgetrf.restype = None
-    return _Lapack(zgesdd, zgetrf)
+    lapack.zgetrf.argtypes = [int_p, int_p, array, int_p, array, int_p]
+    # jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr, work, lwork, rwork, info
+    lapack.zgeev.argtypes = [char, char, int_p, array, int_p, array, array, int_p,
+                             array, int_p, array, int_p, array, int_p]
+    lapack.zgesdd.restype = lapack.zgetrf.restype = lapack.zgeev.restype = None
+    return lapack
 
 
 def blas_thread_count() -> int | None:
@@ -195,16 +199,15 @@ def _pinned(n: int):
 
 
 def _blas(fn, m: np.ndarray, *args, **kwargs):
-    """fn(m, *args, **kwargs), pinned by the largest side of m (_pinned).
-    One pinned call runs at a time per process."""
+    """fn(m, *args, **kwargs), pinned by the largest side of m (_pinned)."""
     with _pinned(max(m.shape)):
         return fn(m, *args, **kwargs)
 
 
 def _lanes(n: int, shifts: int, workers: int = 1) -> int:
     """How many threads shifted factors `shifts` shifts of an n-by-n matrix
-    on: the ambient OpenBLAS thread count shared among `workers` processes,
-    at least 1 and at most the number of shifts. One above
+    on: the ambient OpenBLAS thread count shared among `workers` units run
+    at once, at least 1 and at most the number of shifts. One above
     BLAS_PIN_MAX_DIM, where each call runs at the ambient count, and where
     OpenBLAS's LAPACK or thread-count symbols are missing."""
     openblas = _openblas()
@@ -292,7 +295,8 @@ class WeylCheck:
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    vals = _blas(np.linalg.eigvals, m)
+    with _pinned(m.shape[0]):
+        vals = _Lane(m.shape[0], _lapack()).eigensolve(m)
     ang = np.angle(vals)
     # atan2 maps a negative-zero imaginary part on the negative real axis
     # to -pi; fold it back so the argument lives in (-pi, pi]
@@ -338,10 +342,10 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
 
 class _Lane:
     """One lane: a Fortran-order n-by-n working buffer, into which each
-    shift m - z*I is written, and LAPACK's calls on it. The SVD workspace
-    is sized once by an lwork = -1 query, as numpy's svd queries, and like
-    numpy's it is held only through each SVD. Without a lapack handle the
-    buffer goes to numpy's functions instead. A lane calls private
+    shift m - z*I, or m for an eigensolve, is written, and LAPACK's calls on
+    it. The SVD workspace is sized once by an lwork = -1 query, as numpy's
+    svd queries, and like numpy's it is held only through each SVD. Without
+    a lapack handle numpy's functions run instead. A lane calls private
     functions only: perfbench's tracer, which wraps the public ones, keeps
     one span stack and is not thread-safe."""
 
@@ -406,6 +410,28 @@ class _Lane:
             logdet = math.inf
         return 1.0, logdet
 
+    def eigensolve(self, m: np.ndarray) -> np.ndarray:
+        """m's eigenvalues in LAPACK's order, by zgeev on the buffer with
+        jobvl = jobvr = 'N', numpy's rwork and its lwork = -1 query, so they
+        are np.linalg.eigvals's bits; zgeev overwrites the buffer."""
+        if self.lapack is None:
+            return _blas(np.linalg.eigvals, m)
+        self.a[...] = m
+        n = self.a.shape[0]
+        w, rwork = np.empty(n, dtype=np.complex128), np.empty(2 * n)
+
+        def geev(work: np.ndarray, lwork: int) -> None:
+            self.lapack.zgeev(b"N", b"N", self._n, self.a, self._ld, w, work, self._one,
+                              work, self._one, work, ctypes.c_int64(lwork), rwork, self._info)
+
+        query = np.empty(1, dtype=np.complex128)
+        geev(query, -1)
+        lwork = max(1, int(query[0].real))
+        geev(np.empty(lwork, dtype=np.complex128), lwork)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return w
+
     def factor(self, m: np.ndarray, z: complex) -> ShiftedSpectrum:
         """m - z*I scanned once, then its SVD and, refilled, its LU."""
         self.fill(m, z)
@@ -417,37 +443,42 @@ class _Lane:
                                singular=singular)
 
 
-def _factor_on_lanes(m: np.ndarray, points: list[complex], lanes: int) -> list:
-    """The ShiftedSpectrum of m - z*I at each point, on `lanes` threads
-    pinned together (_pinned): lane k takes points k, k + lanes, ..., and
-    the calling thread is lane 0. A lane that raises stops every lane at
-    the points after its own, and the error of the first failing point is
-    raised once every lane has ended, as a serial loop would raise it."""
-    lapack = _lapack()
-    out = [None] * len(points)
+def _on_lanes(run, items: list, lanes: int, n: int, start=lambda: None) -> list:
+    """[run(state, item) for item in items] on up to `lanes` threads in one
+    _pinned(n) region: lane k takes items k, k + lanes, ... with a state
+    start() makes on its thread, and the calling thread is lane 0. A lane
+    that raises stops every lane at the items after its own, and the error
+    of the first failing item is raised once all have ended, as a serial
+    loop would raise it."""
+    lanes = max(1, min(lanes, len(items)))
+    out = [None] * len(items)
     errors: dict[int, Exception] = {}
-    first_error = [len(points)]
+    first_error = [len(items)]
     lock = threading.Lock()
 
-    def lane(k: int) -> None:
+    def run_lane(k: int) -> None:
         i = k
         try:
-            work = _Lane(m.shape[0], lapack)
-            for i in range(k, len(points), lanes):
+            state = start()
+            for i in range(k, len(items), lanes):
                 if i > first_error[0]:
                     return
-                out[i] = work.factor(m, points[i])
+                out[i] = run(state, items[i])
         except Exception as exc:
             with lock:
                 errors[i] = exc
                 first_error[0] = min(first_error[0], i)
 
-    with _pinned(m.shape[0]):
-        helpers = [threading.Thread(target=lane, args=(k,)) for k in range(1, lanes)]
+    with _pinned(n):
+        helpers = [threading.Thread(target=run_lane, args=(k,))
+                   for k in range(1, lanes)]
         for helper in helpers:
             helper.start()
         try:
-            lane(0)
+            run_lane(0)
+        except BaseException:  # an interrupt stops the other lanes too
+            first_error[0] = -1
+            raise
         finally:
             for helper in helpers:
                 helper.join()
@@ -456,24 +487,27 @@ def _factor_on_lanes(m: np.ndarray, points: list[complex], lanes: int) -> list:
     return out
 
 
-def shifted(m: np.ndarray, z, workers: int = 1):
+def shifted(m: np.ndarray, z, lanes: int | None = None):
     """The singular values and LU log|det| of m - z*I, at one shift z or at
     each of a sequence of shifts: one ShiftedSpectrum, or a list of them in
     the order of z. m is a square complex128 array and is only read. Each
     shift is written into a lane's working buffer (_Lane), scanned for
-    non-finite entries once and factored there. The shifts run on
-    _lanes(n, shifts, workers) threads, every LAPACK call on one BLAS
-    thread at n <= BLAS_PIN_MAX_DIM, so the values are the same at any lane
-    count. They are those of singular_values and log_abs_det_lu on a
-    shifted copy, unless a zero singular value makes it singular."""
+    non-finite entries once and factored there. The shifts run on `lanes`
+    threads (_on_lanes), by default _lanes(n, shifts), every LAPACK call on
+    one BLAS thread at n <= BLAS_PIN_MAX_DIM, so the values are the same at
+    any lane count. They are those of singular_values and log_abs_det_lu on
+    a shifted copy, unless a zero singular value makes it singular."""
     if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
             and m.ndim == 2 and m.shape[0] == m.shape[1]):
         raise ShapeError("shifted needs a square complex128 array, got "
                          f"{type(m).__name__} {getattr(m, 'shape', '')}")
-    check_dimension(m.shape[0])
+    n = m.shape[0]
+    check_dimension(n)
     one = np.ndim(z) == 0
     points = [complex(z)] if one else [complex(p) for p in z]
-    spectra = _factor_on_lanes(m, points, _lanes(m.shape[0], len(points), workers))
+    spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,
+                        _lanes(n, len(points)) if lanes is None else lanes, n,
+                        lambda: _Lane(n, _lapack()))
     return spectra[0] if one else spectra
 
 

@@ -55,11 +55,12 @@ def lane_nbytes():
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """on(record): each zgesdd and zgetrf call of shifted's LAPACK route is
-    reported first as record("svd", a) or record("slogdet", a), with a the
-    n-by-n working buffer handed to LAPACK, from the lane that makes it;
-    the lwork query is not a call. Where that route is missing, nothing is
-    patched: numpy's route is then the test's own np.linalg patches."""
+    """on(record): each zgesdd, zgetrf and zgeev call of the lanes' LAPACK
+    route is reported first as record("svd", a), record("slogdet", a) or
+    record("eigvals", a), with a the n-by-n working buffer handed to LAPACK,
+    from the lane that makes it; an lwork query is not a call. Where that
+    route is missing, nothing is patched: numpy's route is then the test's
+    own np.linalg patches."""
 
     def on(record):
         real = spectral._lapack()
@@ -75,7 +76,12 @@ def lapack_calls(monkeypatch):
             record("slogdet", args[2])
             return real.zgetrf(*args)
 
-        handle = spectral._Lapack(zgesdd, zgetrf)
+        def zgeev(*args):
+            if args[11].value != -1:
+                record("eigvals", args[3])
+            return real.zgeev(*args)
+
+        handle = spectral._Lapack(zgesdd, zgetrf, zgeev)
         monkeypatch.setattr(spectral, "_lapack", lambda: handle)
 
     return on

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -652,9 +653,10 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     """At each SVD, LU and eigensolve of a unit tracemalloc sees at most
     1.25 n-by-n complex128 arrays beside the lanes' working copies and
     LAPACK workspace: the one matrix factored, A or B, and the per-shift
-    results (numpy's route does not trace its own copy). A unit holding A
-    beside B would show 2 more. A first unit imports modules lazily, so one
-    runs before the measured one."""
+    results (numpy's route does not trace its own copy; the eigensolve's
+    copy is a lane's buffer). A unit holding A beside B would show 2 more.
+    A first unit imports modules lazily, so one runs before the measured
+    one."""
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
@@ -840,6 +842,91 @@ def test_run_experiment_workers_match_serial(tmp_path):
     assert serial == parallel
 
 
+def test_reports_equal_at_one_and_two_workers_across_the_pin_dim(tmp_path, monkeypatch):
+    """dims (8, 401), 2 replicates, one shift: the report files are the same
+    bytes at workers 1 and 2. Every unit runs in this process, as a recorder
+    around _run_unit sees: at workers=1 all on the calling thread, and at
+    any worker count the units above BLAS_PIN_MAX_DIM one at a time on it,
+    at the ambient BLAS thread count."""
+    cfg = small_config(tmp_path, dims=(8, 401),
+                       z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
+    run_unit = harness._run_unit
+    lock = threading.Lock()
+    in_flight, seen = [], []
+
+    def recording(config, perturbation, replicate, *args):
+        with lock:
+            in_flight.append(perturbation.dim)
+            seen.append((perturbation.dim, threading.get_ident(),
+                         sum(n > spectral.BLAS_PIN_MAX_DIM for n in in_flight)))
+        try:
+            return run_unit(config, perturbation, replicate, *args)
+        finally:
+            with lock:
+                in_flight.remove(perturbation.dim)
+
+    monkeypatch.setattr(harness, "_run_unit", recording)
+
+    def reports(workers):
+        seen.clear()
+        run_experiment(cfg, workers=workers)
+        assert sorted(n for n, _, _ in seen) == [8, 8, 401, 401]
+        assert max(above for _, _, above in seen) == 1
+        assert {ident for n, ident, _ in seen if n == 401} == {threading.get_ident()}
+        return [(tmp_path / "out" / name).read_bytes()
+                for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json")]
+
+    one = reports(1)
+    assert {ident for _, ident, _ in seen} == {threading.get_ident()}
+    assert reports(2) == one
+
+
+def test_two_workers_give_each_unit_its_share_of_the_ambient_threads(tmp_path,
+                                                                     monkeypatch):
+    """With OpenBLAS faked to an ambient count of 4, workers=2 gives each
+    unit's shifts 2 lanes, as each of two forked workers had: the share is
+    read before the units' pinned region, inside which the count reads 1.
+    The ambient count comes back after the run."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    threads = [4]
+    monkeypatch.setattr(spectral, "_openblas", lambda: (
+        lambda: threads[0], lambda count: threads.__setitem__(0, count)))
+    lanes = []
+    shifted = spectral.shifted
+
+    def recording(m, z, count=None):
+        lanes.append(count)
+        return shifted(m, z, count)
+
+    monkeypatch.setattr(spectral, "shifted", recording)
+    cfg = small_config(tmp_path, z_grid=ZGrid((0.0, 1.0), (0.0, 0.0), 0.5))
+    harness.run_units(cfg, {"delta"}, 2)
+    assert lanes == [2] * 8 and threads == [4]
+    lanes.clear()
+    harness.run_units(cfg, {"delta"}, 1)
+    assert lanes == [3] * 8
+
+
+def test_run_units_raise_the_first_failing_units_error_at_any_worker_count(
+    tmp_path, monkeypatch
+):
+    """Of three failing units the first in dims-then-replicates order has
+    its error raised, at any worker count, as a serial loop raises it."""
+    cfg = small_config(tmp_path, replicates=3)
+    run_unit = harness._run_unit
+
+    def failing(config, perturbation, replicate, *args):
+        if (perturbation.dim, replicate) in {(6, 2), (8, 0), (8, 2)}:
+            raise RuntimeError(f"unit {perturbation.dim}/{replicate}")
+        return run_unit(config, perturbation, replicate, *args)
+
+    monkeypatch.setattr(harness, "_run_unit", failing)
+    for workers in (1, 2, 3, 6):
+        with pytest.raises(RuntimeError, match="unit 6/2$"):
+            harness.run_units(cfg, harness.STAGES, workers)
+
+
 def test_run_experiment_report_excludes_timings(tmp_path):
     cfg = small_config(tmp_path)
     report = run_experiment(cfg)
@@ -944,8 +1031,9 @@ def blas_threads_two():
     set_threads(ambient)
 
 
-def eigvals_thread_counts(monkeypatch, get_threads):
-    """The BLAS thread count at each np.linalg.eigvals call."""
+def eigvals_thread_counts(monkeypatch, lapack_calls, get_threads):
+    """The BLAS thread count at each eigensolve: each np.linalg.eigvals call
+    on numpy's route, each zgeev call on the lane route."""
     counts = []
     eigvals = np.linalg.eigvals
 
@@ -953,14 +1041,19 @@ def eigvals_thread_counts(monkeypatch, get_threads):
         counts.append(get_threads())
         return eigvals(a)
 
+    def on_lane(name, a):
+        if name == "eigvals":
+            counts.append(get_threads())
+
     monkeypatch.setattr(np.linalg, "eigvals", recording)
+    lapack_calls(on_lane)
     return counts
 
 
 def test_run_units_pin_one_blas_thread_and_restore_ambient(
-    tmp_path, monkeypatch, blas_threads_two
+    tmp_path, monkeypatch, lapack_calls, blas_threads_two
 ):
-    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    counts = eigvals_thread_counts(monkeypatch, lapack_calls, blas_threads_two)
     harness.run_units(small_config(tmp_path), harness.STAGES)
     assert counts == [1, 1, 1, 1]
     assert blas_threads_two() == 2
@@ -983,10 +1076,10 @@ def test_lapack_call_restores_ambient_blas_threads_when_it_raises(
 
 
 def test_run_units_above_pin_dim_run_at_ambient_blas_threads(
-    tmp_path, monkeypatch, blas_threads_two
+    tmp_path, monkeypatch, lapack_calls, blas_threads_two
 ):
     monkeypatch.setattr(spectral, "BLAS_PIN_MAX_DIM", 6)
-    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    counts = eigvals_thread_counts(monkeypatch, lapack_calls, blas_threads_two)
     harness.run_units(small_config(tmp_path, dims=(6, 8)), {"disk"})
     assert counts == [1, 1, 2, 2]
     assert blas_threads_two() == 2
@@ -1054,9 +1147,9 @@ def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
 
 
 def test_cli_run_without_openblas_symbols_does_not_pin(
-    tmp_path, capsys, monkeypatch, blas_threads_two
+    tmp_path, capsys, monkeypatch, lapack_calls, blas_threads_two
 ):
-    counts = eigvals_thread_counts(monkeypatch, blas_threads_two)
+    counts = eigvals_thread_counts(monkeypatch, lapack_calls, blas_threads_two)
     monkeypatch.setattr(spectral, "_openblas", lambda: None)
     path = write_config(tmp_path, replicates=1)
     assert cli.main(["run", "--config", str(path)]) == 0
@@ -1100,7 +1193,8 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
     """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
     LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all. A
     unit holds one 8-by-8 complex128 matrix and a working copy per lane,
-    1024 bytes each: 2 * 1024 on one lane, 3 * 1024 on two."""
+    1024 bytes each: 2 * 1024 on one lane, 3 * 1024 on two; one unit is in
+    flight at a time."""
     path = write_config(tmp_path, replicates=1)
     printed = []
     sample_matrix = ensemble.sample_matrix
@@ -1112,9 +1206,10 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
     monkeypatch.setattr(ensemble, "sample_matrix", recording)
     assert cli.main(["run", "--config", str(path)]) == 0
     held = {1: "0.00195 MiB dense (A or B, never both, and LAPACK's working copy "
-               "on each of 1 lane)",
+               "on each of 1 lane); at most 0.00195 MiB in 1 unit in flight",
             2: "0.00293 MiB dense (A or B, never both, and LAPACK's working copy "
-               "on each of 2 lanes)"}[spectral._lanes(8, 2)]
+               "on each of 2 lanes); at most 0.00293 MiB in 1 unit in flight"
+            }[spectral._lanes(8, 2)]
     line = f"preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds {held}\n"
     assert printed[0] == line
     assert line not in capsys.readouterr().out
@@ -1508,7 +1603,7 @@ def test_cli_run_rejects_bad_workers_before_anything(tmp_path, capsys, workers):
 
 @pytest.mark.parametrize("workers", [0, 2.0, True, "2"])
 def test_run_experiment_rejects_bad_workers_before_output_dir(tmp_path, workers):
-    """A float or bool never reaches multiprocessing.Pool or a serial run."""
+    """A float or bool never reaches the unit threads or a serial run."""
     cfg = small_config(tmp_path)
     with pytest.raises(ValidationError, match="workers"):
         run_experiment(cfg, workers=workers)

@@ -37,7 +37,7 @@ def test_every_all_name_exists(layer):
 
 def test_import_loads_neither_multiprocessing_nor_numpy_polynomial():
     """A fresh `import circlaw.cli` loads only what every command needs:
-    run_units imports multiprocessing for workers > 1 only, and the lemma
+    run_units runs units on threads, never in processes, and the lemma
     suite looks numpy.polynomial up at call time."""
     src = str(Path(circlaw.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -56,7 +56,7 @@ _BLAS_NAMES = ("np.linalg", "np.matmul", "np.polyfit")
 _NOT_BLAS = ("np.linalg.LinAlgError",)
 # the routines of spectral's ctypes LAPACK handle, which must run inside a
 # `with _pinned(...)` block
-_LAPACK_HANDLES = ("zgesdd", "zgetrf")
+_LAPACK_HANDLES = ("zgesdd", "zgetrf", "zgeev")
 
 
 def _dotted(node) -> str | None:
@@ -73,9 +73,11 @@ def _dotted(node) -> str | None:
 def _unpinned_lapack(tree) -> list[str]:
     """Each call of a _LAPACK_HANDLES routine that may run outside every
     `with _pinned(...)` block, as 'line: text'. A call runs inside one when
-    it lies in such a block, or in a function each reference to which does
-    (a call, a thread target, a method attribute; a class stands for its
-    __init__)."""
+    it lies in such a block, or in a function or lambda each reference to
+    which does (a call, a thread target, a method attribute; a class stands
+    for its __init__, and a lambda is its own one reference). A reference
+    passed to a function of the module, such as a runner that calls it on
+    its threads, runs where that function calls the parameter it binds."""
     parent = {id(child): node for node in ast.walk(tree)
               for child in ast.iter_child_nodes(node)}
     pinned_blocks = {id(node) for node in ast.walk(tree) if isinstance(node, ast.With)
@@ -83,10 +85,12 @@ def _unpinned_lapack(tree) -> list[str]:
                              and (_dotted(item.context_expr.func) or "").endswith("_pinned")
                              for item in node.items)}
     functions = [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    by_name = {fn.name: fn for fn in functions if not isinstance(fn, ast.Lambda)}
 
     def enclosing(node):
-        """The innermost pinned block or function around node, or None."""
+        """The innermost pinned block, function or lambda around node, or
+        None."""
         node = parent.get(id(node))
         while node is not None and id(node) not in pinned_blocks \
                 and node not in functions:
@@ -98,15 +102,39 @@ def _unpinned_lapack(tree) -> list[str]:
             return {fn.name, parent[id(fn)].name}
         return {fn.name}
 
+    def references(fn):
+        if isinstance(fn, ast.Lambda):
+            return [fn]
+        return [ref for ref in ast.walk(tree)
+                if (isinstance(ref, ast.Name) and ref.id in names(fn))
+                or (isinstance(ref, ast.Attribute) and ref.attr in names(fn))]
+
+    def bound_calls(ref):
+        """The calls of the parameter that ref binds as an argument of a
+        module function, or [ref] when it is not such an argument. Where
+        the function does not call that parameter, [tree], which runs
+        nowhere pinned: the check cannot follow it."""
+        call = parent.get(id(ref))
+        if isinstance(call, ast.keyword):
+            call = parent.get(id(call))
+        callee = isinstance(call, ast.Call) and by_name.get(
+            (_dotted(call.func) or "").split(".")[-1])
+        if not callee or ref is call.func:
+            return [ref]
+        params = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+        param = next((k.arg for k in call.keywords if k.value is ref), None)
+        if ref in call.args and call.args.index(ref) < len(params):
+            param = params[call.args.index(ref)]
+        return [node for node in ast.walk(callee) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == param] or [tree]
+
     def runs_pinned(node, seen=()):
         around = enclosing(node)
         if around is None or around in seen:
             return False
         if id(around) in pinned_blocks:
             return True
-        refs = [ref for ref in ast.walk(tree)
-                if (isinstance(ref, ast.Name) and ref.id in names(around))
-                or (isinstance(ref, ast.Attribute) and ref.attr in names(around))]
+        refs = [site for ref in references(around) for site in bound_calls(ref)]
         return bool(refs) and all(runs_pinned(ref, (*seen, around)) for ref in refs)
 
     return [f"{node.lineno}: {_dotted(node.func)}" for node in ast.walk(tree)
@@ -152,6 +180,20 @@ def test_the_pin_rule_check_finds_each_unpinned_form():
                      "with _pinned(n):\n    lane(h)\n    Lane(h)\n    loose(h)\n"
                      "loose(h)\nh.zgesdd(4)\nraise np.linalg.LinAlgError('x')\n")
     assert _unpinned_blas(tree) == ["13: h.zgesdd", "7: h.zgetrf"]
+    tree = ast.parse("def runner(run, items, start=None):\n"
+                     "    def go(k):\n        run(start(), k)\n"
+                     "    with _pinned(n):\n"
+                     "        threading.Thread(target=go).start()\n        go(0)\n"
+                     "def loose_runner(run):\n    run(1)\n"
+                     "def task(s, k):\n    h.zgesdd(k)\n"
+                     "def shared(s, k):\n    h.zgetrf(k)\n"
+                     "runner(lambda s, k: h.zgeev(k), [1], start=lambda: h.zgesdd(0))\n"
+                     "runner(task, [1])\nloose_runner(lambda k: h.zgeev(k))\n"
+                     "runner(shared, [1])\nloose_runner(shared)\nh.zgeev(-1)\n"
+                     "def keep(run):\n    later.append(run)\n"
+                     "with _pinned(n):\n    keep(lambda: h.zgesdd(5))\n")
+    assert _unpinned_blas(tree) == ["12: h.zgetrf", "15: h.zgeev", "18: h.zgeev",
+                                    "22: h.zgesdd"]
 
 
 @pytest.mark.parametrize(
@@ -159,5 +201,7 @@ def test_the_pin_rule_check_finds_each_unpinned_form():
 def test_every_blas_call_in_the_package_is_pinned(path):
     """Every BLAS or LAPACK call (np.linalg.*, np.matmul, np.polyfit's least
     squares, the @ operator) is the first argument of spectral._blas, which
-    sets its thread count."""
+    sets its thread count, and every ctypes LAPACK call (zgesdd, zgetrf,
+    zgeev) runs inside a `with _pinned(...)` block, followed through the
+    functions, lambdas, thread targets and runner arguments that reach it."""
     assert _unpinned_blas(ast.parse(path.read_text())) == []

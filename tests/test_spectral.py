@@ -3,6 +3,7 @@
 import pickle
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,11 +86,14 @@ def _numpy_route(monkeypatch, fn):
         return fn()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 400])
-def test_lanes_are_bitwise_numpys_route(monkeypatch, n):
-    """The lane route's singular values and log|det| are bitwise those of
-    np.linalg's svd and slogdet, on one lane and on two, at an exactly
-    singular shift too: m's first column is z times e_1."""
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 400, 600])
+def test_lanes_are_bitwise_numpys_route(monkeypatch, at_ambient_threads, n):
+    """The lane route's singular values, log|det| and eigenvalues are
+    bitwise those of np.linalg's svd, slogdet and eigvals, at ambient
+    thread counts 1 and 2: the shifts on one lane and, at n <=
+    BLAS_PIN_MAX_DIM, where a unit runs more, on two, at an exactly
+    singular shift too (m's first column is z times e_1); the eigensolve in
+    LAPACK's order."""
     if spectral._lapack() is None:
         pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
     rng = np.random.default_rng(n)
@@ -97,14 +101,23 @@ def test_lanes_are_bitwise_numpys_route(monkeypatch, n):
     m[:, 0] = 0.0
     m[0, 0] = 0.5 + 0.5j
     points = [0.5 + 0.5j, 0.0, -1.0, 2.5j, 0.3 - 0.9j]
-    expected = _numpy_route(monkeypatch, lambda: spectral.shifted(m, points))
-    assert expected[0].singular and not expected[1].singular
-    for lanes in (1, 2):
-        got = spectral._factor_on_lanes(m, points, lanes)
-        assert [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
-                for s in got] == \
-            [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
-             for s in expected]
+
+    def compare():
+        expected = _numpy_route(monkeypatch, lambda: spectral.shifted(m, points))
+        assert expected[0].singular and not expected[1].singular
+        for lanes in (1, 2) if n <= spectral.BLAS_PIN_MAX_DIM else (1,):
+            got = spectral.shifted(m, points, lanes)
+            assert [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
+                    for s in got] == \
+                [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
+                 for s in expected]
+        with spectral._pinned(n):
+            eig = spectral._Lane(n, spectral._lapack()).eigensolve(m)
+        assert eig.dtype == np.complex128
+        assert eig.tobytes() == spectral._blas(np.linalg.eigvals, m).tobytes()
+
+    for threads in (1, 2):
+        at_ambient_threads(threads, compare)
 
 
 def test_lanes_run_pinned_and_leave_no_thread(lapack_calls, at_ambient_threads):
@@ -151,7 +164,7 @@ def test_lanes_under_fast_thread_switching_lose_no_shift(monkeypatch, lapack_cal
     any lane count, as a serial loop raises it."""
     m = np.eye(6, dtype=complex) + 0.25j
     points = [complex(0.1 * k, 0.05) for k in range(40)]
-    serial = spectral._factor_on_lanes(m, points, 1)
+    serial = spectral.shifted(m, points, 1)
     fails = {13, 27, 31}
 
     def failing(name, a):
@@ -163,7 +176,7 @@ def test_lanes_under_fast_thread_switching_lose_no_shift(monkeypatch, lapack_cal
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = spectral._factor_on_lanes(m, points, 8)
+            got = spectral.shifted(m, points, 8)
             assert [(s.z, s.singular_values.tobytes(), s.log_abs_det) for s in got] == \
                 [(s.z, s.singular_values.tobytes(), s.log_abs_det) for s in serial]
         svd_values = spectral._svd_values
@@ -172,9 +185,26 @@ def test_lanes_under_fast_thread_switching_lose_no_shift(monkeypatch, lapack_cal
         lapack_calls(failing)
         for lanes in (1, 2, 3, 8, 8, 8):
             with pytest.raises(RuntimeError, match="failed at 13$"):
-                spectral._factor_on_lanes(m, points, lanes)
+                spectral.shifted(m, points, lanes)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_an_interrupt_on_the_calling_lane_stops_the_other_lanes():
+    """An interrupt reaches the calling thread, lane 0; the runner re-raises
+    it once the other lanes have stopped at their next item, where they
+    would otherwise run every item left."""
+    done = []
+
+    def run(_, i):
+        time.sleep(0.05 if i == 0 else 0.005)
+        if i == 0:
+            raise KeyboardInterrupt
+        done.append(i)
+
+    with pytest.raises(KeyboardInterrupt):
+        spectral._on_lanes(run, list(range(400)), 2, 8)
+    assert len(done) < 100
 
 
 def test_shifted_flags_a_singular_shift():
@@ -243,7 +273,7 @@ def _zero_last_singular_value(monkeypatch):
             lapack.zgesdd(*args)
             args[5][-1:] = 0.0
 
-        handle = spectral._Lapack(zgesdd, lapack.zgetrf)
+        handle = lapack._replace(zgesdd=zgesdd)
         monkeypatch.setattr(spectral, "_lapack", lambda: handle)
 
 
