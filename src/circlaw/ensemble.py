@@ -181,7 +181,7 @@ class EntryDistribution:
 class MatrixSample:
     """An n-by-n draw of i.i.d. standardized entries, stored as a writeable
     C-contiguous complex128 array; other input (another dtype, read-only, or
-    a transpose) is copied once. assemble spends the entries (see there)."""
+    a transpose) is copied once. scaled (and so assemble) spends the entries."""
 
     dim: int
     entries: np.ndarray
@@ -542,21 +542,14 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
     return Perturbation(spec, n, rank, u, vh)
 
 
-def _check_dims(x: MatrixSample, perturbation: Perturbation) -> None:
-    if perturbation.dim != x.dim:
-        raise ShapeError(
-            f"perturbation dim {perturbation.dim} does not match sample dim {x.dim}"
-        )
-
-
 def perturbed(x: MatrixSample, perturbation: Perturbation) -> np.ndarray:
-    """B = (X + M)/sqrt(n) for the perturbation's M, in x's own array: x is
-    spent, its entries become B. U V* is formed in a temporary array, added
-    to X and dropped, and the sum is scaled by s = 1/sqrt(n).
-    """
-    _check_dims(x, perturbation)
-    b = x.entries
-    b += _blas(np.matmul, perturbation.u, perturbation.vh)
+    """B = (X + M)/sqrt(n) for the perturbation's M in a new array: U V*,
+    plus X, times s = 1/sqrt(n). x is left as it was."""
+    if perturbation.dim != x.dim:
+        raise ShapeError(f"perturbation dim {perturbation.dim} does not match "
+                         f"sample dim {x.dim}")
+    b = _blas(np.matmul, perturbation.u, perturbation.vh)
+    b += x.entries
     b *= 1.0 / np.sqrt(float(x.dim))
     return b
 
@@ -569,18 +562,10 @@ def scaled(x: MatrixSample) -> np.ndarray:
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
-    """A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M.
-
-    B is a new array holding U V*, to which X is added and which is then
-    scaled; then x is spent by scaled and becomes A, so the pair holds two
-    n-by-n arrays rather than three. A caller who wants to keep X passes a
-    copy. IEEE addition commutes, so B's bytes are perturbed's, (x + U V*) * s
-    with s = 1/sqrt(n).
-    """
-    _check_dims(x, perturbation)
-    b = _blas(np.matmul, perturbation.u, perturbation.vh)
-    b += x.entries
-    b *= 1.0 / np.sqrt(float(x.dim))
+    """A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M: B by
+    perturbed, then x spent by scaled into A, so the pair holds two n-by-n
+    arrays rather than three. A caller who wants to keep X passes a copy."""
+    b = perturbed(x, perturbation)
     return AssembledPair(
         a_matrix=scaled(x), b_matrix=b, dim=x.dim, perturbation_rank=perturbation.rank,
     )

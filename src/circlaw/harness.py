@@ -2,9 +2,9 @@
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
 seeds are derived from the master seed, and units may execute in any order or
-on parallel threads, so the CSV/JSON outputs are byte-identical across
-repetitions and worker counts. Floats are written in shortest round-trip
-decimal form.
+on parallel threads, each LAPACK call setting its own BLAS thread count, so
+the CSV/JSON outputs are byte-identical across repetitions and worker counts.
+Floats are written in shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
                replicate: int) -> ensemble.AssembledPair:
     """Sample and assemble one (dim, replicate) unit at the perturbation's dim.
 
-    assemble spends the sample, whose buffer becomes A, so the pair holds X
+    assemble spends the sample, whose buffer becomes A, so the pair holds A
     and B only. The run itself holds one of them at a time (_run_unit).
     """
     return ensemble.assemble(_sample(config, perturbation.dim, replicate), perturbation)
@@ -354,9 +354,9 @@ def unit_dense_bytes(n: int, lanes: int = 1) -> int:
     """What one unit at dim n holds densely at its peak, in n-by-n
     complex128 matrices: the one matrix it factors, A or B, and the working
     copy of each of its lanes (spectral.shifted), which LAPACK factors, or
-    the eigensolve's one copy of B; while B is formed in X's array, X and
-    U V*. A unit also keeps n singular values per grid point of B - zI until
-    A's pass. A run holds this once per unit in flight (_in_flight).
+    the eigensolve's one copy of B; while B is formed, X and U V* (B's
+    array). A unit also keeps n singular values per grid point of B - zI
+    until A's pass. A run holds this once per unit in flight (_in_flight).
     """
     return (1 + lanes) * 16 * n * n
 
@@ -376,7 +376,7 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     """One unit, computing only the requested stages, with one n-by-n matrix
     alive at a time: A and B never coexist.
 
-    B's pass: X is drawn and B = (X + M)/sqrt(n) formed in its array.
+    B's pass: X is drawn, B = (X + M)/sqrt(n) formed and X dropped.
     "disk" takes the one eigensolve of B; "delta" the SVD and LU of B - zI
     at every grid point, keeping only their spectral.shifted results. A's
     pass, for "delta" only: B is dropped, X drawn again from its seed and
@@ -423,11 +423,11 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
     any unit samples. Units at dims <= spectral.BLAS_PIN_MAX_DIM run up to
-    `workers` at a time on threads (spectral._on_lanes) in one region pinned
-    to one BLAS thread, each unit's shifts on its share of the ambient
-    count, read before the pin; units above it run one at a time at the
-    ambient count. At workers=1 every unit runs on the calling thread. The
-    results do not depend on the worker count."""
+    `workers` at a time on threads (spectral._on_lanes), each unit's shifts
+    on its share of the ambient BLAS thread count; units above it run after
+    them, one at a time. At workers=1 every unit runs on the calling thread.
+    Each LAPACK call pins itself, so the results do not depend on the worker
+    count."""
     _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
     if unknown or not stages:
@@ -435,18 +435,16 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
             f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
     perturbations = [ensemble.build_perturbation(config.perturbation, dim)
                      for dim in config.dims]
-    tasks = [(perturbation, replicate,
-              spectral._lanes(perturbation.dim, len(config.z_grid), workers))
-             for perturbation in perturbations
+    tasks = [(perturbation, replicate) for perturbation in perturbations
              for replicate in range(config.replicates)]
-    pinned = sum(p.dim <= spectral.BLAS_PIN_MAX_DIM for p, _, _ in tasks)
+    small = sum(p.dim <= spectral.BLAS_PIN_MAX_DIM for p, _ in tasks)
 
     def run(_, task):
-        perturbation, replicate, lanes = task
-        return _run_unit(config, perturbation, replicate, stages, lanes)
+        lanes = spectral._lanes(task[0].dim, len(config.z_grid), workers)
+        return _run_unit(config, *task, stages, lanes)
 
-    return (spectral._on_lanes(run, tasks[:pinned], workers, spectral.BLAS_PIN_MAX_DIM)
-            + spectral._on_lanes(run, tasks[pinned:], 1, config.dims[-1]))
+    return (spectral._on_lanes(run, tasks[:small], workers)
+            + spectral._on_lanes(run, tasks[small:], 1))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:

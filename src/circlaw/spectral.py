@@ -8,11 +8,11 @@ LU-factorization value; disagreement is an internal-consistency error.
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
 of every BLAS and LAPACK call in the package, least squares included: each
-goes through `_blas`, or runs on a lane (`_Lane`), and runs on one thread
-when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`). A lane
-calls numpy's own OpenBLAS LAPACK by ctypes, without the GIL, so lanes run
-a matrix's shifts, or whole units (`_on_lanes`), on parallel threads; their
-values are bitwise those of np.linalg.
+goes through `_blas`, or runs on a lane (`_Lane`), and pins itself to one
+thread when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`, a
+region counted across threads). A lane calls numpy's own OpenBLAS LAPACK
+by ctypes, without the GIL, so lanes run a matrix's shifts, or whole units
+(`_on_lanes`), on parallel threads, bitwise np.linalg's values.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def check_dimension(n: int) -> None:
                               "(set CIRCLAW_MAX_N to raise it)")
 
 
-# Largest matrix side whose BLAS and LAPACK calls run on one thread (_blas).
-# Measured on the work of an earlier unit, 1 eigvals + 3 SVDs + 2 slogdet (a
-# unit now takes no SVD of A, so 2 SVDs), 2-core box, OpenBLAS 0.3.31:
+# Largest matrix side whose BLAS and LAPACK calls run on one thread (_pinned).
+# The table predates lanes: an earlier unit's calls on one thread, 1 eigvals +
+# 3 SVDs + 2 slogdet (now 2 SVDs and 2 LUs per shift), 2-core, OpenBLAS 0.3.31:
 #
 #      n    1 thread: wall / CPU    2 threads: wall / CPU
 #    200    0.11 / 0.11 s           0.12 / 0.23 s
@@ -171,31 +171,45 @@ def _lapack() -> _Lapack | None:
     return lapack
 
 
+# Pinned blocks open on all threads, and the ambient count the first saved.
+_pin_lock = threading.Lock()
+_pins_open = _pins_ambient = 0
+
+
 def blas_thread_count() -> int | None:
-    """The ambient OpenBLAS thread count; None where it cannot be read."""
+    """The ambient OpenBLAS thread count, inside a pin too; None if unknown."""
     openblas = _openblas()
-    return None if openblas is None else openblas[0]()
+    if openblas is None:
+        return None
+    with _pin_lock:
+        return _pins_ambient if _pins_open else openblas[0]()
 
 
 @contextlib.contextmanager
 def _pinned(n: int):
-    """The block on one BLAS thread when n <= BLAS_PIN_MAX_DIM, with the
-    ambient count restored after it, also when it raises. Above the
-    constant, or without OpenBLAS's thread symbols, the block runs at the
-    ambient count. The count is process-wide, so a block that runs lanes
-    pins once for all of them: a restore inside one would unpin the
-    others."""
+    """The block on one BLAS thread when n <= BLAS_PIN_MAX_DIM. The pinned
+    blocks of all threads form one counted region, so they nest and overlap:
+    the first to open saves the ambient count and sets 1, the last to close
+    restores it, also when a block raises. Above the constant, or without
+    OpenBLAS's thread symbols, the block runs at the ambient count."""
+    global _pins_open, _pins_ambient
     openblas = _openblas() if n <= BLAS_PIN_MAX_DIM else None
     if openblas is None:
         yield
         return
     get_threads, set_threads = openblas
-    ambient = get_threads()
-    set_threads(1)
+    with _pin_lock:
+        if not _pins_open:
+            _pins_ambient = get_threads()
+            set_threads(1)
+        _pins_open += 1
     try:
         yield
     finally:
-        set_threads(ambient)
+        with _pin_lock:
+            _pins_open -= 1
+            if not _pins_open:
+                set_threads(_pins_ambient)
 
 
 def _blas(fn, m: np.ndarray, *args, **kwargs):
@@ -207,13 +221,13 @@ def _blas(fn, m: np.ndarray, *args, **kwargs):
 def _lanes(n: int, shifts: int, workers: int = 1) -> int:
     """How many threads shifted factors `shifts` shifts of an n-by-n matrix
     on: the ambient OpenBLAS thread count shared among `workers` units run
-    at once, at least 1 and at most the number of shifts. One above
-    BLAS_PIN_MAX_DIM, where each call runs at the ambient count, and where
-    OpenBLAS's LAPACK or thread-count symbols are missing."""
-    openblas = _openblas()
-    if openblas is None or _lapack() is None or n > BLAS_PIN_MAX_DIM:
+    at once (read inside a pin too), at least 1 and at most the number of
+    shifts. One above BLAS_PIN_MAX_DIM, where each call runs at the ambient
+    count, and where OpenBLAS's LAPACK or thread-count symbols are missing."""
+    threads = blas_thread_count()
+    if threads is None or _lapack() is None or n > BLAS_PIN_MAX_DIM:
         return 1
-    return max(1, min(shifts, openblas[0]() // workers))
+    return max(1, min(shifts, threads // workers))
 
 
 def _check_finite(m: np.ndarray) -> None:
@@ -295,8 +309,7 @@ class WeylCheck:
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    with _pinned(m.shape[0]):
-        vals = _Lane(m.shape[0], _lapack()).eigensolve(m)
+    vals = _Lane(m.shape[0], _lapack()).eigensolve(m)
     ang = np.angle(vals)
     # atan2 maps a negative-zero imaginary part on the negative real axis
     # to -pi; fold it back so the argument lives in (-pi, pi]
@@ -342,12 +355,12 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
 
 class _Lane:
     """One lane: a Fortran-order n-by-n working buffer, into which each
-    shift m - z*I, or m for an eigensolve, is written, and LAPACK's calls on
-    it. The SVD workspace is sized once by an lwork = -1 query, as numpy's
-    svd queries, and like numpy's it is held only through each SVD. Without
-    a lapack handle numpy's functions run instead. A lane calls private
-    functions only: perfbench's tracer, which wraps the public ones, keeps
-    one span stack and is not thread-safe."""
+    shift m - z*I, or m for an eigensolve, is written, and LAPACK's pinned
+    calls on it. The SVD workspace is sized at the first SVD by an lwork =
+    -1 query, as numpy's svd queries, and is held only through each SVD.
+    Without a lapack handle numpy's functions run instead. A lane calls
+    private functions only: perfbench's tracer, which wraps the public ones,
+    keeps one span stack and is not thread-safe."""
 
     def __init__(self, n: int, lapack: _Lapack | None):
         self.lapack = lapack
@@ -358,15 +371,19 @@ class _Lane:
         self._n, self._one, self._info = (ctypes.c_int64(v) for v in (n, 1, 0))
         self._ld = ctypes.c_int64(max(n, 1))
         self._ipiv = np.empty(n, dtype=np.int64)
-        self.lwork = ctypes.c_int64(-1)
+
+    @functools.cached_property
+    def lwork(self) -> int:
+        """The SVD's work length, queried once, by an lwork = -1 call."""
         query = np.empty(1, dtype=np.complex128)
-        self._gesdd(np.empty(n), query)
-        self.lwork.value = max(1, int(query[0].real))
+        with _pinned(self.a.shape[0]):
+            self._gesdd(np.empty(self.a.shape[0]), query, -1)
+        return max(1, int(query[0].real))
 
     def workspace_nbytes(self) -> int:
         """The bytes each SVD allocates beside the buffer: work, and
         numpy's sizes of rwork and iwork for jobz 'N'."""
-        return 16 * self.lwork.value + 8 * (7 + 8) * self.a.shape[0]
+        return 16 * self.lwork + 8 * (7 + 8) * self.a.shape[0]
 
     def fill(self, m: np.ndarray, z: complex) -> None:
         """The buffer as m - z*I: the one subtraction a shifted copy makes.
@@ -375,10 +392,10 @@ class _Lane:
         with np.errstate(over="ignore", invalid="ignore"):
             self._diagonal -= z
 
-    def _gesdd(self, s: np.ndarray, work: np.ndarray) -> None:
+    def _gesdd(self, s: np.ndarray, work: np.ndarray, lwork: int) -> None:
         n = self.a.shape[0]
         self.lapack.zgesdd(b"N", self._n, self._n, self.a, self._ld, s, work,
-                           self._one, work, self._one, work, self.lwork,
+                           self._one, work, self._one, work, ctypes.c_int64(lwork),
                            np.empty(7 * n), np.empty(8 * n, dtype=np.int64), self._info)
 
     def svd_values(self) -> np.ndarray:
@@ -387,7 +404,7 @@ class _Lane:
         if self.lapack is None:
             return _svd_values(self.a)
         s = np.empty(self.a.shape[0])
-        self._gesdd(s, np.empty(self.lwork.value, dtype=np.complex128))
+        self._gesdd(s, np.empty(self.lwork, dtype=np.complex128), self.lwork)
         if self._info.value != 0:
             raise np.linalg.LinAlgError("SVD did not converge")
         return s
@@ -425,28 +442,30 @@ class _Lane:
                               work, self._one, work, ctypes.c_int64(lwork), rwork, self._info)
 
         query = np.empty(1, dtype=np.complex128)
-        geev(query, -1)
-        lwork = max(1, int(query[0].real))
-        geev(np.empty(lwork, dtype=np.complex128), lwork)
+        with _pinned(n):
+            geev(query, -1)
+            lwork = max(1, int(query[0].real))
+            geev(np.empty(lwork, dtype=np.complex128), lwork)
         if self._info.value != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return w
 
     def factor(self, m: np.ndarray, z: complex) -> ShiftedSpectrum:
-        """m - z*I scanned once, then its SVD and, refilled, its LU."""
+        """m - z*I scanned once, then in one pin its SVD and, refilled, its LU."""
         self.fill(m, z)
         _check_finite(self.a)
-        sv = self.svd_values()
-        self.fill(m, z)
-        log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
+        with _pinned(self.a.shape[0]):
+            sv = self.svd_values()
+            self.fill(m, z)
+            log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
         return ShiftedSpectrum(z=z, singular_values=sv, log_abs_det=log_abs_det,
                                singular=singular)
 
 
-def _on_lanes(run, items: list, lanes: int, n: int, start=lambda: None) -> list:
-    """[run(state, item) for item in items] on up to `lanes` threads in one
-    _pinned(n) region: lane k takes items k, k + lanes, ... with a state
-    start() makes on its thread, and the calling thread is lane 0. A lane
+def _on_lanes(run, items: list, lanes: int, start=lambda: None) -> list:
+    """[run(state, item) for item in items] on up to `lanes` threads, which
+    pin nothing: lane k takes items k, k + lanes, ... with a state start()
+    makes on its thread, and the calling thread is lane 0. A lane
     that raises stops every lane at the items after its own, and the error
     of the first failing item is raised once all have ended, as a serial
     loop would raise it."""
@@ -469,19 +488,17 @@ def _on_lanes(run, items: list, lanes: int, n: int, start=lambda: None) -> list:
                 errors[i] = exc
                 first_error[0] = min(first_error[0], i)
 
-    with _pinned(n):
-        helpers = [threading.Thread(target=run_lane, args=(k,))
-                   for k in range(1, lanes)]
+    helpers = [threading.Thread(target=run_lane, args=(k,)) for k in range(1, lanes)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run_lane(0)
+    except BaseException:  # an interrupt stops the other lanes too
+        first_error[0] = -1
+        raise
+    finally:
         for helper in helpers:
-            helper.start()
-        try:
-            run_lane(0)
-        except BaseException:  # an interrupt stops the other lanes too
-            first_error[0] = -1
-            raise
-        finally:
-            for helper in helpers:
-                helper.join()
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return out
@@ -506,7 +523,7 @@ def shifted(m: np.ndarray, z, lanes: int | None = None):
     one = np.ndim(z) == 0
     points = [complex(z)] if one else [complex(p) for p in z]
     spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,
-                        _lanes(n, len(points)) if lanes is None else lanes, n,
+                        _lanes(n, len(points)) if lanes is None else lanes,
                         lambda: _Lane(n, _lapack()))
     return spectra[0] if one else spectra
 

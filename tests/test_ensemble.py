@@ -667,14 +667,16 @@ def test_assemble_rejects_shape_mismatch():
 
 
 def test_perturbed_and_scaled_spend_x_into_the_assembled_pair():
-    """perturbed turns X's own array into B and scaled turns it into A; the
-    results are assemble's pair, byte for byte."""
+    """perturbed forms B in a new array and leaves X as it was, and scaled
+    turns X's own array into A; the results are assemble's pair, byte for
+    byte."""
     d = EntryDistribution.parse("complex-gaussian")
     p = build_perturbation(PerturbationSpec("all-ones", scale=0.7), 9)
     pair = assemble(sample_matrix(d, 9, seed=4), p)
     x = sample_matrix(d, 9, seed=4)
     b = ensemble.perturbed(x, p)
-    assert b is x.entries
+    assert b is not x.entries
+    assert x.entries.tobytes() == sample_matrix(d, 9, seed=4).entries.tobytes()
     assert b.tobytes() == pair.b_matrix.tobytes()
     x = sample_matrix(d, 9, seed=4)
     a = ensemble.scaled(x)

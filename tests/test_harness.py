@@ -885,7 +885,7 @@ def test_two_workers_give_each_unit_its_share_of_the_ambient_threads(tmp_path,
                                                                      monkeypatch):
     """With OpenBLAS faked to an ambient count of 4, workers=2 gives each
     unit's shifts 2 lanes, as each of two forked workers had: the share is
-    read before the units' pinned region, inside which the count reads 1.
+    the ambient count's also while another unit's pin holds the count at 1.
     The ambient count comes back after the run."""
     if spectral._lapack() is None:
         pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")

@@ -203,8 +203,106 @@ def test_an_interrupt_on_the_calling_lane_stops_the_other_lanes():
         done.append(i)
 
     with pytest.raises(KeyboardInterrupt):
-        spectral._on_lanes(run, list(range(400)), 2, 8)
+        spectral._on_lanes(run, list(range(400)), 2)
     assert len(done) < 100
+
+
+def test_threads_pinning_at_once_leave_the_ambient_count(at_ambient_threads):
+    """Two threads of a library caller, each taking five eigensolves at
+    n = 200, leave OpenBLAS at the ambient count after every one of 20
+    trials: no pin saves another thread's 1 as the count to restore."""
+    get_threads = spectral._openblas()[0]
+    m = np.random.default_rng(3).standard_normal((200, 200)).astype(complex)
+
+    def solve():
+        for _ in range(5):
+            eigenvalues(m)
+
+    def trial():
+        threads = [threading.Thread(target=solve) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        return get_threads()
+
+    assert [at_ambient_threads(2, trial) for _ in range(20)] == [2] * 20
+
+
+def test_a_pin_holds_after_another_threads_pin_closes(at_ambient_threads):
+    """A thread that pins while another thread's pin is open still runs on
+    one BLAS thread once that earlier pin closes, and reads the ambient
+    count through blas_thread_count; the last pin to close restores it."""
+    get_threads = spectral._openblas()[0]
+    opened, close = threading.Event(), threading.Event()
+
+    def other():
+        with spectral._pinned(8):
+            opened.set()
+            close.wait(10)
+
+    def overlap():
+        helper = threading.Thread(target=other)
+        helper.start()
+        assert opened.wait(10)
+        with spectral._pinned(8):
+            close.set()
+            helper.join(10)
+            assert not helper.is_alive()
+            inside = get_threads(), spectral.blas_thread_count()
+        return inside, get_threads()
+
+    assert at_ambient_threads(2, overlap) == ((1, 2), 2)
+
+
+def test_pins_on_more_threads_than_cores_under_fast_switching(at_ambient_threads):
+    """Eight threads, switching every microsecond, each open and close
+    pins 300 times, nested one deep: every block reads one BLAS thread,
+    and the ambient count comes back once all have ended."""
+    get_threads = spectral._openblas()[0]
+    seen = []
+
+    def pin_often():
+        for _ in range(300):
+            with spectral._pinned(8):
+                with spectral._pinned(8):
+                    seen.append(get_threads())
+                seen.append(get_threads())
+
+    def run():
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        return get_threads()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert at_ambient_threads(2, run) == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8 * 600 and set(seen) == {1}
+
+
+def test_lane_share_is_the_same_inside_a_pin(at_ambient_threads):
+    """_lanes reads the ambient count inside a pin, where OpenBLAS reads 1,
+    so a unit run inside another's pin gets the same share of threads."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    cases = [(n, shifts, workers) for n in (8, 400, 401)
+             for shifts in (1, 2, 9) for workers in (1, 2, 3)]
+
+    def shares():
+        outside = [spectral._lanes(*case) for case in cases]
+        with spectral._pinned(8):
+            return outside, [spectral._lanes(*case) for case in cases]
+
+    outside, inside = at_ambient_threads(2, shares)
+    assert inside == outside and max(outside) == 2
 
 
 def test_shifted_flags_a_singular_shift():
