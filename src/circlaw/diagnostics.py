@@ -259,7 +259,8 @@ def verify_rank_inequality(a, b) -> RankCheck:
     with np.errstate(over="ignore", invalid="ignore"):  # numerical_rank rejects inf
         difference = a - b
     bound = ensemble.numerical_rank(difference) / rows
-    return RankCheck(ks=ks, bound=bound, holds=bool(ks <= bound + RANK_SLACK))
+    holds = ROW_CHECKS["rank_inequality"].holds(ks, bound)
+    return RankCheck(ks=ks, bound=bound, holds=bool(holds))
 
 
 def delta_scan(pair: ensemble.AssembledPair, grid: ZGrid) -> list[DeltaDiagnostics]:
@@ -444,8 +445,8 @@ class BumpFunction:
         object.__setattr__(self, "radius", _positive(self.radius, "bump radius"))
         object.__setattr__(self, "amplitude", _finite(self.amplitude, "bump amplitude"))
 
-    def _u(self, z: np.ndarray) -> np.ndarray:
-        d = np.asarray(z, dtype=np.complex128) - self.center
+    def _u(self, z) -> np.ndarray:
+        d = spectral._numbers(z, "bump argument").astype(np.complex128, copy=False) - self.center
         return (d.real * d.real + d.imag * d.imag) / (self.radius * self.radius)
 
     def value(self, z) -> np.ndarray:
@@ -496,9 +497,12 @@ def green_identity_residual(
     midpoint Riemann sum of laplacian(f) * log|P| over the domain, scaled by
     1/(2 pi), with P the monic polynomial having the given roots. Grid nodes
     within grid_step/2 of a root are skipped; the log singularity there is
-    integrable, so the skip contributes O(h^2 log h) to the residual.
+    integrable, so the skip contributes O(h^2 log h) to the residual. The
+    roots are a 1-d array of numbers by the one rule (spectral._numbers).
     """
-    roots_arr = np.asarray(list(roots), dtype=np.complex128)
+    roots_arr = spectral._numbers(roots, "roots")
+    if roots_arr.ndim != 1:
+        raise ShapeError(f"roots must form a 1-d array, got shape {roots_arr.shape}")
     if roots_arr.size == 0:
         raise ValidationError("at least one root is required")
     if not np.isfinite(roots_arr).all():

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .spectral import _as_matrix, _blas, _svd_values
+from .spectral import _as_matrix, _blas, _svd_values, check_dimension
 
 __all__ = [
     "DISTRIBUTION_KINDS",
@@ -179,9 +179,9 @@ class EntryDistribution:
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """An n-by-n draw of i.i.d. standardized entries, stored as a writeable
-    C-contiguous complex128 array; other input (another dtype, read-only, or
-    a transpose) is copied once. scaled (and so assemble) spends the entries."""
+    """An n-by-n draw of i.i.d. standardized entries, taken by the one input
+    rule (spectral._as_matrix) and stored writeable, a read-only array copied
+    once. scaled (and so assemble) spends the entries."""
 
     dim: int
     entries: np.ndarray
@@ -189,13 +189,12 @@ class MatrixSample:
     distribution: EntryDistribution
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.require(self.entries, np.complex128, "CW"))
-        if self.entries.shape != (self.dim, self.dim):
-            raise ShapeError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}"
-            )
-        if not np.isfinite(self.entries).all():
-            raise InvalidValueError("matrix sample contains non-finite entries")
+        entries = _as_matrix(self.entries)
+        if not entries.flags.writeable:
+            entries = entries.copy()
+        object.__setattr__(self, "entries", entries)
+        if entries.shape != (self.dim, self.dim):
+            raise ShapeError(f"entries shape {entries.shape} does not match dim {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -380,10 +379,12 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     return bitwise-identical matrices, and rows may be generated in any
     order. One Philox serves every row: setting its state to a row's key
     (_row_keys) and a zero counter starts the stream Philox(that
-    SeedSequence) would, without building a bit generator per row.
+    SeedSequence) would, without building a bit generator per row. An n
+    above the dense-solve cap is rejected before anything is drawn.
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
+    check_dimension(n)
     _check_seed(seed)
     fill = _DISTRIBUTIONS[dist.kind][0]
     entries = np.zeros((n, n), dtype=np.complex128)
@@ -448,9 +449,10 @@ def read_matrix_csv(path, n: int) -> np.ndarray:
     return m
 
 
-def write_matrix_csv(path, m: np.ndarray) -> None:
-    """Write nonzero entries of a complex matrix as ``j,k,re,im`` rows."""
-    m = np.asarray(m, dtype=np.complex128)
+def write_matrix_csv(path, m) -> None:
+    """Write nonzero entries of a matrix, taken by the one input rule
+    (spectral._as_matrix), as ``j,k,re,im`` rows that read_matrix_csv reads."""
+    m = _as_matrix(m, square=False)
     lines = []
     for j in range(m.shape[0]):
         for k in range(m.shape[1]):

@@ -84,19 +84,20 @@ def check_dimension(n: int) -> None:
 
 
 # Largest matrix side whose BLAS and LAPACK calls run on one thread (_pinned).
-# The table predates lanes: an earlier unit's calls on one thread, 1 eigvals +
-# 3 SVDs + 2 slogdet (now 2 SVDs and 2 LUs per shift), 2-core, OpenBLAS 0.3.31:
+# A unit's calls at one shift (B's eigensolve, the SVD and LU of A - zI and of
+# B - zI), timed by timeit on a 2-core box, OpenBLAS 0.3.31: the range of the
+# medians of three timings, 7 runs each (3 at n = 1000, timed once):
 #
-#      n    1 thread: wall / CPU    2 threads: wall / CPU
-#    200    0.11 / 0.11 s           0.12 / 0.23 s
-#    400    0.54-0.56 / 0.54 s      0.54-0.60 / 1.05 s
-#    500    0.98-1.05 s             0.88-0.90 s
-#   1000    5.5-5.8 s               4.35-4.43 s
+#      n    1 thread: wall / CPU        2 threads: wall / CPU
+#    200    0.065-0.067 / 0.065 s       0.065-0.077 / 0.13 s
+#    400    0.31-0.43 / 0.39-0.42 s     0.29-0.42 / 0.57-0.83 s
+#    500    0.56-0.75 / 0.56-0.71 s     0.53-0.69 / 1.06-1.35 s
+#   1000    4.2 / 4.2 s                 3.1 / 6.1 s
 #
-# Up to 400 a second thread spins without shortening the wall time; above
-# it the second thread pays. LAPACK results depend on the thread count in
-# their last bits, so one thread also makes the bytes at n <= 400 the same
-# at any ambient thread count.
+# Up to 400 a second thread doubles the CPU for no steady gain in wall time;
+# above it the second thread starts to pay. LAPACK results depend on the
+# thread count in their last bits, so one thread also makes the bytes at
+# n <= 400 the same at any ambient thread count.
 BLAS_PIN_MAX_DIM = 400
 
 
@@ -231,15 +232,9 @@ def _lanes(n: int, shifts: int, workers: int = 1) -> int:
 
 
 def _check_finite(m: np.ndarray) -> None:
-    """The one scan of a matrix for non-finite entries."""
+    """The scan of a caller's matrix, or a lane's shifted diagonal, for inf and NaN."""
     if not np.isfinite(m).all():
         raise InvalidValueError("matrix contains non-finite entries")
-
-
-def _check_entries(m: np.ndarray) -> None:
-    """The finiteness scan and the size cap."""
-    _check_finite(m)
-    check_dimension(max(m.shape))
 
 
 def _numbers(values, what: str, value_error=InvalidValueError,
@@ -259,15 +254,16 @@ def _numbers(values, what: str, value_error=InvalidValueError,
 
 
 def _as_matrix(a, square: bool = True) -> np.ndarray:
-    """a as a finite C-contiguous complex128 matrix of numbers (_numbers),
-    copied only when it is not one, so every layout of the same entries
-    gives the same bytes."""
+    """The one input rule for a caller's matrix: a finite C-contiguous
+    complex128 matrix of numbers (_numbers) within the cap, copied only when
+    it is not one, so every layout of the same entries gives the same bytes."""
     m = np.asarray(_numbers(a, "matrix entries"), dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    _check_entries(m)
+    _check_finite(m)
+    check_dimension(max(m.shape))
     return m
 
 
@@ -387,7 +383,7 @@ class _Lane:
 
     def fill(self, m: np.ndarray, z: complex) -> None:
         """The buffer as m - z*I: the one subtraction a shifted copy makes.
-        An overflow to inf is left to _check_finite."""
+        An overflow to inf, or a non-finite z, is left to factor."""
         self.a[...] = m
         with np.errstate(over="ignore", invalid="ignore"):
             self._diagonal -= z
@@ -451,9 +447,10 @@ class _Lane:
         return w
 
     def factor(self, m: np.ndarray, z: complex) -> ShiftedSpectrum:
-        """m - z*I scanned once, then in one pin its SVD and, refilled, its LU."""
+        """m - z*I with its diagonal scanned (m was checked by _as_matrix),
+        then in one pin its SVD and, refilled, its LU."""
         self.fill(m, z)
-        _check_finite(self.a)
+        _check_finite(self._diagonal)
         with _pinned(self.a.shape[0]):
             sv = self.svd_values()
             self.fill(m, z)
@@ -504,22 +501,18 @@ def _on_lanes(run, items: list, lanes: int, start=lambda: None) -> list:
     return out
 
 
-def shifted(m: np.ndarray, z, lanes: int | None = None):
+def shifted(m, z, lanes: int | None = None):
     """The singular values and LU log|det| of m - z*I, at one shift z or at
     each of a sequence of shifts: one ShiftedSpectrum, or a list of them in
-    the order of z. m is a square complex128 array and is only read. Each
-    shift is written into a lane's working buffer (_Lane), scanned for
-    non-finite entries once and factored there. The shifts run on `lanes`
-    threads (_on_lanes), by default _lanes(n, shifts), every LAPACK call on
-    one BLAS thread at n <= BLAS_PIN_MAX_DIM, so the values are the same at
-    any lane count. They are those of singular_values and log_abs_det_lu on
-    a shifted copy, unless a zero singular value makes it singular."""
-    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
-            and m.ndim == 2 and m.shape[0] == m.shape[1]):
-        raise ShapeError("shifted needs a square complex128 array, got "
-                         f"{type(m).__name__} {getattr(m, 'shape', '')}")
+    the order of z. m is taken by the one input rule (_as_matrix) and only
+    read. Each shift is written into a lane's working buffer (_Lane) and
+    factored there. The shifts run on `lanes` threads (_on_lanes), by
+    default _lanes(n, shifts), every LAPACK call on one BLAS thread at
+    n <= BLAS_PIN_MAX_DIM, so the values are the same at any lane count.
+    They are those of singular_values and log_abs_det_lu on a shifted copy,
+    unless a zero singular value makes it singular."""
+    m = _as_matrix(m)
     n = m.shape[0]
-    check_dimension(n)
     one = np.ndim(z) == 0
     points = [complex(z)] if one else [complex(p) for p in z]
     spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,

@@ -567,6 +567,15 @@ def test_green_identity_validation():
         green_identity_residual([0j], b, 0.5, rect)
     with pytest.raises(DomainError):
         green_identity_residual([0j], b, 0.01, Rectangle(-0.8, 0.8, -0.8, 0.8))
+    # the roots follow the one number rule, as a 1-d array
+    for roots in (["a"], [True], ["0.5"], [0j, None]):
+        with pytest.raises(InvalidValueError, match="roots must be numbers"):
+            green_identity_residual(roots, b, 0.01, rect)
+    with pytest.raises(ShapeError, match="ragged"):
+        green_identity_residual([[0j, 0.5j], [0j]], b, 0.01, rect)
+    for roots in ([[0j], [0.5j]], 0j):
+        with pytest.raises(ShapeError, match="1-d"):
+            green_identity_residual(roots, b, 0.01, rect)
 
 
 def test_poly_matches_power_sum():

@@ -637,6 +637,25 @@ def test_disk_csv_bulk_max_modulus_is_the_units_largest_bulk_modulus(
         assert row["bulk_max_modulus"] == repr(float(np.max(np.abs(bulk))))
 
 
+def test_disk_of_an_empty_bulk_is_nan():
+    """n = 1 with rank 1: the one eigenvalue is the outlier, so no bulk is
+    left and its distances and largest modulus are NaN."""
+    record = harness._disk(np.array([[2.0 + 0j]]), 1, 1, 0)
+    assert record.top_eigen_modulus == 2.0
+    assert all(math.isnan(v) for v in (record.radial_ks, record.angular_ks,
+                                       record.bulk_max_modulus))
+
+
+def test_disk_of_an_exact_zero_bulk_atom_has_no_angle():
+    """B = diag(3, 0) with rank 1: the bulk is the atom 0, whose argument is
+    undefined, so the angular distance is NaN; all its mass sits at radius 0,
+    so the radial distance is 1."""
+    record = harness._disk(np.diag([3.0, 0.0]).astype(complex), 1, 2, 0)
+    assert (record.top_eigen_modulus, record.bulk_max_modulus, record.radial_ks) == \
+        (3.0, 0.0, 1.0)
+    assert math.isnan(record.angular_ks)
+
+
 def test_build_pair_holds_two_dense_matrices(tmp_path, traced_peak):
     """build_pair allocates X, which becomes A, and B: two n-by-n complex
     arrays, not three. A first draw imports modules lazily, so one unit
@@ -1003,6 +1022,14 @@ def test_cli_run(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "report.json").exists()
     assert "rows" in out
+
+
+def test_cli_run_dist_overrides_the_config_distribution(tmp_path, capsys):
+    """--dist replaces the config's law, and report.json echoes the new one."""
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main(["run", "--config", str(path), "--dist", "rademacher"]) == 0
+    obj = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert obj["config"]["distribution"] == "rademacher"
 
 
 def test_cli_run_zero_scale_all_ones_has_no_constant_case(tmp_path, capsys):

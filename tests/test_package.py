@@ -35,6 +35,14 @@ def test_every_all_name_exists(layer):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_readme_library_use_runs_as_written():
+    """The README's "Library use" code block runs as written, so the
+    documented example cannot go stale."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+
+
 def test_import_loads_neither_multiprocessing_nor_numpy_polynomial():
     """A fresh `import circlaw.cli` loads only what every command needs:
     run_units runs units on threads, never in processes, and the lemma

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from circlaw import (
+    EntryDistribution,
     InvalidValueError,
+    MatrixSample,
     NumericalConsistencyError,
     ShapeError,
     ValidationError,
@@ -24,7 +26,7 @@ from circlaw import (
     verify_rank_inequality,
 )
 from circlaw import spectral
-from circlaw.ensemble import numerical_rank
+from circlaw.ensemble import numerical_rank, sample_matrix
 
 
 def test_shifted_in_place_matches_shifted_and_restores(monkeypatch, shifted, lapack_calls):
@@ -52,17 +54,20 @@ def test_shifted_in_place_matches_shifted_and_restores(monkeypatch, shifted, lap
 
 
 @pytest.mark.parametrize("m", [
-    np.zeros((2, 3), dtype=complex),
-    np.zeros(4, dtype=complex),
-    np.zeros((3, 3)),
-    np.zeros((3, 3), dtype=np.complex64),
+    np.eye(3),
+    np.arange(9).reshape(3, 3),
+    np.arange(9.0).reshape(3, 3).astype(np.complex64),
     [[1.0 + 0j]],
+    [[2, 1], [0, 3]],
 ])
 def test_shifted_in_place_rejects_other_than_square_complex128(m):
-    """shifted reads m as it is, so it takes only a square complex128 array,
-    as the in-place shift it replaced did."""
-    with pytest.raises(ShapeError, match="square complex128"):
-        spectral.shifted(m, 1.0)
+    """A real, integer, complex64 or list m gives the bytes of its complex128
+    copy: shifted takes m by the one input rule. (Named for the type test
+    kept from the in-place shift, which rejected all of these; its non-2-d
+    and non-square cases are test_rejects_non_square's.)"""
+    z = [0.5, 1.0 - 2.0j]
+    expected = spectral.shifted(np.array(m, dtype=np.complex128), z)
+    assert pickle.dumps(spectral.shifted(m, z)) == pickle.dumps(expected)
 
 
 def test_shifted_equals_the_checked_functions_on_a_shifted_copy(shifted):
@@ -118,6 +123,21 @@ def test_lanes_are_bitwise_numpys_route(monkeypatch, at_ambient_threads, n):
 
     for threads in (1, 2):
         at_ambient_threads(threads, compare)
+
+
+def test_lane_lu_of_a_pivot_beyond_a_float_is_numpys_verdict(monkeypatch):
+    """A pivot whose modulus exceeds a float, though both its parts are
+    finite: the lane's log|det| sum overflows, and its verdict is numpy's
+    route's, singular with log|det| -inf."""
+    m = spectral._as_matrix(np.diag([1.5e308 * (1 + 1j), 1.0]))
+
+    def verdict():
+        lane = spectral._Lane(2, spectral._lapack())
+        lane.fill(m, 0.0)
+        with np.errstate(over="ignore"):
+            return spectral._log_abs_det(lane.lu_log_abs_det())
+
+    assert verdict() == _numpy_route(monkeypatch, verdict) == (-np.inf, True)
 
 
 def test_lanes_run_pinned_and_leave_no_thread(lapack_calls, at_ambient_threads):
@@ -586,6 +606,10 @@ def test_rejects_non_square():
         summarize(np.ones((2, 3)))
     with pytest.raises(ShapeError):
         eigenvalues(np.ones(4))
+    with pytest.raises(ShapeError, match="square"):
+        spectral.shifted(np.zeros((2, 3), dtype=complex), 1.0)
+    with pytest.raises(ShapeError, match="2-d"):
+        spectral.shifted(np.zeros(4, dtype=complex), 1.0)
 
 
 def test_rejects_non_finite():
@@ -596,8 +620,20 @@ def test_rejects_non_finite():
         singular_values(m)
 
 
+def shifted_spectrum(m):
+    """spectral.shifted at one shift, as a function of the matrix alone."""
+    return spectral.shifted(m, 0.5 + 0.5j)
+
+
+def matrix_sample(m):
+    """A MatrixSample of the entries m, at their row count."""
+    return MatrixSample(dim=len(m), entries=m, seed=0,
+                        distribution=EntryDistribution.parse("complex-gaussian"))
+
+
 @pytest.mark.parametrize("fn", [eigenvalues, singular_values, log_abs_det_lu, summarize,
-                                numerical_rank], ids=lambda fn: fn.__name__)
+                                numerical_rank, shifted_spectrum, matrix_sample],
+                         ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("entries", [[["1", "0"], ["0", "2"]], [[True, False], [False, True]],
                                      [["a", "b"], ["c", "d"]], [[1.0, None], [0.0, 1.0]]],
                          ids=["numeric-strings", "bools", "strings", "none"])
@@ -608,8 +644,8 @@ def test_matrix_entries_must_be_numbers(fn, entries):
         fn(entries)
 
 
-@pytest.mark.parametrize("fn", [eigenvalues, singular_values, verify_rank_inequality],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [eigenvalues, singular_values, verify_rank_inequality,
+                                shifted_spectrum, matrix_sample], ids=lambda fn: fn.__name__)
 def test_a_ragged_matrix_is_a_shape_error(fn):
     args = ([[1.0, 2.0], [3.0]],) * (2 if fn is verify_rank_inequality else 1)
     with pytest.raises(ShapeError, match="regular array, got a ragged nesting"):
@@ -620,7 +656,8 @@ _RNG = np.random.default_rng(21)
 _M = _RNG.standard_normal((16, 16)) + 1j * _RNG.standard_normal((16, 16))
 _N = _M + np.outer(_RNG.standard_normal(16), np.ones(16))
 _LAYOUT_CASES = [(eigenvalues, 1), (singular_values, 1), (log_abs_det_lu, 1),
-                 (summarize, 1), (check_weyl, 1), (verify_rank_inequality, 2)]
+                 (summarize, 1), (check_weyl, 1), (verify_rank_inequality, 2),
+                 (shifted_spectrum, 1), (matrix_sample, 1)]
 
 
 @pytest.mark.parametrize("fn, arity", _LAYOUT_CASES,
@@ -641,6 +678,13 @@ def test_dimension_cap(monkeypatch):
     assert max_dimension() == 10
     with pytest.raises(ValidationError):
         eigenvalues(np.eye(11))
+    # shifted, a sample's entries and a draw take the same cap
+    with pytest.raises(ValidationError):
+        spectral.shifted(np.eye(11), 0.5)
+    with pytest.raises(ValidationError):
+        matrix_sample(np.eye(11))
+    with pytest.raises(ValidationError):
+        sample_matrix(EntryDistribution.parse("complex-gaussian"), 11, 0)
     # at the cap is fine
     assert eigenvalues(np.eye(10)).shape == (10,)
     monkeypatch.delenv("CIRCLAW_MAX_N")
