@@ -49,6 +49,16 @@ def _atoms(values, dtype, label: str) -> np.ndarray:
     return a
 
 
+def _reals(values, what: str, error) -> np.ndarray:
+    """values as an array of real numbers by the package's one rule
+    (spectral._numbers); anything else, complex numbers included, raises
+    error."""
+    a = _numbers(values, what, error, error)
+    if a.dtype.kind == "c":
+        raise error(f"{what} must be real, got complex values")
+    return a
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure1D:
     """Uniform-weight atoms on the real line, stored sorted."""
@@ -134,9 +144,14 @@ def ibp_difference(
     piecewise sum over the merged-atom partition: on each piece the CDF
     difference is constant and the integral of f' is an f increment, so no
     numeric quadrature is involved. (The boundary terms vanish because both
-    CDFs agree at the last atom and are zero before the first.)
+    CDFs agree at the last atom and are zero before the first.) The
+    interval must be two real numbers (DomainError), and f's values real
+    numbers (MeasureError).
     """
-    alpha, beta = float(interval[0]), float(interval[1])
+    ends = _reals(interval, "interval ends", DomainError)
+    if ends.shape != (2,):
+        raise DomainError(f"interval must be two numbers, got shape {ends.shape}")
+    alpha, beta = float(ends[0]), float(ends[1])
     if not alpha < beta:
         raise DomainError(f"interval [{alpha}, {beta}] is empty")
     for m in (mu, nu):
@@ -146,17 +161,20 @@ def ibp_difference(
                 f"[{alpha}, {beta}]"
             )
 
-    lhs = float(np.mean(f(mu.atoms)) - np.mean(f(nu.atoms)))
+    def f_of(x):
+        return _reals(f(x), "f's values", MeasureError)
+
+    lhs = float(np.mean(f_of(mu.atoms)) - np.mean(f_of(nu.atoms)))
 
     cuts = np.unique(np.concatenate([mu.atoms, nu.atoms]))
     diff = _ecdf(mu, cuts) - _ecdf(nu, cuts)
-    f_cuts = np.asarray(f(cuts), dtype=np.float64)
+    f_cuts = f_of(cuts).astype(np.float64, copy=False)
     # Difference vanishes beyond the last atom, so the piece reaching beta
     # contributes nothing; pieces before the first atom carry zero difference.
     rhs = -float(np.sum(diff[:-1] * (f_cuts[1:] - f_cuts[:-1])))
 
     ks = float(np.max(np.abs(diff)))
-    f_alpha, f_beta = (float(v) for v in f(np.array([alpha, beta])))
+    f_alpha, f_beta = (float(v) for v in f_of(np.array([alpha, beta])))
     bound = (f_beta - f_alpha) * ks
     return IbpResult(lhs=lhs, rhs=rhs, bound=bound)
 

@@ -7,10 +7,9 @@ LU-factorization value; disagreement is an internal-consistency error.
 
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
-of every BLAS and LAPACK call in the package, least squares included: each
-goes through `_blas`, or runs on a lane (`_Lane`), and pins itself to one
-thread when its matrix has no side above BLAS_PIN_MAX_DIM (`_pinned`, a
-region counted across threads). A lane calls numpy's own OpenBLAS LAPACK
+of every BLAS and LAPACK call in the package, least squares and the lanes'
+included: each goes through `_blas`, its one pin site (`_pinned`, a region
+counted across threads). A lane (`_Lane`) calls numpy's own OpenBLAS LAPACK
 by ctypes, without the GIL, so lanes run a matrix's shifts, or whole units
 (`_on_lanes`), on parallel threads, bitwise np.linalg's values.
 """
@@ -213,10 +212,13 @@ def _pinned(n: int):
                 set_threads(_pins_ambient)
 
 
-def _blas(fn, m: np.ndarray, *args, **kwargs):
-    """fn(m, *args, **kwargs), pinned by the largest side of m (_pinned)."""
+def _blas(fn, *args, **kwargs):
+    """fn(*args, **kwargs), pinned by the largest side of its first array
+    argument (_pinned): a numpy function's matrix, or the n-by-n buffer of a
+    lane's LAPACK routine, first in zgesdd's, zgetrf's and zgeev's orders."""
+    m = next(a for a in args if isinstance(a, np.ndarray))
     with _pinned(max(m.shape)):
-        return fn(m, *args, **kwargs)
+        return fn(*args, **kwargs)
 
 
 def _lanes(n: int, shifts: int, workers: int = 1) -> int:
@@ -232,8 +234,9 @@ def _lanes(n: int, shifts: int, workers: int = 1) -> int:
 
 
 def _check_finite(m: np.ndarray) -> None:
-    """The scan of a caller's matrix, or a lane's shifted diagonal, for inf and NaN."""
-    if not np.isfinite(m).all():
+    """The scan of a caller's matrix, or a lane's shifted diagonal, for inf,
+    NaN and an entry whose modulus overflows a float."""
+    if not np.isfinite(np.abs(m)).all():
         raise InvalidValueError("matrix contains non-finite entries")
 
 
@@ -351,9 +354,9 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
 
 class _Lane:
     """One lane: a Fortran-order n-by-n working buffer, into which each
-    shift m - z*I, or m for an eigensolve, is written, and LAPACK's pinned
-    calls on it. The SVD workspace is sized at the first SVD by an lwork =
-    -1 query, as numpy's svd queries, and is held only through each SVD.
+    shift m - z*I, or m for an eigensolve, is written, and LAPACK's calls on
+    it, each through _blas. The SVD workspace is sized at the first SVD by
+    an lwork = -1 query, as numpy's svd's, and is held only through each SVD.
     Without a lapack handle numpy's functions run instead. A lane calls
     private functions only: perfbench's tracer, which wraps the public ones,
     keeps one span stack and is not thread-safe."""
@@ -372,8 +375,7 @@ class _Lane:
     def lwork(self) -> int:
         """The SVD's work length, queried once, by an lwork = -1 call."""
         query = np.empty(1, dtype=np.complex128)
-        with _pinned(self.a.shape[0]):
-            self._gesdd(np.empty(self.a.shape[0]), query, -1)
+        self._gesdd(np.empty(self.a.shape[0]), query, -1)
         return max(1, int(query[0].real))
 
     def workspace_nbytes(self) -> int:
@@ -390,9 +392,9 @@ class _Lane:
 
     def _gesdd(self, s: np.ndarray, work: np.ndarray, lwork: int) -> None:
         n = self.a.shape[0]
-        self.lapack.zgesdd(b"N", self._n, self._n, self.a, self._ld, s, work,
-                           self._one, work, self._one, work, ctypes.c_int64(lwork),
-                           np.empty(7 * n), np.empty(8 * n, dtype=np.int64), self._info)
+        _blas(self.lapack.zgesdd, b"N", self._n, self._n, self.a, self._ld, s, work,
+              self._one, work, self._one, work, ctypes.c_int64(lwork),
+              np.empty(7 * n), np.empty(8 * n, dtype=np.int64), self._info)
 
     def svd_values(self) -> np.ndarray:
         """The buffer's singular values, nonincreasing; zgesdd overwrites
@@ -412,7 +414,7 @@ class _Lane:
         slogdet's bits (np.log and np.abs differ from them by an ulp)."""
         if self.lapack is None:
             return _lu_log_abs_det(self.a)
-        self.lapack.zgetrf(self._n, self._n, self.a, self._ld, self._ipiv, self._info)
+        _blas(self.lapack.zgetrf, self._n, self._n, self.a, self._ld, self._ipiv, self._info)
         if self._info.value != 0:  # a zero pivot, as numpy reads it
             return 0.0, -math.inf
         logdet = 0.0
@@ -434,27 +436,25 @@ class _Lane:
         w, rwork = np.empty(n, dtype=np.complex128), np.empty(2 * n)
 
         def geev(work: np.ndarray, lwork: int) -> None:
-            self.lapack.zgeev(b"N", b"N", self._n, self.a, self._ld, w, work, self._one,
-                              work, self._one, work, ctypes.c_int64(lwork), rwork, self._info)
+            _blas(self.lapack.zgeev, b"N", b"N", self._n, self.a, self._ld, w, work,
+                  self._one, work, self._one, work, ctypes.c_int64(lwork), rwork, self._info)
 
         query = np.empty(1, dtype=np.complex128)
-        with _pinned(n):
-            geev(query, -1)
-            lwork = max(1, int(query[0].real))
-            geev(np.empty(lwork, dtype=np.complex128), lwork)
+        geev(query, -1)
+        lwork = max(1, int(query[0].real))
+        geev(np.empty(lwork, dtype=np.complex128), lwork)
         if self._info.value != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return w
 
     def factor(self, m: np.ndarray, z: complex) -> ShiftedSpectrum:
         """m - z*I with its diagonal scanned (m was checked by _as_matrix),
-        then in one pin its SVD and, refilled, its LU."""
+        then its SVD and, refilled, its LU."""
         self.fill(m, z)
         _check_finite(self._diagonal)
-        with _pinned(self.a.shape[0]):
-            sv = self.svd_values()
-            self.fill(m, z)
-            log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
+        sv = self.svd_values()
+        self.fill(m, z)
+        log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
         return ShiftedSpectrum(z=z, singular_values=sv, log_abs_det=log_abs_det,
                                singular=singular)
 
@@ -505,16 +505,21 @@ def shifted(m, z, lanes: int | None = None):
     """The singular values and LU log|det| of m - z*I, at one shift z or at
     each of a sequence of shifts: one ShiftedSpectrum, or a list of them in
     the order of z. m is taken by the one input rule (_as_matrix) and only
-    read. Each shift is written into a lane's working buffer (_Lane) and
-    factored there. The shifts run on `lanes` threads (_on_lanes), by
-    default _lanes(n, shifts), every LAPACK call on one BLAS thread at
+    read, z by the number rule (_numbers) as a point or a 1-d sequence; a
+    non-finite point is found by the scan of its shifted diagonal. Each
+    shift is written into a lane's working buffer (_Lane) and factored
+    there. The shifts run on `lanes` threads (_on_lanes), by default
+    _lanes(n, shifts), every LAPACK call on one BLAS thread at
     n <= BLAS_PIN_MAX_DIM, so the values are the same at any lane count.
     They are those of singular_values and log_abs_det_lu on a shifted copy,
     unless a zero singular value makes it singular."""
     m = _as_matrix(m)
     n = m.shape[0]
-    one = np.ndim(z) == 0
-    points = [complex(z)] if one else [complex(p) for p in z]
+    shifts = _numbers(z, "shifts")
+    if shifts.ndim > 1:
+        raise ShapeError(f"shifts must be a point or a 1-d sequence, got shape {shifts.shape}")
+    one = shifts.ndim == 0
+    points = shifts.astype(np.complex128).reshape(-1).tolist()
     spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,
                         _lanes(n, len(points)) if lanes is None else lanes,
                         lambda: _Lane(n, _lapack()))

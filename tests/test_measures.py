@@ -211,11 +211,22 @@ def test_ibp_rejects_atoms_outside_interval():
 
 
 def test_ibp_rejects_empty_interval():
-    with pytest.raises(DomainError):
-        ibp_difference(
-            lambda x: np.asarray(x, dtype=float),
-            m1(1), m1(1), (2.0, 1.0),
-        )
+    """An empty interval, and one that is not two real numbers, where a
+    string and a bool were read as 0 and 1."""
+    for interval in ((2.0, 1.0), ("0", True), (0.0, 1.0j), (0.0, 1.0, 2.0)):
+        with pytest.raises(DomainError):
+            ibp_difference(
+                lambda x: np.asarray(x, dtype=float),
+                m1(1), m1(1), interval,
+            )
+
+
+@pytest.mark.parametrize("f", [lambda x: x + 1j * x, lambda x: x.astype(str),
+                               lambda x: x > 0], ids=["complex", "strings", "bools"])
+def test_ibp_rejects_values_of_f_that_are_not_real_numbers(f):
+    """A complex f lost its imaginary part to a ComplexWarning."""
+    with pytest.raises(MeasureError, match="f's values must be"):
+        ibp_difference(f, m1(0.1, 0.5), m1(0.2, 0.6), (0.0, 1.0))
 
 
 def test_log_integral_examples():

@@ -127,9 +127,11 @@ def test_lanes_are_bitwise_numpys_route(monkeypatch, at_ambient_threads, n):
 
 def test_lane_lu_of_a_pivot_beyond_a_float_is_numpys_verdict(monkeypatch):
     """A pivot whose modulus exceeds a float, though both its parts are
-    finite: the lane's log|det| sum overflows, and its verdict is numpy's
-    route's, singular with log|det| -inf."""
-    m = spectral._as_matrix(np.diag([1.5e308 * (1 + 1j), 1.0]))
+    finite, from entries whose moduli do not: the lane's log|det| sum
+    overflows, and its verdict is numpy's route's, singular with log|det|
+    -inf."""
+    c = 0.75e308 * (1 + 1j)
+    m = spectral._as_matrix([[1, -c], [1, c]])
 
     def verdict():
         lane = spectral._Lane(2, spectral._lapack())
@@ -613,16 +615,24 @@ def test_rejects_non_square():
 
 
 def test_rejects_non_finite():
-    m = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(InvalidValueError):
-        eigenvalues(m)
-    with pytest.raises(InvalidValueError):
-        singular_values(m)
+    """NaN, and an entry whose parts are finite but whose modulus is not:
+    summarize gave NaN eigenvalues for it, and the LU a false singular."""
+    for entry in (np.nan, 1.5e308 * (1 + 1j)):
+        m = np.array([[1.0, entry], [0.0, 1.0]])
+        for fn in (eigenvalues, singular_values, summarize, log_abs_det_lu,
+                   shifted_spectrum):
+            with pytest.raises(InvalidValueError, match="non-finite"):
+                fn(m)
 
 
 def shifted_spectrum(m):
     """spectral.shifted at one shift, as a function of the matrix alone."""
     return spectral.shifted(m, 0.5 + 0.5j)
+
+
+def shifts_of_the_identity(z):
+    """spectral.shifted of the 2-by-2 identity at the shifts z."""
+    return spectral.shifted(np.eye(2), z)
 
 
 def matrix_sample(m):
@@ -632,20 +642,34 @@ def matrix_sample(m):
 
 
 @pytest.mark.parametrize("fn", [eigenvalues, singular_values, log_abs_det_lu, summarize,
-                                numerical_rank, shifted_spectrum, matrix_sample],
+                                numerical_rank, shifted_spectrum, matrix_sample,
+                                shifts_of_the_identity],
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("entries", [[["1", "0"], ["0", "2"]], [[True, False], [False, True]],
                                      [["a", "b"], ["c", "d"]], [[1.0, None], [0.0, 1.0]]],
                          ids=["numeric-strings", "bools", "strings", "none"])
 def test_matrix_entries_must_be_numbers(fn, entries):
     """The measures' number rule: no string, bool or object is read as a
-    number, where complex128 conversion took '1' as 1 and True as 1."""
-    with pytest.raises(InvalidValueError, match="entries must be numbers"):
+    number, where complex128 conversion took '1' as 1 and True as 1; nor as
+    a shift."""
+    what = "shifts" if fn is shifts_of_the_identity else "entries"
+    with pytest.raises(InvalidValueError, match=f"{what} must be numbers"):
         fn(entries)
 
 
+def test_shifts_are_numbers_as_a_point_or_a_1d_sequence():
+    """shifted took '0.5' as 0.5 and True as 1, and [[0.5]] raised a raw
+    TypeError."""
+    for z in ("0.5", True):
+        with pytest.raises(InvalidValueError, match="shifts must be numbers"):
+            shifts_of_the_identity(z)
+    with pytest.raises(ShapeError, match="1-d sequence, got shape"):
+        shifts_of_the_identity([[0.5]])
+
+
 @pytest.mark.parametrize("fn", [eigenvalues, singular_values, verify_rank_inequality,
-                                shifted_spectrum, matrix_sample], ids=lambda fn: fn.__name__)
+                                shifted_spectrum, matrix_sample, shifts_of_the_identity],
+                         ids=lambda fn: fn.__name__)
 def test_a_ragged_matrix_is_a_shape_error(fn):
     args = ([[1.0, 2.0], [3.0]],) * (2 if fn is verify_rank_inequality else 1)
     with pytest.raises(ShapeError, match="regular array, got a ragged nesting"):
