@@ -60,6 +60,8 @@ def _build_parser() -> _Parser:
                        help="override dims with a single dimension")
         p.add_argument("--dist", default=None, help="override distribution")
         p.add_argument("--out", default=None, help="override output_dir")
+        p.add_argument("--workers", type=int, default=1,
+                       help="units run at a time on threads")
 
     p = sub.add_parser("delta-scan", help="log-determinant gap scan over a z grid")
     add_config_args(p)
@@ -82,13 +84,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="full experiment with CSV/JSON reports")
     add_config_args(p)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
     return parser
 
 
 def _load_config(args) -> harness.ExperimentConfig:
+    """The config file with the command line's overrides; a bad --workers
+    is rejected first."""
+    harness._check_workers(args.workers)
     config = harness.load_config(args.config)
     changes = {}
     if args.seed is not None:
@@ -150,7 +154,7 @@ def _consistency_status(rows) -> int:
 def _cmd_delta_scan(args) -> int:
     config = _load_config(args)
     path = harness._output_dir(config) / "delta.csv"
-    units = harness.run_units(config, {"delta"})
+    units = harness.run_units(config, {"delta"}, args.workers)
     rows = [(u.dim, u.replicate, d) for u in units for d in u.diagnostics]
     harness.write_delta_csv(path, rows)
     summary = harness.consistency_section(rows)
@@ -166,7 +170,7 @@ def _cmd_delta_scan(args) -> int:
 def _cmd_circular_law(args) -> int:
     config = _load_config(args)
     path = harness._output_dir(config) / "disk.csv"
-    records = [u.disk for u in harness.run_units(config, {"disk"})]
+    records = [u.disk for u in harness.run_units(config, {"disk"}, args.workers)]
     harness.write_disk_csv(path, records)
     for dim in config.dims:
         rs = [r for r in records if r.dim == dim]
@@ -205,18 +209,27 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if report.total_violations == 0 else 2
 
 
+def _lane_note(config: harness.ExperimentConfig, n: int, workers: int) -> tuple[int, bool]:
+    """(lanes, overlapped) of a run unit at dim n: the threads its grid
+    shifts run on, and whether B's eigensolve takes one more beside them
+    (harness._overlaps)."""
+    return (spectral._lanes(n, len(config.z_grid), workers),
+            harness._overlaps(config, harness.STAGES, spectral._lane_share(n, workers)))
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    harness._check_workers(args.workers)
     n = config.dims[-1]
-    lanes = spectral._lanes(n, len(config.z_grid), args.workers)
+    lanes, overlapped = _lane_note(config, n, args.workers)
     held, units = harness._in_flight(config, args.workers)
+    copies = f"LAPACK's working copy on each of {lanes} lane{'s' * (lanes > 1)}"
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "
-          f"n={n} holds {harness.unit_dense_bytes(n, lanes) / 2**20:.3g} MiB "
-          f"dense (A or B, never both, and LAPACK's working copy on each of "
-          f"{lanes} lane{'s' * (lanes > 1)}); at most {held / 2**20:.3g} MiB "
-          f"in {units} unit{'s' * (units > 1)} in flight")
+          f"n={n} holds {harness.unit_dense_bytes(n, lanes) / 2**20:.3g} MiB dense "
+          + (f"(B, which its eigensolve factors in place on a spare lane, and {copies}, "
+             "into which A - zI is drawn)" if overlapped else
+             f"(A or B, never both, and {copies})")
+          + f"; at most {held / 2**20:.3g} MiB in {units} unit{'s' * (units > 1)} in flight")
     report = harness.run_experiment(config, workers=args.workers)
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")
@@ -228,11 +241,12 @@ def _cmd_run(args) -> int:
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     threads = spectral.blas_thread_count()
-    lanes = spectral._lanes(config.dims[0], len(config.z_grid), args.workers)
+    lanes, overlapped = _lane_note(config, config.dims[0], args.workers)
     print("  BLAS: " + ("unknown" if threads is None else
                         f"{threads} ambient threads, 1 per call on a matrix "
                         f"with no side above {spectral.BLAS_PIN_MAX_DIM}")
-          + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}")
+          + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}"
+          + (", and B's eigensolve on one more beside them" if overlapped else ""))
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

@@ -377,26 +377,39 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     counter-based Philox stream, keyed by SeedSequence(seed, spawn_key=(0, j)),
     and entry k consumes a fixed prefix of it. Two calls with equal arguments
     return bitwise-identical matrices, and rows may be generated in any
-    order. One Philox serves every row: setting its state to a row's key
-    (_row_keys) and a zero counter starts the stream Philox(that
-    SeedSequence) would, without building a bit generator per row. An n
-    above the dense-solve cap is rejected before anything is drawn.
+    order (see _draw). An n above the dense-solve cap is rejected before
+    anything is drawn.
     """
     if not _is_int(n) or n < 1:
         raise ShapeError(f"matrix dimension must be a positive integer, got {n!r}")
     check_dimension(n)
     _check_seed(seed)
+    entries = _draw(dist, seed, np.empty((n, n), dtype=np.complex128))
+    return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
+
+
+def _draw(dist: EntryDistribution, seed: int, out: np.ndarray) -> np.ndarray:
+    """sample_matrix's entries, written row by row into out, an n-by-n
+    complex128 array of any layout, whatever it held; returns out.
+
+    Each row is filled in one zeroed row array, so a real law's imaginary
+    parts stay 0, and copied into out. One Philox serves every row: setting
+    its state to a row's key (_row_keys) and a zero counter starts the
+    stream Philox(that SeedSequence) would, without building a bit
+    generator per row.
+    """
     fill = _DISTRIBUTIONS[dist.kind][0]
-    entries = np.zeros((n, n), dtype=np.complex128)
-    parts = entries.view(np.float64)
+    row = np.zeros(out.shape[1], dtype=np.complex128)
+    parts = row.view(np.float64)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for j, key in enumerate(_row_keys(seed, n)):
+    for j, key in enumerate(_row_keys(seed, out.shape[0])):
         state["state"]["key"] = key
         bit_generator.state = state
-        fill(rng, parts[j], dist.p)
-    return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
+        fill(rng, parts, dist.p)
+        out[j] = row
+    return out
 
 
 def _rank(s: np.ndarray) -> int:
@@ -558,9 +571,14 @@ def perturbed(x: MatrixSample, perturbation: Perturbation) -> np.ndarray:
 
 def scaled(x: MatrixSample) -> np.ndarray:
     """A = X/sqrt(n) in x's own array: x is spent, its entries become A."""
-    a = x.entries
-    a *= 1.0 / np.sqrt(float(x.dim))
-    return a
+    return _scale(x.entries)
+
+
+def _scale(x: np.ndarray) -> np.ndarray:
+    """An n-by-n X times 1/sqrt(n), in place, so X's array becomes A's;
+    returns it."""
+    x *= 1.0 / np.sqrt(float(x.shape[0]))
+    return x
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:

@@ -290,14 +290,18 @@ def disk_record(pair, dim: int, replicate: int) -> DiskRecord:
 
 
 def _disk(b: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord:
-    """Disc-law distances of the eigenvalues of B, one eigensolve.
+    """Disc-law distances of the eigenvalues of B, one eigensolve (_disk_of)."""
+    return _disk_of(spectral.eigenvalues(b), rank, dim, replicate)
+
+
+def _disk_of(eig: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord:
+    """Disc-law distances of B's eigenvalues eig, sorted by nonincreasing
+    modulus (spectral.eigenvalues).
 
     When the perturbation has rank >= 1 the single largest-modulus eigenvalue
     is excluded from the distances and reported as top_eigen_modulus. The
-    eigenvalues are sorted by nonincreasing modulus, so the bulk's first one
-    has its largest modulus.
+    bulk's first eigenvalue has its largest modulus.
     """
-    eig = spectral.eigenvalues(b)
     if rank >= 1:
         top_modulus = float(np.abs(eig[0]))
         bulk = eig[1:]
@@ -352,29 +356,42 @@ def lapack_work(config: ExperimentConfig) -> int:
 
 def unit_dense_bytes(n: int, lanes: int = 1) -> int:
     """What one unit at dim n holds densely at its peak, in n-by-n
-    complex128 matrices: the one matrix it factors, A or B, and the working
-    copy of each of its lanes (spectral.shifted), which LAPACK factors, or
-    the eigensolve's one copy of B; while B is formed, X and U V* (B's
-    array). A unit also keeps n singular values per grid point of B - zI
-    until A's pass. A run holds this once per unit in flight (_in_flight).
+    complex128 matrices: one matrix, B or A, and the working copy of each
+    of its lanes (spectral._Lane), which LAPACK factors; while B is formed,
+    X and U V* (B's array), and then B and its Fortran-order copy where B's
+    eigensolve overlaps the shifts (_run_unit). That eigensolve factors B
+    in place, and A - zI is drawn straight into the lanes' copies, so it
+    holds no more. A unit also keeps n singular values per grid point of
+    B - zI until A's pass. A run holds this once per unit in flight
+    (_in_flight).
     """
     return (1 + lanes) * 16 * n * n
 
 
 def _in_flight(config: ExperimentConfig, workers: int) -> tuple[int, int]:
     """(bytes, units): the most dense bytes run_units holds at once, with
-    unit_dense_bytes for each unit in flight, and their count: up to
-    `workers` at dims <= spectral.BLAS_PIN_MAX_DIM, one above it."""
+    unit_dense_bytes for each unit in flight, whichever schedule it takes,
+    and their count: up to `workers` at dims <= spectral.BLAS_PIN_MAX_DIM,
+    one above it."""
     pin, shifts = spectral.BLAS_PIN_MAX_DIM, len(config.z_grid)
     pinned = min(workers, config.replicates * sum(n <= pin for n in config.dims))
     return max((k * unit_dense_bytes(n, spectral._lanes(n, shifts, workers)), k)
                for n in config.dims for k in [pinned if n <= pin else 1])
 
 
+def _overlaps(config: ExperimentConfig, stages, share: int) -> bool:
+    """Whether a unit takes B's eigensolve beside its shifts (_run_unit):
+    it computes both stages and its lane share, spectral._lane_share, has
+    a thread to spare beyond one per grid shift."""
+    return set(stages) >= set(STAGES) and share > len(config.z_grid)
+
+
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
-              replicate: int, stages, lanes: int | None = None) -> UnitResult:
-    """One unit, computing only the requested stages, with one n-by-n matrix
-    alive at a time: A and B never coexist.
+              replicate: int, stages, share: int | None = None) -> UnitResult:
+    """One unit, computing only the requested stages, holding one n-by-n
+    matrix and a working copy per lane (unit_dense_bytes); `share` is its
+    lane share, by default spectral._lane_share at one worker, and
+    run_units passes each unit its own.
 
     B's pass: X is drawn, B = (X + M)/sqrt(n) formed and X dropped.
     "disk" takes the one eigensolve of B; "delta" the SVD and LU of B - zI
@@ -382,18 +399,36 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     pass, for "delta" only: B is dropped, X drawn again from its seed and
     scaled in place into A, and the SVD and LU of A - zI at each grid point
     complete that point's row (diagnostics.delta_row). Each pass is one
-    spectral.shifted call over the grid's points on `lanes` threads of one
-    shift at a time, each with its own working copy, by default the ambient
-    BLAS thread count at n <= 400; run_units passes each unit its share.
-    The matrix itself is only read. The bytes are those of delta_scan and
-    disk_record on build_pair's pair, at any lane count.
+    spectral.shifted call over the grid's points on min(shifts, share)
+    threads of one shift at a time, each with its own working copy.
+
+    Where the share has a thread to spare (_overlaps), B's eigensolve runs
+    on it beside the shifts instead (spectral._eigensolve_beside): B is
+    checked and copied into Fortran order, each shift's LU of B - zI is
+    taken, then zgeev factors B in place, its last use, while each lane
+    takes the SVD of B - zI and then draws A - zI straight into its copy
+    from the unit's seed, once for the SVD and once for the LU. Only the
+    calling thread calls a public function.
+
+    The bytes are those of delta_scan and disk_record on build_pair's pair,
+    at any share and ambient BLAS thread count at n <= 400.
     """
     dim, rank = perturbation.dim, perturbation.rank
+    points = config.z_grid.points()
+    share = spectral._lane_share(dim) if share is None else share
+    lanes = min(len(points), share)
     b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
+    if _overlaps(config, stages, share):
+        seed = ensemble.derive_seed(config.master_seed, dim, replicate)
+        b = np.asfortranarray(spectral._as_matrix(b))
+        eig, pairs = spectral._eigensolve_beside(b, points.tolist(), lambda out: (
+            ensemble._scale(ensemble._draw(config.distribution, seed, out))))
+        diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z in pairs)
+        return UnitResult(dim=dim, replicate=replicate, diagnostics=diags,
+                          disk=_disk_of(eig, rank, dim, replicate))
     disk = _disk(b, rank, dim, replicate) if "disk" in stages else None
     diags = ()
     if "delta" in stages:
-        points = config.z_grid.points()
         b_side = spectral.shifted(b, points, lanes)
         del b
         a = ensemble.scaled(_sample(config, dim, replicate))
@@ -440,8 +475,7 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
     small = sum(p.dim <= spectral.BLAS_PIN_MAX_DIM for p, _ in tasks)
 
     def run(_, task):
-        lanes = spectral._lanes(task[0].dim, len(config.z_grid), workers)
-        return _run_unit(config, *task, stages, lanes)
+        return _run_unit(config, *task, stages, spectral._lane_share(task[0].dim, workers))
 
     return (spectral._on_lanes(run, tasks[:small], workers)
             + spectral._on_lanes(run, tasks[small:], 1))

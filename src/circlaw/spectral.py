@@ -221,16 +221,22 @@ def _blas(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _lanes(n: int, shifts: int, workers: int = 1) -> int:
-    """How many threads shifted factors `shifts` shifts of an n-by-n matrix
-    on: the ambient OpenBLAS thread count shared among `workers` units run
-    at once (read inside a pin too), at least 1 and at most the number of
-    shifts. One above BLAS_PIN_MAX_DIM, where each call runs at the ambient
-    count, and where OpenBLAS's LAPACK or thread-count symbols are missing."""
+def _lane_share(n: int, workers: int = 1) -> int:
+    """The threads one unit at dim n may run LAPACK calls on: the ambient
+    OpenBLAS thread count shared among `workers` units run at once (read
+    inside a pin too), at least 1. One above BLAS_PIN_MAX_DIM, where each
+    call runs at the ambient count, and where OpenBLAS's LAPACK or
+    thread-count symbols are missing."""
     threads = blas_thread_count()
     if threads is None or _lapack() is None or n > BLAS_PIN_MAX_DIM:
         return 1
-    return max(1, min(shifts, threads // workers))
+    return max(1, threads // workers)
+
+
+def _lanes(n: int, shifts: int, workers: int = 1) -> int:
+    """How many threads shifted factors `shifts` shifts of an n-by-n matrix
+    on: the unit's share (_lane_share), at most the number of shifts."""
+    return max(1, min(shifts, _lane_share(n, workers)))
 
 
 def _check_finite(m: np.ndarray) -> None:
@@ -240,12 +246,28 @@ def _check_finite(m: np.ndarray) -> None:
         raise InvalidValueError("matrix contains non-finite entries")
 
 
+# Columns per block of _check_columns' scan.
+_SCAN_COLUMNS = 64
+
+
+def _check_columns(m: np.ndarray) -> None:
+    """_check_finite on m's blocks of _SCAN_COLUMNS columns, so the scan's
+    temporary is a block's moduli, not half of m; a Fortran-order m's blocks
+    are contiguous."""
+    for k in range(0, m.shape[1], _SCAN_COLUMNS):
+        _check_finite(m[:, k:k + _SCAN_COLUMNS])
+
+
 def _numbers(values, what: str, value_error=InvalidValueError,
              shape_error=ShapeError) -> np.ndarray:
     """The one number rule: values as a numpy array of ints, floats or
     complex numbers, never of bools, strings or other objects (value_error),
     and never from a ragged nesting (shape_error); `what` names them in the
-    message."""
+    message. numpy takes a bool mixed into numbers as 0 or 1, so anything
+    but a numeric ndarray, which is taken as it is, has its elements looked
+    at once more."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
+        return values
     try:
         a = np.asarray(values)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -253,6 +275,8 @@ def _numbers(values, what: str, value_error=InvalidValueError,
                           "nesting") from None
     if a.dtype.kind not in "iufc":
         raise value_error(f"{what} must be numbers, got {a.dtype} values")
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise value_error(f"{what} must be numbers, got a bool among them")
     return a
 
 
@@ -307,14 +331,19 @@ class WeylCheck:
     holds: bool
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    vals = _Lane(m.shape[0], _lapack()).eigensolve(m)
+def _by_modulus(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by nonincreasing modulus, ties by increasing
+    principal argument in (-pi, pi]."""
     ang = np.angle(vals)
     # atan2 maps a negative-zero imaginary part on the negative real axis
     # to -pi; fold it back so the argument lives in (-pi, pi]
     ang[ang == -np.pi] = np.pi
     order = np.lexsort((ang, -np.abs(vals)))
     return vals[order]
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    return _by_modulus(_Lane(m.shape[0], _lapack()).eigensolve(m))
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -355,15 +384,17 @@ def log_abs_det_lu(a) -> tuple[float, bool]:
 class _Lane:
     """One lane: a Fortran-order n-by-n working buffer, into which each
     shift m - z*I, or m for an eigensolve, is written, and LAPACK's calls on
-    it, each through _blas. The SVD workspace is sized at the first SVD by
-    an lwork = -1 query, as numpy's svd's, and is held only through each SVD.
-    Without a lapack handle numpy's functions run instead. A lane calls
-    private functions only: perfbench's tracer, which wraps the public ones,
-    keeps one span stack and is not thread-safe."""
+    it, each through _blas. A lane may be given its buffer: an eigensolve
+    then factors that matrix in place. The SVD and eigensolve workspaces are
+    sized at their first call by an lwork = -1 query, as numpy's, and each
+    is held only through its call. Without a lapack handle numpy's functions
+    run instead. A lane calls private functions only: perfbench's tracer,
+    which wraps the public ones, keeps one span stack and is not
+    thread-safe."""
 
-    def __init__(self, n: int, lapack: _Lapack | None):
+    def __init__(self, n: int, lapack: _Lapack | None, buffer: np.ndarray | None = None):
         self.lapack = lapack
-        self.a = np.empty((n, n), dtype=np.complex128, order="F")
+        self.a = np.empty((n, n), dtype=np.complex128, order="F") if buffer is None else buffer
         self._diagonal = self.a.reshape(-1, order="F")[:: n + 1]
         if lapack is None:
             return
@@ -378,15 +409,33 @@ class _Lane:
         self._gesdd(np.empty(self.a.shape[0]), query, -1)
         return max(1, int(query[0].real))
 
+    @functools.cached_property
+    def eig_lwork(self) -> int:
+        """The eigensolve's work length, queried once, by an lwork = -1
+        call; it depends on n alone, and the buffer is left as it was."""
+        query = np.empty(1, dtype=np.complex128)
+        self._geev(np.empty(self.a.shape[0], dtype=np.complex128), query, -1)
+        return max(1, int(query[0].real))
+
     def workspace_nbytes(self) -> int:
         """The bytes each SVD allocates beside the buffer: work, and
         numpy's sizes of rwork and iwork for jobz 'N'."""
         return 16 * self.lwork + 8 * (7 + 8) * self.a.shape[0]
 
+    def eig_workspace_nbytes(self) -> int:
+        """The bytes each eigensolve allocates beside the buffer: work, the
+        eigenvalues and rwork."""
+        return 16 * self.eig_lwork + (16 + 16) * self.a.shape[0]
+
     def fill(self, m: np.ndarray, z: complex) -> None:
-        """The buffer as m - z*I: the one subtraction a shifted copy makes.
-        An overflow to inf, or a non-finite z, is left to factor."""
+        """The buffer as m - z*I: m copied in, then shifted."""
         self.a[...] = m
+        self.shift(z)
+
+    def shift(self, z: complex) -> None:
+        """z subtracted from the buffer's diagonal: the one subtraction a
+        shifted copy makes. An overflow to inf, or a non-finite z, is left
+        to factor."""
         with np.errstate(over="ignore", invalid="ignore"):
             self._diagonal -= z
 
@@ -395,6 +444,11 @@ class _Lane:
         _blas(self.lapack.zgesdd, b"N", self._n, self._n, self.a, self._ld, s, work,
               self._one, work, self._one, work, ctypes.c_int64(lwork),
               np.empty(7 * n), np.empty(8 * n, dtype=np.int64), self._info)
+
+    def _geev(self, w: np.ndarray, work: np.ndarray, lwork: int) -> None:
+        _blas(self.lapack.zgeev, b"N", b"N", self._n, self.a, self._ld, w, work,
+              self._one, work, self._one, work, ctypes.c_int64(lwork),
+              np.empty(2 * self.a.shape[0]), self._info)
 
     def svd_values(self) -> np.ndarray:
         """The buffer's singular values, nonincreasing; zgesdd overwrites
@@ -425,24 +479,17 @@ class _Lane:
             logdet = math.inf
         return 1.0, logdet
 
-    def eigensolve(self, m: np.ndarray) -> np.ndarray:
-        """m's eigenvalues in LAPACK's order, by zgeev on the buffer with
-        jobvl = jobvr = 'N', numpy's rwork and its lwork = -1 query, so they
-        are np.linalg.eigvals's bits; zgeev overwrites the buffer."""
+    def eigensolve(self, m: np.ndarray | None = None) -> np.ndarray:
+        """The eigenvalues of m, copied into the buffer, or of the buffer
+        itself, in LAPACK's order, by zgeev with jobvl = jobvr = 'N',
+        numpy's rwork and its lwork = -1 query, so they are
+        np.linalg.eigvals's bits; zgeev overwrites the buffer."""
+        if m is not None:
+            self.a[...] = m
         if self.lapack is None:
-            return _blas(np.linalg.eigvals, m)
-        self.a[...] = m
-        n = self.a.shape[0]
-        w, rwork = np.empty(n, dtype=np.complex128), np.empty(2 * n)
-
-        def geev(work: np.ndarray, lwork: int) -> None:
-            _blas(self.lapack.zgeev, b"N", b"N", self._n, self.a, self._ld, w, work,
-                  self._one, work, self._one, work, ctypes.c_int64(lwork), rwork, self._info)
-
-        query = np.empty(1, dtype=np.complex128)
-        geev(query, -1)
-        lwork = max(1, int(query[0].real))
-        geev(np.empty(lwork, dtype=np.complex128), lwork)
+            return _blas(np.linalg.eigvals, self.a)
+        w = np.empty(self.a.shape[0], dtype=np.complex128)
+        self._geev(w, np.empty(self.eig_lwork, dtype=np.complex128), self.eig_lwork)
         if self._info.value != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return w
@@ -454,9 +501,15 @@ class _Lane:
         _check_finite(self._diagonal)
         sv = self.svd_values()
         self.fill(m, z)
-        log_abs_det, singular = _log_abs_det(self.lu_log_abs_det(), sv)
-        return ShiftedSpectrum(z=z, singular_values=sv, log_abs_det=log_abs_det,
-                               singular=singular)
+        return _spectrum(z, sv, self.lu_log_abs_det())
+
+
+def _spectrum(z: complex, sv: np.ndarray, lu) -> ShiftedSpectrum:
+    """The ShiftedSpectrum of one shift from its SVD and its LU's (sign,
+    log|det|), by the one singular rule (_log_abs_det)."""
+    log_abs_det, singular = _log_abs_det(lu, sv)
+    return ShiftedSpectrum(z=z, singular_values=sv, log_abs_det=log_abs_det,
+                           singular=singular)
 
 
 def _on_lanes(run, items: list, lanes: int, start=lambda: None) -> list:
@@ -524,6 +577,53 @@ def shifted(m, z, lanes: int | None = None):
                         _lanes(n, len(points)) if lanes is None else lanes,
                         lambda: _Lane(n, _lapack()))
     return spectra[0] if one else spectra
+
+
+def _eigensolve_beside(m: np.ndarray, points: list, write) -> tuple[np.ndarray, list]:
+    """m's eigenvalues, sorted (_by_modulus), and at each shift z the pair
+    of ShiftedSpectrum of w - z*I and of m - z*I, for the matrix w that
+    write(buffer) writes into an n-by-n buffer, as shifted's of w and m.
+
+    m is a Fortran-order complex128 matrix checked by _as_matrix, which the
+    eigensolve, m's last use, factors in place: the call spends m. Each
+    shift has a lane (_Lane). First, on the shifts' lanes, m - z*I with its
+    diagonal scanned, its LU, and m - z*I again. Then, on one more thread
+    (_on_lanes), zgeev on m's own buffer runs beside each lane's SVD of
+    m - z*I and the SVD and LU of w - z*I, for which write fills the buffer
+    twice, each time with w scanned in column blocks (_check_columns) and
+    its shifted diagonal scanned. So m and one buffer per shift are the
+    only n-by-n arrays held, as shifted's m and lanes. write runs on a lane
+    thread, so it calls private functions only (see _Lane)."""
+    n = m.shape[0]
+    lapack = _lapack()
+    jobs = [(_Lane(n, lapack), z) for z in points]
+
+    def lu_of_m(_, job) -> tuple[float, float]:
+        lane, z = job
+        lane.fill(m, z)
+        _check_finite(lane._diagonal)
+        lu = lane.lu_log_abs_det()
+        lane.fill(m, z)
+        return lu
+
+    def load_w(lane: _Lane, z: complex) -> None:
+        write(lane.a)
+        _check_columns(lane.a)
+        lane.shift(z)
+        _check_finite(lane._diagonal)
+
+    def rest(lane: _Lane, z: complex, lu) -> tuple[ShiftedSpectrum, ShiftedSpectrum]:
+        m_z = _spectrum(z, lane.svd_values(), lu)
+        load_w(lane, z)
+        sv = lane.svd_values()
+        load_w(lane, z)
+        return _spectrum(z, sv, lane.lu_log_abs_det()), m_z
+
+    lus = _on_lanes(lu_of_m, jobs, len(jobs))
+    tasks = [functools.partial(rest, *job, lu) for job, lu in zip(jobs, lus)]
+    tasks.append(_Lane(n, lapack, m).eigensolve)
+    done = _on_lanes(lambda _, task: task(), tasks, len(tasks))
+    return _by_modulus(done[-1]), done[:-1]
 
 
 def logdet_agree(x: float, y: float) -> bool:

@@ -121,6 +121,22 @@ def test_sampling_matches_golden_bytes(text):
     assert hashlib.sha256(entries.tobytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[text]
 
 
+@pytest.mark.parametrize("text", ALL_KINDS)
+def test_drawing_into_a_buffer_gives_sample_matrix_bytes(text):
+    """_draw writes sample_matrix's entries into a caller's buffer of
+    either layout, whatever it held: a real law's imaginary parts are +0.0
+    there too, not the buffer's old values."""
+    d = EntryDistribution.parse(text)
+    x = sample_matrix(d, 9, seed=31).entries
+    for order in ("F", "C"):
+        out = np.full((9, 9), np.nan + 7j, dtype=np.complex128, order=order)
+        assert ensemble._draw(d, 31, out) is out
+        assert np.ascontiguousarray(out).tobytes() == x.tobytes(), order
+        if d.kind in ("real-gaussian", "rademacher", "centered-bernoulli",
+                      "centered-uniform"):
+            assert not np.signbit(out.imag).any() and not out.imag.any()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789012345])
 def test_row_keys_are_the_rows_seed_sequence_states(seed):
     keys = ensemble._row_keys(seed, 2000)

@@ -679,8 +679,8 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
-    harness._run_unit(cfg, perturbation, 1, harness.STAGES)
     lanes = spectral._lanes(n, len(cfg.z_grid))
+    harness._run_unit(cfg, perturbation, 1, harness.STAGES, lanes)
     per_lane = sum(lane_nbytes(n))
     current = []
     blas = spectral._blas
@@ -695,11 +695,47 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        harness._run_unit(cfg, perturbation, 0, harness.STAGES)
+        harness._run_unit(cfg, perturbation, 0, harness.STAGES, lanes)
     finally:
         tracemalloc.stop()
     assert len(current) == 4 * len(cfg.z_grid) + 1
     assert max(current) <= 1.25 * 16 * n * n + lanes * per_lane
+
+
+def test_an_overlapped_unit_holds_b_and_one_lane_at_each_lapack_call(tmp_path,
+                                                                    monkeypatch,
+                                                                    lapack_calls,
+                                                                    lane_nbytes):
+    """A one-shift unit with a lane share of 2 takes B's eigensolve on a
+    helper thread, in place on B, beside the SVDs and LUs on the calling
+    thread. At each of its 5 LAPACK calls tracemalloc sees at most 1.25
+    n-by-n complex128 arrays beside the lane's buffer, the SVD's and the
+    eigensolve's workspaces: B, and the scans' blocks and the rows of the
+    draws of A, which are written straight into the lane's buffer. A unit
+    holding A beside B would show 1 more."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    n = 200
+    cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
+    perturbation = ensemble.build_perturbation(cfg.perturbation, n)
+    harness._run_unit(cfg, perturbation, 1, harness.STAGES, 2)
+    lane = spectral._Lane(n, spectral._lapack())
+    beside = sum(lane_nbytes(n)) + lane.eig_workspace_nbytes()
+    calls = []
+    lapack_calls(lambda name, a: calls.append(
+        (name, threading.get_ident(), tracemalloc.get_traced_memory()[0] - start)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._run_unit(cfg, perturbation, 0, harness.STAGES, 2)
+    finally:
+        tracemalloc.stop()
+    assert sorted(name for name, _, _ in calls) == ["eigvals", "slogdet", "slogdet",
+                                                    "svd", "svd"]
+    main = threading.get_ident()
+    assert {ident == main for name, ident, _ in calls if name == "eigvals"} == {False}
+    assert {ident == main for name, ident, _ in calls if name != "eigvals"} == {True}
+    assert max(held for _, _, held in calls) <= 1.25 * 16 * n * n + beside
 
 
 def _unit_configs(tmp_path, rank3_csv):
@@ -721,22 +757,45 @@ def _unit_configs(tmp_path, rank3_csv):
     return configs
 
 
+def _one_shift_configs(tmp_path, rank3_csv):
+    """One config per perturbation kind at one shift, at dims 1 and 400,
+    each with its own file M."""
+    rng = np.random.default_rng(29)
+    configs = []
+    for n in (1, 400):
+        k = min(n, 2)
+        left, right = rng.standard_normal((2, k, n)) + 1j * rng.standard_normal((2, k, n))
+        path = rank3_csv(n).rename(tmp_path / f"rank3-{n}.csv")
+        for spec in (PerturbationSpec("zero"), PerturbationSpec("all-ones"),
+                     PerturbationSpec("low-rank", left_factors=left, right_factors=right),
+                     PerturbationSpec("file", path=path)):
+            configs.append(small_config(tmp_path, dims=(n,), perturbation=spec,
+                                        replicates=1,
+                                        z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0)))
+    return configs
+
+
 @pytest.mark.parametrize("stages", [{"delta"}, {"disk"}, {"delta", "disk"}],
                          ids=["delta", "disk", "both"])
 def test_run_unit_bytes_are_those_of_the_pair_entry_points(tmp_path, rank3_csv,
                                                            stages):
     """A unit's rows and disc record, from one matrix at a time and a second
-    draw of X, are bitwise delta_scan and disk_record of build_pair's pair."""
-    for cfg in _unit_configs(tmp_path, rank3_csv):
+    draw of X, are bitwise delta_scan and disk_record of build_pair's pair:
+    at lane shares 1 and 2, so a one-shift unit computing both stages takes
+    both schedules, the serial one and B's eigensolve beside the shifts."""
+    configs = _one_shift_configs(tmp_path, rank3_csv)  # renames each rank3.csv it writes
+    configs += _unit_configs(tmp_path, rank3_csv)
+    for cfg in configs:
         n = cfg.dims[0]
         perturbation = ensemble.build_perturbation(cfg.perturbation, n)
         for replicate in range(cfg.replicates):
-            unit = harness._run_unit(cfg, perturbation, replicate, stages)
             pair = harness.build_pair(cfg, perturbation, replicate)
             rows = diagnostics.delta_scan(pair, cfg.z_grid) if "delta" in stages else []
             disk = harness.disk_record(pair, n, replicate) if "disk" in stages else None
-            assert [repr(d) for d in unit.diagnostics] == [repr(d) for d in rows]
-            assert repr(unit.disk) == repr(disk)
+            for share in (1, 2):
+                unit = harness._run_unit(cfg, perturbation, replicate, stages, share)
+                assert [repr(d) for d in unit.diagnostics] == [repr(d) for d in rows]
+                assert repr(unit.disk) == repr(disk)
 
 
 def test_run_unit_draws_x_twice_for_delta_and_once_for_disk(tmp_path, sample_calls):
@@ -746,8 +805,62 @@ def test_run_unit_draws_x_twice_for_delta_and_once_for_disk(tmp_path, sample_cal
     perturbation = ensemble.build_perturbation(cfg.perturbation, 6)
     harness._run_unit(cfg, perturbation, 0, {"disk"})
     assert len(sample_calls) == 1
-    harness._run_unit(cfg, perturbation, 0, harness.STAGES)
+    harness._run_unit(cfg, perturbation, 0, harness.STAGES, 1)
     assert len(sample_calls) == 3 and sample_calls[1] == sample_calls[2]
+
+
+def test_an_overlapped_unit_draws_x_once_for_b_and_twice_into_a_lane(
+    tmp_path, monkeypatch, sample_calls
+):
+    """With B's eigensolve beside the shifts a unit draws X once for B and
+    then A - zI twice into the lane's buffer, for the SVD and for the LU,
+    all from the unit's seed."""
+    draws = []
+    draw = ensemble._draw
+
+    def recording(dist, seed, out):
+        draws.append(seed)
+        return draw(dist, seed, out)
+
+    monkeypatch.setattr(ensemble, "_draw", recording)
+    cfg = small_config(tmp_path, dims=(6,), replicates=1,
+                       z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
+    perturbation = ensemble.build_perturbation(cfg.perturbation, 6)
+    harness._run_unit(cfg, perturbation, 0, harness.STAGES, 2)
+    assert len(sample_calls) == 1
+    assert draws == [sample_calls[0][2]] * 3
+
+
+@pytest.mark.parametrize("routine, message", [
+    ("zgeev", "Eigenvalues did not converge"), ("zgesdd", "SVD did not converge")])
+def test_an_overlapped_unit_raises_a_lapack_failure_and_joins_its_helper(
+    tmp_path, monkeypatch, routine, message
+):
+    """A LAPACK call reporting info != 0 raises LinAlgError in either
+    schedule, as the serial one does: zgeev's on the helper thread, an
+    SVD's on the calling one. The helper is joined either way, so the
+    thread count is back at its start."""
+    real = spectral._lapack()
+    if real is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    info = {"zgeev": 13, "zgesdd": 14}[routine]
+    lwork = {"zgeev": 11, "zgesdd": 11}[routine]
+
+    def failing(*args):
+        getattr(real, routine)(*args)
+        if args[lwork].value != -1:
+            args[info].value = 1
+
+    handle = real._replace(**{routine: failing})
+    monkeypatch.setattr(spectral, "_lapack", lambda: handle)
+    cfg = small_config(tmp_path, dims=(40,), replicates=1,
+                       z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
+    perturbation = ensemble.build_perturbation(cfg.perturbation, 40)
+    threads = threading.active_count()
+    for share in (1, 2):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            harness._run_unit(cfg, perturbation, 0, harness.STAGES, share)
+        assert threading.active_count() == threads
 
 
 def low_rank_config(tmp_path, n=8):
@@ -1221,8 +1334,9 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
     """dims (6, 8), 1 replicate, 2 grid points, all-ones: per unit 4 * 2
     LAPACK calls on the grid and 1 eigensolve, 9 * (6^3 + 8^3) in all. A
     unit holds one 8-by-8 complex128 matrix and a working copy per lane,
-    1024 bytes each: 2 * 1024 on one lane, 3 * 1024 on two; one unit is in
-    flight at a time."""
+    1024 bytes each: 2 * 1024 on one lane, 3 * 1024 on two, where B's
+    eigensolve runs beside the shifts with more than two threads to share;
+    one unit is in flight at a time."""
     path = write_config(tmp_path, replicates=1)
     printed = []
     sample_matrix = ensemble.sample_matrix
@@ -1236,8 +1350,11 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
     held = {1: "0.00195 MiB dense (A or B, never both, and LAPACK's working copy "
                "on each of 1 lane); at most 0.00195 MiB in 1 unit in flight",
             2: "0.00293 MiB dense (A or B, never both, and LAPACK's working copy "
-               "on each of 2 lanes); at most 0.00293 MiB in 1 unit in flight"
-            }[spectral._lanes(8, 2)]
+               "on each of 2 lanes); at most 0.00293 MiB in 1 unit in flight",
+            3: "0.00293 MiB dense (B, which its eigensolve factors in place on a "
+               "spare lane, and LAPACK's working copy on each of 2 lanes, into "
+               "which A - zI is drawn); at most 0.00293 MiB in 1 unit in flight"
+            }[min(spectral._lane_share(8), 3)]
     line = f"preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds {held}\n"
     assert printed[0] == line
     assert line not in capsys.readouterr().out
@@ -1492,6 +1609,31 @@ def test_cli_views_write_run_bytes(tmp_path, capsys, kind):
         assert (tmp_path / out / name).read_bytes() \
             == (tmp_path / "run" / name).read_bytes()
         assert sorted(p.name for p in (tmp_path / out).iterdir()) == [name]
+
+
+@pytest.mark.parametrize("command, name", [("delta-scan", "delta.csv"),
+                                           ("circular-law", "disk.csv")])
+def test_cli_views_write_the_same_bytes_at_one_and_two_workers(tmp_path, capsys,
+                                                                command, name):
+    """delta-scan and circular-law take --workers as run does, and their
+    file has the same bytes at 1 and 2 workers."""
+    path = str(config_file(tmp_path, small_config(tmp_path, replicates=3)))
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main([command, "--config", path, "--out", str(out),
+                         "--workers", workers]) == 0
+        files.append((out / name).read_bytes())
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("command", ["delta-scan", "circular-law"])
+def test_cli_views_reject_bad_workers_before_anything(tmp_path, capsys, sample_calls,
+                                                      command):
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main([command, "--config", str(path), "--workers", "0"]) == 1
+    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and sample_calls == []
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))

@@ -68,6 +68,14 @@ def test_measures_reject_atoms_that_are_not_numbers(cls, atoms):
 
 
 @pytest.mark.parametrize("cls", [EmpiricalMeasure1D, EmpiricalMeasure2D])
+def test_measures_reject_a_bool_among_number_atoms(cls):
+    """numpy coerces [0.5, True, 0.25] to floats, which made True an atom
+    at 1.0."""
+    with pytest.raises(MeasureError, match="must be numbers, got a bool"):
+        cls(atoms=[0.5, True, 0.25])
+
+
+@pytest.mark.parametrize("cls", [EmpiricalMeasure1D, EmpiricalMeasure2D])
 def test_measures_reject_ragged_atoms(cls):
     with pytest.raises(MeasureError, match="regular array, got a ragged nesting"):
         cls(atoms=[[1.0], [1.0, 2.0]])

@@ -657,6 +657,26 @@ def test_matrix_entries_must_be_numbers(fn, entries):
         fn(entries)
 
 
+def test_a_bool_mixed_into_numbers_is_not_a_number():
+    """numpy coerces [[1.0, True], [0, 2]] to float64, so eigenvalues
+    returned [2, 1], and shifted factored the shift False at z = 0."""
+    with pytest.raises(InvalidValueError, match="entries must be numbers, got a bool"):
+        eigenvalues([[1.0, True], [0, 2]])
+    with pytest.raises(InvalidValueError, match="shifts must be numbers, got a bool"):
+        spectral.shifted(np.eye(2), [0.5, False])
+    with pytest.raises(InvalidValueError, match="must be numbers, got a bool"):
+        spectral.shifted(np.eye(2), [np.float64(0.5), np.bool_(True)])
+    with pytest.raises(InvalidValueError, match="must be numbers, got a bool"):
+        eigenvalues([np.array([1.0, 0.0]), np.array([False, True])])
+
+
+def test_a_numeric_array_is_taken_as_it_is():
+    """A numeric ndarray passes the number rule without a look at its
+    elements, as the same object."""
+    for a in (np.eye(3), np.arange(4), np.ones(2, dtype=np.complex64)):
+        assert spectral._numbers(a, "values") is a
+
+
 def test_shifts_are_numbers_as_a_point_or_a_1d_sequence():
     """shifted took '0.5' as 0.5 and True as 1, and [[0.5]] raised a raw
     TypeError."""
