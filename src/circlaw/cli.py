@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +27,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ValidationError(message)
+
+
+def _cores() -> int:
+    """The cores this process may run on (all of them where the platform
+    has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -60,8 +69,9 @@ def _build_parser() -> _Parser:
                        help="override dims with a single dimension")
         p.add_argument("--dist", default=None, help="override distribution")
         p.add_argument("--out", default=None, help="override output_dir")
-        p.add_argument("--workers", type=int, default=1,
-                       help="units run at a time on threads")
+        p.add_argument("--workers", type=int, default=_cores(),
+                       help="units run at a time on threads, at most the units "
+                       "(default: the cores this process may run on)")
 
     p = sub.add_parser("delta-scan", help="log-determinant gap scan over a z grid")
     add_config_args(p)
@@ -209,18 +219,19 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if report.total_violations == 0 else 2
 
 
-def _lane_note(config: harness.ExperimentConfig, n: int, workers: int) -> tuple[int, bool]:
-    """(lanes, overlapped) of a run unit at dim n: the threads its grid
-    shifts run on, and whether B's eigensolve takes one more beside them
-    (harness._overlaps)."""
-    return (spectral._lanes(n, len(config.z_grid), workers),
-            harness._overlaps(config, harness.STAGES, spectral._lane_share(n, workers)))
+def _lane_note(config: harness.ExperimentConfig, workers: int) -> tuple[int, bool]:
+    """(lanes, overlapped) of a run unit: the threads its grid shifts run
+    on, and whether B's eigensolve takes one more beside them
+    (harness._overlaps), with the units run at once (harness._at_once)."""
+    at_once = harness._at_once(config, workers)
+    return (spectral._lanes(len(config.z_grid), at_once),
+            harness._overlaps(config, harness.STAGES, spectral._lane_share(at_once)))
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
     n = config.dims[-1]
-    lanes, overlapped = _lane_note(config, n, args.workers)
+    lanes, overlapped = _lane_note(config, args.workers)
     held, units = harness._in_flight(config, args.workers)
     copies = f"LAPACK's working copy on each of {lanes} lane{'s' * (lanes > 1)}"
     print(f"preflight: {len(config.dims) * config.replicates} units, "
@@ -241,10 +252,8 @@ def _cmd_run(args) -> int:
     for stage, seconds in report.timings.items():
         print(f"  {stage[:-2]} time: {seconds:.2f}s")
     threads = spectral.blas_thread_count()
-    lanes, overlapped = _lane_note(config, config.dims[0], args.workers)
     print("  BLAS: " + ("unknown" if threads is None else
-                        f"{threads} ambient threads, 1 per call on a matrix "
-                        f"with no side above {spectral.BLAS_PIN_MAX_DIM}")
+                        f"{threads} ambient threads, 1 per call")
           + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}"
           + (", and B's eigensolve on one more beside them" if overlapped else ""))
     print(f"  reports in {config.output_dir}")

@@ -233,7 +233,7 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
     The pair's arrays are only read: each shifted matrix is formed in a
     working copy, one at a time, and factored there (spectral.shifted). One
     shift takes one lane; delta_scan spends the ambient BLAS thread budget
-    across a grid's shifts at n <= 400, with the same bytes.
+    across a grid's shifts, with the same bytes.
     """
     return delta_row(spectral.shifted(pair.a_matrix, z),
                      spectral.shifted(pair.b_matrix, z), pair.perturbation_rank)

@@ -2,8 +2,9 @@
 
 A run is a pure function of its configuration: per-(dim, replicate) sample
 seeds are derived from the master seed, and units may execute in any order or
-on parallel threads, each LAPACK call setting its own BLAS thread count, so
-the CSV/JSON outputs are byte-identical across repetitions and worker counts.
+on parallel threads, each LAPACK call on one BLAS thread, so the CSV/JSON
+outputs are byte-identical across repetitions, worker counts and ambient BLAS
+thread counts.
 Floats are written in shortest round-trip decimal form.
 """
 
@@ -368,15 +369,19 @@ def unit_dense_bytes(n: int, lanes: int = 1) -> int:
     return (1 + lanes) * 16 * n * n
 
 
+def _at_once(config: ExperimentConfig, workers: int) -> int:
+    """How many units run_units runs at a time: `workers`, at most the
+    number of units."""
+    return min(workers, config.replicates * len(config.dims))
+
+
 def _in_flight(config: ExperimentConfig, workers: int) -> tuple[int, int]:
-    """(bytes, units): the most dense bytes run_units holds at once, with
-    unit_dense_bytes for each unit in flight, whichever schedule it takes,
-    and their count: up to `workers` at dims <= spectral.BLAS_PIN_MAX_DIM,
-    one above it."""
-    pin, shifts = spectral.BLAS_PIN_MAX_DIM, len(config.z_grid)
-    pinned = min(workers, config.replicates * sum(n <= pin for n in config.dims))
-    return max((k * unit_dense_bytes(n, spectral._lanes(n, shifts, workers)), k)
-               for n in config.dims for k in [pinned if n <= pin else 1])
+    """(bytes, units): the most dense bytes run_units holds at once, the
+    units in flight (_at_once) times unit_dense_bytes at the largest dim,
+    whichever schedule a unit takes, and their count."""
+    units = _at_once(config, workers)
+    lanes = spectral._lanes(len(config.z_grid), units)
+    return units * unit_dense_bytes(config.dims[-1], lanes), units
 
 
 def _overlaps(config: ExperimentConfig, stages, share: int) -> bool:
@@ -411,11 +416,11 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     calling thread calls a public function.
 
     The bytes are those of delta_scan and disk_record on build_pair's pair,
-    at any share and ambient BLAS thread count at n <= 400.
+    at any share and ambient BLAS thread count.
     """
     dim, rank = perturbation.dim, perturbation.rank
     points = config.z_grid.points()
-    share = spectral._lane_share(dim) if share is None else share
+    share = spectral._lane_share() if share is None else share
     lanes = min(len(points), share)
     b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
     if _overlaps(config, stages, share):
@@ -457,12 +462,12 @@ def _output_dir(config: ExperimentConfig) -> Path:
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. Units at dims <= spectral.BLAS_PIN_MAX_DIM run up to
-    `workers` at a time on threads (spectral._on_lanes), each unit's shifts
-    on its share of the ambient BLAS thread count; units above it run after
-    them, one at a time. At workers=1 every unit runs on the calling thread.
-    Each LAPACK call pins itself, so the results do not depend on the worker
-    count."""
+    any unit samples. Units run up to `workers` at a time, at most the
+    number of units (_at_once), on threads (spectral._on_lanes), each with
+    an equal share of the ambient BLAS thread count for its shifts and, where
+    one is spare, its eigensolve (_run_unit). At workers=1 every unit runs
+    on the calling thread. Each LAPACK call runs on one BLAS thread, so the
+    results depend on neither the worker count nor the ambient count."""
     _check_workers(workers)
     unknown = sorted(set(stages) - set(STAGES))
     if unknown or not stages:
@@ -472,13 +477,10 @@ def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitRe
                      for dim in config.dims]
     tasks = [(perturbation, replicate) for perturbation in perturbations
              for replicate in range(config.replicates)]
-    small = sum(p.dim <= spectral.BLAS_PIN_MAX_DIM for p, _ in tasks)
-
-    def run(_, task):
-        return _run_unit(config, *task, stages, spectral._lane_share(task[0].dim, workers))
-
-    return (spectral._on_lanes(run, tasks[:small], workers)
-            + spectral._on_lanes(run, tasks[small:], 1))
+    at_once = _at_once(config, workers)
+    share = spectral._lane_share(at_once)
+    return spectral._on_lanes(lambda _, task: _run_unit(config, *task, stages, share),
+                              tasks, at_once)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:

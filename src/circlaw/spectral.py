@@ -8,10 +8,12 @@ LU-factorization value; disagreement is an internal-consistency error.
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
 of every BLAS and LAPACK call in the package, least squares and the lanes'
-included: each goes through `_blas`, its one pin site (`_pinned`, a region
-counted across threads). A lane (`_Lane`) calls numpy's own OpenBLAS LAPACK
-by ctypes, without the GIL, so lanes run a matrix's shifts, or whole units
-(`_on_lanes`), on parallel threads, bitwise np.linalg's values.
+included: each goes through `_blas`, its one pin site, and runs on one
+OpenBLAS thread (`_pinned`, a region counted across threads), so its bytes
+do not depend on the ambient count. A lane (`_Lane`) calls numpy's own
+OpenBLAS LAPACK by ctypes, without the GIL, so lanes run a matrix's shifts,
+or whole units (`_on_lanes`), on parallel threads, bitwise np.linalg's
+values.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "logdet_agree",
     "max_dimension",
     "check_dimension",
-    "BLAS_PIN_MAX_DIM",
     "blas_thread_count",
 ]
 
@@ -80,24 +81,6 @@ def check_dimension(n: int) -> None:
     if n > cap:
         raise ValidationError(f"dimension {n} exceeds dense-solve cap {cap} "
                               "(set CIRCLAW_MAX_N to raise it)")
-
-
-# Largest matrix side whose BLAS and LAPACK calls run on one thread (_pinned).
-# A unit's calls at one shift (B's eigensolve, the SVD and LU of A - zI and of
-# B - zI), timed by timeit on a 2-core box, OpenBLAS 0.3.31: the range of the
-# medians of three timings, 7 runs each (3 at n = 1000, timed once):
-#
-#      n    1 thread: wall / CPU        2 threads: wall / CPU
-#    200    0.065-0.067 / 0.065 s       0.065-0.077 / 0.13 s
-#    400    0.31-0.43 / 0.39-0.42 s     0.29-0.42 / 0.57-0.83 s
-#    500    0.56-0.75 / 0.56-0.71 s     0.53-0.69 / 1.06-1.35 s
-#   1000    4.2 / 4.2 s                 3.1 / 6.1 s
-#
-# Up to 400 a second thread doubles the CPU for no steady gain in wall time;
-# above it the second thread starts to pay. LAPACK results depend on the
-# thread count in their last bits, so one thread also makes the bytes at
-# n <= 400 the same at any ambient thread count.
-BLAS_PIN_MAX_DIM = 400
 
 
 @functools.cache
@@ -186,14 +169,17 @@ def blas_thread_count() -> int | None:
 
 
 @contextlib.contextmanager
-def _pinned(n: int):
-    """The block on one BLAS thread when n <= BLAS_PIN_MAX_DIM. The pinned
-    blocks of all threads form one counted region, so they nest and overlap:
-    the first to open saves the ambient count and sets 1, the last to close
-    restores it, also when a block raises. Above the constant, or without
-    OpenBLAS's thread symbols, the block runs at the ambient count."""
+def _pinned():
+    """The block on one BLAS thread. LAPACK results depend on the thread
+    count in their last bits, so a call on one thread has the same bytes at
+    any ambient count; the lab spends the ambient threads on lanes and units
+    instead (_lane_share, run_units). The pinned blocks of all threads form
+    one counted region, so they nest and overlap: the first to open saves
+    the ambient count and sets 1, the last to close restores it, also when a
+    block raises. Without OpenBLAS's thread symbols the block runs at the
+    ambient count."""
     global _pins_open, _pins_ambient
-    openblas = _openblas() if n <= BLAS_PIN_MAX_DIM else None
+    openblas = _openblas()
     if openblas is None:
         yield
         return
@@ -213,30 +199,28 @@ def _pinned(n: int):
 
 
 def _blas(fn, *args, **kwargs):
-    """fn(*args, **kwargs), pinned by the largest side of its first array
-    argument (_pinned): a numpy function's matrix, or the n-by-n buffer of a
-    lane's LAPACK routine, first in zgesdd's, zgetrf's and zgeev's orders."""
-    m = next(a for a in args if isinstance(a, np.ndarray))
-    with _pinned(max(m.shape)):
+    """fn(*args, **kwargs) on one BLAS thread (_pinned): the one pin site of
+    every BLAS and LAPACK call, numpy's functions and a lane's ctypes
+    routines alike."""
+    with _pinned():
         return fn(*args, **kwargs)
 
 
-def _lane_share(n: int, workers: int = 1) -> int:
-    """The threads one unit at dim n may run LAPACK calls on: the ambient
-    OpenBLAS thread count shared among `workers` units run at once (read
-    inside a pin too), at least 1. One above BLAS_PIN_MAX_DIM, where each
-    call runs at the ambient count, and where OpenBLAS's LAPACK or
-    thread-count symbols are missing."""
+def _lane_share(workers: int = 1) -> int:
+    """The threads one unit may run LAPACK calls on: the ambient OpenBLAS
+    thread count shared among `workers` units run at once (read inside a pin
+    too), at least 1. One where OpenBLAS's LAPACK or thread-count symbols
+    are missing."""
     threads = blas_thread_count()
-    if threads is None or _lapack() is None or n > BLAS_PIN_MAX_DIM:
+    if threads is None or _lapack() is None:
         return 1
     return max(1, threads // workers)
 
 
-def _lanes(n: int, shifts: int, workers: int = 1) -> int:
-    """How many threads shifted factors `shifts` shifts of an n-by-n matrix
-    on: the unit's share (_lane_share), at most the number of shifts."""
-    return max(1, min(shifts, _lane_share(n, workers)))
+def _lanes(shifts: int, workers: int = 1) -> int:
+    """How many threads shifted factors `shifts` shifts on: the unit's share
+    (_lane_share), at most the number of shifts."""
+    return max(1, min(shifts, _lane_share(workers)))
 
 
 def _check_finite(m: np.ndarray) -> None:
@@ -562,8 +546,8 @@ def shifted(m, z, lanes: int | None = None):
     non-finite point is found by the scan of its shifted diagonal. Each
     shift is written into a lane's working buffer (_Lane) and factored
     there. The shifts run on `lanes` threads (_on_lanes), by default
-    _lanes(n, shifts), every LAPACK call on one BLAS thread at
-    n <= BLAS_PIN_MAX_DIM, so the values are the same at any lane count.
+    _lanes(shifts), every LAPACK call on one BLAS thread, so the values are
+    the same at any lane count and ambient thread count.
     They are those of singular_values and log_abs_det_lu on a shifted copy,
     unless a zero singular value makes it singular."""
     m = _as_matrix(m)
@@ -574,7 +558,7 @@ def shifted(m, z, lanes: int | None = None):
     one = shifts.ndim == 0
     points = shifts.astype(np.complex128).reshape(-1).tolist()
     spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,
-                        _lanes(n, len(points)) if lanes is None else lanes,
+                        _lanes(len(points)) if lanes is None else lanes,
                         lambda: _Lane(n, _lapack()))
     return spectra[0] if one else spectra
 

@@ -604,10 +604,9 @@ def test_file_factors_equal_at_one_and_two_ambient_threads(rank3_csv, at_ambient
 
 
 def test_each_qr_and_svd_pins_by_its_own_matrix(rank3_csv, monkeypatch, at_ambient_threads):
-    """A call runs on one BLAS thread when its matrix has no side above
-    BLAS_PIN_MAX_DIM and at the ambient count otherwise: at n = 8 the file
-    SVD and the QRs run on 2 threads, the 3-by-3 core's SVD on 1."""
-    monkeypatch.setattr(spectral, "BLAS_PIN_MAX_DIM", 6)
+    """Each call pins itself, whatever its matrix's size: at two ambient
+    threads the file SVD, the QRs and the 3-by-3 core's SVD all run on one
+    BLAS thread, at n = 6 and at n = 8 alike."""
     get_threads = spectral._openblas()[0]
     calls = []
 
@@ -626,7 +625,7 @@ def test_each_qr_and_svd_pins_by_its_own_matrix(rank3_csv, monkeypatch, at_ambie
     for n in (6, 8):
         at_ambient_threads(2, lambda: build_perturbation(spec, n))
     assert calls == [("svd", 6, 1), ("qr", 6, 1), ("qr", 6, 1), ("svd", 3, 1),
-                     ("svd", 8, 2), ("qr", 8, 2), ("qr", 8, 2), ("svd", 3, 1)]
+                     ("svd", 8, 1), ("qr", 8, 1), ("qr", 8, 1), ("svd", 3, 1)]
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])

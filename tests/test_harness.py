@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import threading
 import tracemalloc
 
@@ -679,7 +680,7 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
-    lanes = spectral._lanes(n, len(cfg.z_grid))
+    lanes = spectral._lanes(len(cfg.z_grid))
     harness._run_unit(cfg, perturbation, 1, harness.STAGES, lanes)
     per_lane = sum(lane_nbytes(n))
     current = []
@@ -975,43 +976,72 @@ def test_run_experiment_workers_match_serial(tmp_path):
     assert serial == parallel
 
 
-def test_reports_equal_at_one_and_two_workers_across_the_pin_dim(tmp_path, monkeypatch):
+def test_reports_equal_at_one_and_two_workers_and_threads_at_every_dim(
+    tmp_path, monkeypatch, at_ambient_threads
+):
     """dims (8, 401), 2 replicates, one shift: the report files are the same
-    bytes at workers 1 and 2. Every unit runs in this process, as a recorder
-    around _run_unit sees: at workers=1 all on the calling thread, and at
-    any worker count the units above BLAS_PIN_MAX_DIM one at a time on it,
-    at the ambient BLAS thread count."""
+    bytes at workers 1 and 2 and at ambient thread counts 1 and 2. Every
+    unit runs in this process, as a recorder around _run_unit sees: at
+    workers=1 all on the calling thread, with a share of 2 at two ambient
+    threads (so B's eigensolve runs beside the shift, at 401 too), and at
+    workers=2 two at a time with a share of 1 each, the two units at 401
+    together (a barrier that both must reach)."""
     cfg = small_config(tmp_path, dims=(8, 401),
                        z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
     run_unit = harness._run_unit
-    lock = threading.Lock()
-    in_flight, seen = [], []
+    seen = []
+    together = [None]
 
-    def recording(config, perturbation, replicate, *args):
-        with lock:
-            in_flight.append(perturbation.dim)
-            seen.append((perturbation.dim, threading.get_ident(),
-                         sum(n > spectral.BLAS_PIN_MAX_DIM for n in in_flight)))
-        try:
-            return run_unit(config, perturbation, replicate, *args)
-        finally:
-            with lock:
-                in_flight.remove(perturbation.dim)
+    def recording(config, perturbation, replicate, stages, share):
+        seen.append((perturbation.dim, threading.get_ident(), share))
+        if perturbation.dim == 401 and together[0] is not None:
+            together[0].wait()
+        return run_unit(config, perturbation, replicate, stages, share)
 
     monkeypatch.setattr(harness, "_run_unit", recording)
 
     def reports(workers):
         seen.clear()
+        together[0] = threading.Barrier(2, timeout=60) if workers == 2 else None
         run_experiment(cfg, workers=workers)
         assert sorted(n for n, _, _ in seen) == [8, 8, 401, 401]
-        assert max(above for _, _, above in seen) == 1
-        assert {ident for n, ident, _ in seen if n == 401} == {threading.get_ident()}
         return [(tmp_path / "out" / name).read_bytes()
                 for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json")]
 
-    one = reports(1)
-    assert {ident for _, ident, _ in seen} == {threading.get_ident()}
-    assert reports(2) == one
+    one = at_ambient_threads(1, lambda: reports(1))
+    assert {(ident, share) for _, ident, share in seen} == {(threading.get_ident(), 1)}
+    assert at_ambient_threads(2, lambda: reports(1)) == one
+    assert {share for _, _, share in seen} == {2}
+    assert at_ambient_threads(2, lambda: reports(2)) == one
+    assert {share for _, _, share in seen} == {1}
+    assert len({ident for n, ident, _ in seen if n == 401}) == 2
+
+
+def test_a_lone_unit_at_two_workers_takes_both_threads(tmp_path, monkeypatch,
+                                                      at_ambient_threads):
+    """One unit, one shift, at two ambient threads: workers=2 runs it with
+    a share of 2, not 2 // 2, since there is no second unit to share with,
+    so B's eigensolve runs beside the shift; the bytes are workers=1's."""
+    cfg = small_config(tmp_path, dims=(8,), replicates=1,
+                       z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
+    run_unit = harness._run_unit
+    shares = []
+
+    def recording(config, perturbation, replicate, stages, share):
+        shares.append(share)
+        return run_unit(config, perturbation, replicate, stages, share)
+
+    monkeypatch.setattr(harness, "_run_unit", recording)
+
+    def reports(workers):
+        run_experiment(cfg, workers=workers)
+        return [(tmp_path / "out" / name).read_bytes()
+                for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json")]
+
+    one = at_ambient_threads(2, lambda: reports(1))
+    assert at_ambient_threads(2, lambda: reports(2)) == one
+    assert shares == [2, 2]
+    assert harness._in_flight(cfg, 2) == harness._in_flight(cfg, 1)
 
 
 def test_two_workers_give_each_unit_its_share_of_the_ambient_threads(tmp_path,
@@ -1216,20 +1246,21 @@ def test_lapack_call_restores_ambient_blas_threads_when_it_raises(
     assert blas_threads_two() == 2
 
 
-def test_run_units_above_pin_dim_run_at_ambient_blas_threads(
+def test_run_units_pin_one_blas_thread_at_every_dim(
     tmp_path, monkeypatch, lapack_calls, blas_threads_two
 ):
-    monkeypatch.setattr(spectral, "BLAS_PIN_MAX_DIM", 6)
+    """A unit above 400, where a second thread shortens a call, pins each
+    call as a small one does."""
     counts = eigvals_thread_counts(monkeypatch, lapack_calls, blas_threads_two)
-    harness.run_units(small_config(tmp_path, dims=(6, 8)), {"disk"})
-    assert counts == [1, 1, 2, 2]
+    harness.run_units(small_config(tmp_path, dims=(8, 401)), {"disk"})
+    assert counts == [1, 1, 1, 1]
     assert blas_threads_two() == 2
 
 
 def test_file_config_reports_equal_at_one_and_two_ambient_threads(
     tmp_path, rank3_csv, at_ambient_threads
 ):
-    """A file M's own SVD and QRs run on one thread at n <= 400 too, so its
+    """A file M's own SVD and QRs run on one thread too, so its
     factors, and with them B, do not depend on the ambient count."""
     n = 200
     cfg = small_config(tmp_path, dims=(n,), replicates=1,
@@ -1279,10 +1310,10 @@ def test_cli_spectrum_out_equal_at_one_and_two_ambient_threads(
 def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
                                                      blas_threads_two):
     path = write_config(tmp_path, replicates=1)
-    assert cli.main(["run", "--config", str(path)]) == 0
+    assert cli.main(["run", "--config", str(path), "--workers", "1"]) == 0
     out = capsys.readouterr().out
-    assert ("BLAS: 2 ambient threads, 1 per call on a matrix with no side above "
-            f"{spectral.BLAS_PIN_MAX_DIM}; a unit's grid shifts on up to 2 lanes\n") in out
+    assert ("BLAS: 2 ambient threads, 1 per call; a unit's grid shifts on up to "
+            "2 lanes\n") in out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
         assert "BLAS" not in (tmp_path / "out" / name).read_text()
 
@@ -1346,7 +1377,7 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
         return sample_matrix(*args)
 
     monkeypatch.setattr(ensemble, "sample_matrix", recording)
-    assert cli.main(["run", "--config", str(path)]) == 0
+    assert cli.main(["run", "--config", str(path), "--workers", "1"]) == 0
     held = {1: "0.00195 MiB dense (A or B, never both, and LAPACK's working copy "
                "on each of 1 lane); at most 0.00195 MiB in 1 unit in flight",
             2: "0.00293 MiB dense (A or B, never both, and LAPACK's working copy "
@@ -1354,12 +1385,60 @@ def test_cli_run_prints_preflight_before_units_outside_reports(
             3: "0.00293 MiB dense (B, which its eigensolve factors in place on a "
                "spare lane, and LAPACK's working copy on each of 2 lanes, into "
                "which A - zI is drawn); at most 0.00293 MiB in 1 unit in flight"
-            }[min(spectral._lane_share(8), 3)]
+            }[min(spectral._lane_share(), 3)]
     line = f"preflight: 2 units, LAPACK work 6552 n^3; one unit at n=8 holds {held}\n"
     assert printed[0] == line
     assert line not in capsys.readouterr().out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
         assert "LAPACK work" not in (tmp_path / "out" / name).read_text()
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_cli_workers_default_to_the_available_cores(tmp_path, capsys, monkeypatch,
+                                                   at_ambient_threads, cores):
+    """Without --workers, run, delta-scan and circular-law take the cores
+    this process may run on, at most their units. Of dims (6, 8), one
+    replicate, at two ambient threads: one core runs the two units one at a
+    time on the calling thread, as --workers 1 does, on 2 lanes each; four
+    cores run both at once (a barrier both must reach), on 1 lane each. run's
+    preflight line counts the units in flight, and every file has the bytes
+    of --workers 1."""
+    path = write_config(tmp_path, replicates=1)
+    commands = {"run": "report.json", "delta-scan": "delta.csv",
+                "circular-law": "disk.csv"}
+
+    def written(*flags):
+        files = []
+        for command, name in commands.items():
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path), "--out", str(out),
+                             *flags]) == 0
+            files.append((out / name).read_bytes())
+        return files, capsys.readouterr().out
+
+    serial, _ = at_ambient_threads(2, lambda: written("--workers", "1"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    run_unit = harness._run_unit
+    on_caller = []
+    together = threading.Barrier(2, timeout=60)
+
+    def recording(config, perturbation, replicate, stages, share):
+        on_caller.append(threading.current_thread() is threading.main_thread())
+        if cores > 1:
+            together.wait()
+        return run_unit(config, perturbation, replicate, stages, share)
+
+    monkeypatch.setattr(harness, "_run_unit", recording)
+    files, out = at_ambient_threads(2, written)
+    assert files == serial
+    assert len(on_caller) == 2 * len(commands)
+    if cores == 1:
+        assert all(on_caller)
+        assert "2 lanes); at most 0.00293 MiB in 1 unit in flight\n" in out
+    else:
+        assert on_caller.count(True) == len(commands)
+        assert "1 lane); at most 0.00391 MiB in 2 units in flight\n" in out
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

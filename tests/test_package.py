@@ -110,7 +110,7 @@ def test_the_pin_rule_check_finds_each_unpinned_form():
                                     "5: np.matmul", "6: @", "7: @",
                                     "8: from numpy.linalg import"]
     tree = ast.parse("_blas(h.zgesdd, b'N', n, a)\nh.zgetrf(n, n, a)\n"
-                     "with _pinned(n):\n    h.zgeev(b'N', b'N', n, a)\n"
+                     "with _pinned():\n    h.zgeev(b'N', b'N', n, a)\n"
                      "f = lane.lapack.zgesdd\nlapack.zgetrf.argtypes = []\n"
                      "raise np.linalg.LinAlgError('x')\n")
     assert _unpinned_blas(tree) == ["2: h.zgetrf", "4: h.zgeev", "5: lane.lapack.zgesdd"]

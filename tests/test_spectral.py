@@ -95,8 +95,7 @@ def _numpy_route(monkeypatch, fn):
 def test_lanes_are_bitwise_numpys_route(monkeypatch, at_ambient_threads, n):
     """The lane route's singular values, log|det| and eigenvalues are
     bitwise those of np.linalg's svd, slogdet and eigvals, at ambient
-    thread counts 1 and 2: the shifts on one lane and, at n <=
-    BLAS_PIN_MAX_DIM, where a unit runs more, on two, at an exactly
+    thread counts 1 and 2: the shifts on one lane and on two, at an exactly
     singular shift too (m's first column is z times e_1); the eigensolve in
     LAPACK's order."""
     if spectral._lapack() is None:
@@ -110,13 +109,13 @@ def test_lanes_are_bitwise_numpys_route(monkeypatch, at_ambient_threads, n):
     def compare():
         expected = _numpy_route(monkeypatch, lambda: spectral.shifted(m, points))
         assert expected[0].singular and not expected[1].singular
-        for lanes in (1, 2) if n <= spectral.BLAS_PIN_MAX_DIM else (1,):
+        for lanes in (1, 2):
             got = spectral.shifted(m, points, lanes)
             assert [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
                     for s in got] == \
                 [(s.z, s.singular_values.tobytes(), repr(s.log_abs_det), s.singular)
                  for s in expected]
-        with spectral._pinned(n):
+        with spectral._pinned():
             eig = spectral._Lane(n, spectral._lapack()).eigensolve(m)
         assert eig.dtype == np.complex128
         assert eig.tobytes() == spectral._blas(np.linalg.eigvals, m).tobytes()
@@ -143,10 +142,9 @@ def test_lane_lu_of_a_pivot_beyond_a_float_is_numpys_verdict(monkeypatch):
 
 
 def test_lanes_run_pinned_and_leave_no_thread(lapack_calls, at_ambient_threads):
-    """Every lane call at n <= BLAS_PIN_MAX_DIM runs on one BLAS thread, two
-    lanes share the shifts, and the ambient count comes back, also when a
-    lane raises on an overflowing diagonal; no lane thread outlives the
-    call."""
+    """Every lane call runs on one BLAS thread, two lanes share the shifts,
+    and the ambient count comes back, also when a lane raises on an
+    overflowing diagonal; no lane thread outlives the call."""
     if spectral._lapack() is None:
         pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
     get_threads = spectral._openblas()[0]
@@ -260,7 +258,7 @@ def test_a_pin_holds_after_another_threads_pin_closes(at_ambient_threads):
     opened, close = threading.Event(), threading.Event()
 
     def other():
-        with spectral._pinned(8):
+        with spectral._pinned():
             opened.set()
             close.wait(10)
 
@@ -268,7 +266,7 @@ def test_a_pin_holds_after_another_threads_pin_closes(at_ambient_threads):
         helper = threading.Thread(target=other)
         helper.start()
         assert opened.wait(10)
-        with spectral._pinned(8):
+        with spectral._pinned():
             close.set()
             helper.join(10)
             assert not helper.is_alive()
@@ -276,6 +274,37 @@ def test_a_pin_holds_after_another_threads_pin_closes(at_ambient_threads):
         return inside, get_threads()
 
     assert at_ambient_threads(2, overlap) == ((1, 2), 2)
+
+
+def test_a_large_call_beside_another_threads_pin_has_its_lone_bytes(at_ambient_threads):
+    """At two ambient threads, the eigenvalues and singular values of a
+    600-by-600 matrix taken while a second thread holds a pin have the bytes
+    of the same calls made alone: every call runs on one BLAS thread,
+    whatever its size, so its bytes do not depend on another thread's
+    timing."""
+    m = np.random.default_rng(11).standard_normal((600, 600)).astype(complex)
+
+    def calls():
+        return eigenvalues(m).tobytes(), singular_values(m).tobytes()
+
+    def beside_a_pin():
+        opened, close = threading.Event(), threading.Event()
+
+        def hold(_):
+            opened.set()
+            close.wait(60)
+
+        helper = threading.Thread(target=spectral._blas, args=(hold, np.eye(8)))
+        helper.start()
+        try:
+            assert opened.wait(60)
+            return calls()
+        finally:
+            close.set()
+            helper.join(60)
+
+    alone = at_ambient_threads(2, calls)
+    assert at_ambient_threads(2, beside_a_pin) == alone
 
 
 def test_pins_on_more_threads_than_cores_under_fast_switching(at_ambient_threads):
@@ -287,8 +316,8 @@ def test_pins_on_more_threads_than_cores_under_fast_switching(at_ambient_threads
 
     def pin_often():
         for _ in range(300):
-            with spectral._pinned(8):
-                with spectral._pinned(8):
+            with spectral._pinned():
+                with spectral._pinned():
                     seen.append(get_threads())
                 seen.append(get_threads())
 
@@ -315,12 +344,11 @@ def test_lane_share_is_the_same_inside_a_pin(at_ambient_threads):
     so a unit run inside another's pin gets the same share of threads."""
     if spectral._lapack() is None:
         pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
-    cases = [(n, shifts, workers) for n in (8, 400, 401)
-             for shifts in (1, 2, 9) for workers in (1, 2, 3)]
+    cases = [(shifts, workers) for shifts in (1, 2, 9) for workers in (1, 2, 3)]
 
     def shares():
         outside = [spectral._lanes(*case) for case in cases]
-        with spectral._pinned(8):
+        with spectral._pinned():
             return outside, [spectral._lanes(*case) for case in cases]
 
     outside, inside = at_ambient_threads(2, shares)
