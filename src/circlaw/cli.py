@@ -245,8 +245,8 @@ def _cmd_run(args) -> int:
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")
     scaling = report.scaling
-    print(f"  exponents: a_hat={scaling.a_hat:.4g} b_hat={scaling.b_hat:.4g} "
-          f"eps_hat={scaling.eps_hat:.4g}")
+    print("  exponents: " + " ".join(f"{e}={getattr(scaling, e):.4g}" for e in sorted(
+        s.exponent for s in diagnostics.SCALING_STATS.values() if s.exponent)))
     print(f"  s_min violation fraction (b0={scaling.reference_exponent_b0:g}): "
           f"{scaling.smin_violation_fraction:.4g}")
     for stage, seconds in report.timings.items():

@@ -29,6 +29,7 @@ from .measures import EmpiricalMeasure1D
 __all__ = [
     "ZGrid",
     "ROW_CHECKS",
+    "SCALING_STATS",
     "DeltaDiagnostics",
     "RankCheck",
     "DimScalingStats",
@@ -272,6 +273,20 @@ def delta_scan(pair: ensemble.AssembledPair, grid: ZGrid) -> list[DeltaDiagnosti
                 spectral.shifted(pair.b_matrix, points))]
 
 
+# The scaling report's statistics, by DimScalingStats field, in scaling.csv's
+# order. A ScalingStat gives a statistic's value on an unflagged delta row,
+# its reducer over a dim's rows, and the ScalingReport field and sign of its
+# fitted log-log exponent (None if it has none).
+ScalingStat = NamedTuple("ScalingStat", [("value", Callable), ("reduce", Callable),
+                                         ("exponent", str), ("sign", int)])
+SCALING_STATS = {
+    "median_abs_delta": ScalingStat(lambda d: abs(d.delta), np.median, None, None),
+    "median_ks": ScalingStat(lambda d: d.ks, np.median, "eps_hat", -1),
+    "min_smin": ScalingStat(lambda d: min(d.s_min_a, d.s_min_b), min, "b_hat", -1),
+    "max_smax": ScalingStat(lambda d: max(d.s_max_a, d.s_max_b), max, "a_hat", 1),
+}
+
+
 @dataclass(frozen=True)
 class DimScalingStats:
     """Aggregates over all non-flagged (replicate, z) rows at one dimension."""
@@ -308,7 +323,8 @@ def _fit_slope(dims: Sequence[int], values: Sequence[float]) -> float:
     """OLS slope of log(value) against log(dim) over positive values.
 
     Returns 0.0 when fewer than two positive values remain (a flat or
-    degenerate statistic carries no measurable exponent).
+    degenerate statistic carries no measurable exponent); aggregate_scaling's
+    NaN instead means fewer than two usable dims, so no statistic was fitted.
     """
     pts = [(math.log(d), math.log(v)) for d, v in zip(dims, values)
            if np.isfinite(v) and v > 0]
@@ -323,7 +339,7 @@ def aggregate_scaling(
     rows: Sequence[tuple[int, int, DeltaDiagnostics]],
     b0: float,
 ) -> ScalingReport:
-    """Aggregate scan rows into per-dim statistics and fitted exponents.
+    """Aggregate scan rows into SCALING_STATS' per-dim values and exponents.
 
     A dim whose rows are all singular-flagged is left out of ``per_dim`` and
     of the fits; with fewer than two usable dims the exponents are NaN.
@@ -332,46 +348,32 @@ def aggregate_scaling(
     for dim, _replicate, diag in rows:
         by_dim.setdefault(dim, []).append(diag)
 
+    smin = SCALING_STATS["min_smin"].value
     per_dim: list[DimScalingStats] = []
-    violations = 0
-    total = 0
+    violations = total = 0
     for dim in sorted(by_dim):
         diags = by_dim[dim]
         ok = [d for d in diags if not d.singular_flag]
         if not ok:
             continue
-        smins = [min(d.s_min_a, d.s_min_b) for d in ok]
         try:
             threshold = dim ** (-b0)
         except OverflowError:  # every finite s_min is below it
             threshold = math.inf
-        violations += sum(1 for s in smins if s < threshold)
+        violations += sum(1 for d in ok if smin(d) < threshold)
         total += len(ok)
-        per_dim.append(
-            DimScalingStats(
-                dim=dim,
-                median_abs_delta=float(np.median([abs(d.delta) for d in ok])),
-                median_ks=float(np.median([d.ks for d in ok])),
-                min_smin=float(min(smins)),
-                max_smax=float(max(max(d.s_max_a, d.s_max_b) for d in ok)),
-                rows=len(diags),
-                flagged=len(diags) - len(ok),
-            )
-        )
+        per_dim.append(DimScalingStats(
+            dim=dim, **{name: float(stat.reduce([stat.value(d) for d in ok]))
+                        for name, stat in SCALING_STATS.items()},
+            rows=len(diags), flagged=len(diags) - len(ok)))
 
     dims = tuple(s.dim for s in per_dim)
-    if len(per_dim) < 2:
-        a_hat = b_hat = eps_hat = float("nan")
-    else:
-        a_hat = _fit_slope(dims, [s.max_smax for s in per_dim])
-        b_hat = -_fit_slope(dims, [s.min_smin for s in per_dim])
-        eps_hat = -_fit_slope(dims, [s.median_ks for s in per_dim])
+    fit = len(per_dim) >= 2
     return ScalingReport(
         dims=dims,
         per_dim=tuple(per_dim),
-        a_hat=a_hat,
-        b_hat=b_hat,
-        eps_hat=eps_hat,
+        **{stat.exponent: stat.sign * _fit_slope(dims, [getattr(s, name) for s in per_dim])
+           if fit else math.nan for name, stat in SCALING_STATS.items() if stat.exponent},
         reference_exponent_b0=b0,
         smin_violation_fraction=(violations / total) if total else 0.0,
     )

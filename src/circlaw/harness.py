@@ -60,8 +60,6 @@ _DELTA_FIELDS = (
     "delta", "ks", "rank_bound", "ibp_bound", "s_min_a", "s_min_b", "s_max_a",
     "s_max_b", "singular_flag",
 )
-# The DimScalingStats fields written to scaling.csv.
-_SCALING_FIELDS = ("dim", "median_abs_delta", "median_ks", "min_smin", "max_smax")
 
 # Per-unit products: delta_scan rows and the disc-law record.
 STAGES = ("delta", "disk")
@@ -557,7 +555,7 @@ def write_disk_csv(path, rows: Sequence[DiskRecord]) -> None:
 
 
 def write_scaling_csv(path, scaling: ScalingReport) -> None:
-    _write_records_csv(path, _SCALING_FIELDS, scaling.per_dim)
+    _write_records_csv(path, ("dim", *diagnostics.SCALING_STATS), scaling.per_dim)
 
 
 def _jf(x: float):

@@ -1,5 +1,6 @@
 """Tests for log-determinant gap diagnostics, scaling fits, and identities."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -34,6 +35,7 @@ from circlaw import (
     verify_rank_inequality,
 )
 from circlaw import diagnostics, spectral
+from circlaw.harness import write_scaling_csv
 
 CG = EntryDistribution.parse("complex-gaussian")
 
@@ -384,6 +386,75 @@ def test_aggregate_scaling_counts_smin_violations():
     # threshold 10^-3 = 1e-3 > 1e-9 so the first row violates
     agg = aggregate_scaling(rows, 3.0)
     assert agg.smin_violation_fraction == 0.5
+
+
+def _scaling_row(ks, s_min_a, s_min_b, s_max_a, s_max_b, delta=0.0, flagged=False):
+    return DeltaDiagnostics(
+        z=0j, delta=delta, delta_logdet=delta, s_max_a=s_max_a, s_min_a=s_min_a,
+        s_max_b=s_max_b, s_min_b=s_min_b, ks=ks, rank_bound=0.0, ibp_bound=0.0,
+        singular_flag=flagged,
+    )
+
+
+def test_aggregate_scaling_fits_each_exponent_with_its_sign():
+    """s_max ~ n^0.5, s_min ~ n^-1 and ks ~ 1/n: a_hat = 0.5, b_hat = 1 and
+    eps_hat = 1, each per-dim value the hand-computed median, min or max of
+    the unflagged rows, and a flagged row, however extreme, in none of them."""
+    dims = (10, 20, 40, 80)
+    rows = []
+    for n in dims:
+        root = math.sqrt(n)
+        rows += [(n, k, _scaling_row(f / n, f / n, f / (2 * n), f * root, root,
+                                     delta=(-1) ** k * f / n**2))
+                 for k, f in enumerate((1, 2, 4, 8))]
+        rows.append((n, 4, _scaling_row(1.0, 1e-300, 1e-300, 1e300, 1e300,
+                                        delta=math.nan, flagged=True)))
+    agg = aggregate_scaling(rows, 3.0)
+    assert abs(agg.a_hat - 0.5) <= 1e-12
+    assert abs(agg.b_hat - 1.0) <= 1e-12
+    assert abs(agg.eps_hat - 1.0) <= 1e-12
+    assert agg.dims == dims
+    for s, n in zip(agg.per_dim, dims):
+        assert (s.rows, s.flagged) == (5, 1)
+        assert s.median_abs_delta == (2 / n**2 + 4 / n**2) / 2
+        assert s.median_ks == (2 / n + 4 / n) / 2
+        assert s.min_smin == 1 / (2 * n)
+        assert s.max_smax == 8 * math.sqrt(n)
+
+
+def test_aggregate_scaling_leaves_a_zero_statistic_out_of_its_own_fit_only():
+    """ks is 0 at n = 40, so eps_hat is fitted on the other three dims, while
+    a_hat and b_hat are still fitted on all four."""
+    dims = (10, 20, 40, 80)
+    s_min, s_max = (0.5, 0.1, 0.3, 0.05), (1.0, 3.0, 2.0, 5.0)
+    ks = tuple(0.0 if n == 40 else 1 / n for n in dims)
+    rows = [(n, 0, _scaling_row(k, lo, 2 * lo, hi, hi / 2))
+            for n, k, lo, hi in zip(dims, ks, s_min, s_max)]
+    agg = aggregate_scaling(rows, 3.0)
+    assert agg.dims == dims
+    assert [s.median_ks for s in agg.per_dim] == list(ks)
+    assert abs(agg.eps_hat - 1.0) <= 1e-12
+    logs, not_40 = np.log(dims), [0, 1, 3]
+    for hat, sign, values in ((agg.a_hat, 1, s_max), (agg.b_hat, -1, s_min)):
+        ys = np.log(values)
+        assert abs(hat - sign * np.polyfit(logs, ys, 1)[0]) <= 1e-12
+        assert abs(hat - sign * np.polyfit(logs[not_40], ys[not_40], 1)[0]) > 1e-3
+
+
+def test_scaling_stats_table_names_the_records_fields(tmp_path):
+    """DimScalingStats holds one field per SCALING_STATS entry, in order,
+    between dim and the row counts; ScalingReport one *_hat field per fitted
+    exponent; and scaling.csv's columns are n and the table's names."""
+    table = diagnostics.SCALING_STATS
+    fields = [f.name for f in dataclasses.fields(diagnostics.DimScalingStats)]
+    assert fields == ["dim", *table, "rows", "flagged"]
+    hats = [f.name for f in dataclasses.fields(diagnostics.ScalingReport)
+            if f.name.endswith("_hat")]
+    assert hats == sorted(s.exponent for s in table.values() if s.exponent)
+    assert all(s.sign in (1, -1) for s in table.values() if s.exponent)
+    path = tmp_path / "scaling.csv"
+    write_scaling_csv(path, aggregate_scaling([(10, 0, _identity_row(10))], 3.0))
+    assert path.read_text().splitlines()[0] == ",".join(["n", *table])
 
 
 def test_constant_case_deterministic_skeleton():

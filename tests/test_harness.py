@@ -1537,6 +1537,21 @@ def test_cli_delta_scan_summary_is_runs_consistency(tmp_path, capsys, kind):
     assert f"  max cross-check gap = {cons['max_cross_check_gap']:.3g}\n" in out
 
 
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_cli_run_exponent_line_is_reports_exponents(tmp_path, capsys, kind):
+    """run's exponents line is report.json's scaling exponents, in its key
+    order, each formatted .4g, a null as nan."""
+    path = str(config_file(tmp_path, CONFIGS[kind](tmp_path)))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    scaling = json.loads((tmp_path / "run" / "report.json").read_text())["scaling"]
+    hats = [k for k in scaling if k.endswith("_hat")]
+    assert hats == ["a_hat", "b_hat", "eps_hat"]
+    line = " ".join(f"{k}={math.nan if scaling[k] is None else scaling[k]:.4g}"
+                    for k in hats)
+    assert f"\n  exponents: {line}\n" in out
+
+
 @pytest.mark.parametrize("command", ["run", "delta-scan", "circular-law"])
 @pytest.mark.parametrize("key, overrides", [
     ("scale", {"perturbation": {"kind": "all-ones", "scale": "x"}}),
