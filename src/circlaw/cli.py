@@ -219,28 +219,21 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if report.total_violations == 0 else 2
 
 
-def _lane_note(config: harness.ExperimentConfig, workers: int) -> tuple[int, bool]:
-    """(lanes, overlapped) of a run unit: the threads its grid shifts run
-    on, and whether B's eigensolve takes one more beside them
-    (harness._overlaps), with the units run at once (harness._at_once)."""
-    at_once = harness._at_once(config, workers)
-    return (spectral._lanes(len(config.z_grid), at_once),
-            harness._overlaps(config, harness.STAGES, spectral._lane_share(at_once)))
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args)
     n = config.dims[-1]
-    lanes, overlapped = _lane_note(config, args.workers)
-    held, units = harness._in_flight(config, args.workers)
+    plan = harness._plan(config, harness.STAGES, args.workers)
+    lanes, units = plan.lanes, plan.at_once
+    dense = harness.unit_dense_bytes(n, lanes)
     copies = f"LAPACK's working copy on each of {lanes} lane{'s' * (lanes > 1)}"
     print(f"preflight: {len(config.dims) * config.replicates} units, "
           f"LAPACK work {harness.lapack_work(config):.4g} n^3; one unit at "
-          f"n={n} holds {harness.unit_dense_bytes(n, lanes) / 2**20:.3g} MiB dense "
+          f"n={n} holds {dense / 2**20:.3g} MiB dense "
           + (f"(B, which its eigensolve factors in place on a spare lane, and {copies}, "
-             "into which A - zI is drawn)" if overlapped else
+             "into which A - zI is drawn)" if plan.beside else
              f"(A or B, never both, and {copies})")
-          + f"; at most {held / 2**20:.3g} MiB in {units} unit{'s' * (units > 1)} in flight")
+          + f"; at most {units * dense / 2**20:.3g} MiB in {units} "
+          f"unit{'s' * (units > 1)} in flight")
     report = harness.run_experiment(config, workers=args.workers)
     print(f"run '{config.name}': {len(report.delta_rows)} delta rows, "
           f"{report.flagged_points} singular-flagged")
@@ -255,7 +248,7 @@ def _cmd_run(args) -> int:
     print("  BLAS: " + ("unknown" if threads is None else
                         f"{threads} ambient threads, 1 per call")
           + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}"
-          + (", and B's eigensolve on one more beside them" if overlapped else ""))
+          + (", and B's eigensolve on one more beside them" if plan.beside else ""))
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

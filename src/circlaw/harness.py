@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -353,48 +353,56 @@ def lapack_work(config: ExperimentConfig) -> int:
     return config.replicates * per_unit * sum(n**3 for n in config.dims)
 
 
-def unit_dense_bytes(n: int, lanes: int = 1) -> int:
-    """What one unit at dim n holds densely at its peak, in n-by-n
-    complex128 matrices: one matrix, B or A, and the working copy of each
-    of its lanes (spectral._Lane), which LAPACK factors; while B is formed,
-    X and U V* (B's array), and then B and its Fortran-order copy where B's
-    eigensolve overlaps the shifts (_run_unit). That eigensolve factors B
-    in place, and A - zI is drawn straight into the lanes' copies, so it
-    holds no more. A unit also keeps n singular values per grid point of
-    B - zI until A's pass. A run holds this once per unit in flight
-    (_in_flight).
+def unit_dense_bytes(n: int, lanes: int) -> int:
+    """What one unit at dim n on `lanes` lanes holds densely at its peak, in
+    n-by-n complex128 matrices: one matrix, B or A, and each lane's working
+    copy (spectral._Lane), which LAPACK factors; while B is formed, X and
+    U V* (B's array), and then B and its Fortran-order copy where B's
+    eigensolve runs beside the shifts. That eigensolve factors B in place,
+    and A - zI is drawn straight into the lanes' copies, so it holds no
+    more. A unit also keeps n singular values per grid point of B - zI
+    until A's pass.
     """
     return (1 + lanes) * 16 * n * n
 
 
-def _at_once(config: ExperimentConfig, workers: int) -> int:
-    """How many units run_units runs at a time: `workers`, at most the
-    number of units."""
-    return min(workers, config.replicates * len(config.dims))
+class _Plan(NamedTuple):
+    """How run_units spends the ambient BLAS threads (_plan)."""
+
+    stages: frozenset
+    at_once: int  # units run at a time
+    share: int  # each unit's threads
+    lanes: int  # threads a unit's grid shifts run on
+    beside: bool  # B's eigensolve on one more thread, beside the shifts
 
 
-def _in_flight(config: ExperimentConfig, workers: int) -> tuple[int, int]:
-    """(bytes, units): the most dense bytes run_units holds at once, the
-    units in flight (_at_once) times unit_dense_bytes at the largest dim,
-    whichever schedule a unit takes, and their count."""
-    units = _at_once(config, workers)
-    lanes = spectral._lanes(len(config.z_grid), units)
-    return units * unit_dense_bytes(config.dims[-1], lanes), units
-
-
-def _overlaps(config: ExperimentConfig, stages, share: int) -> bool:
-    """Whether a unit takes B's eigensolve beside its shifts (_run_unit):
-    it computes both stages and its lane share, spectral._lane_share, has
-    a thread to spare beyond one per grid shift."""
-    return set(stages) >= set(STAGES) and share > len(config.z_grid)
+def _plan(config: ExperimentConfig, stages, workers: int) -> _Plan:
+    """The one place the schedule is decided. Units run `workers` at a
+    time, at most the number of units; each gets an equal share of the
+    ambient BLAS thread count (spectral._lane_share), runs its grid shifts
+    on up to that many lanes, and runs B's eigensolve beside them where it
+    computes both stages and its share has a thread to spare beyond one per
+    shift. Each schedule wins where the plan picks it: beside, a one-shift
+    unit keeps two threads busy; on a full grid, drawing A once per
+    factorization would cost more than the eigensolve it overlaps. A bad
+    worker count or stage set is rejected here."""
+    _check_workers(workers)
+    unknown = sorted(set(stages) - set(STAGES))
+    if unknown or not stages:
+        raise ValidationError(
+            f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
+    at_once = min(workers, config.replicates * len(config.dims))
+    share = spectral._lane_share(at_once)
+    shifts = len(config.z_grid)
+    return _Plan(stages=frozenset(stages), at_once=at_once, share=share,
+                 lanes=min(shifts, share),
+                 beside=set(stages) >= set(STAGES) and share > shifts)
 
 
 def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
-              replicate: int, stages, share: int | None = None) -> UnitResult:
-    """One unit, computing only the requested stages, holding one n-by-n
-    matrix and a working copy per lane (unit_dense_bytes); `share` is its
-    lane share, by default spectral._lane_share at one worker, and
-    run_units passes each unit its own.
+              replicate: int, plan: _Plan) -> UnitResult:
+    """One unit, computing only the plan's stages, holding one n-by-n
+    matrix and a working copy per lane (unit_dense_bytes).
 
     B's pass: X is drawn, B = (X + M)/sqrt(n) formed and X dropped.
     "disk" takes the one eigensolve of B; "delta" the SVD and LU of B - zI
@@ -402,26 +410,24 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     pass, for "delta" only: B is dropped, X drawn again from its seed and
     scaled in place into A, and the SVD and LU of A - zI at each grid point
     complete that point's row (diagnostics.delta_row). Each pass is one
-    spectral.shifted call over the grid's points on min(shifts, share)
-    threads of one shift at a time, each with its own working copy.
+    spectral.shifted call over the grid's points on the plan's lanes, each
+    with its own working copy.
 
-    Where the share has a thread to spare (_overlaps), B's eigensolve runs
-    on it beside the shifts instead (spectral._eigensolve_beside): B is
-    checked and copied into Fortran order, each shift's LU of B - zI is
-    taken, then zgeev factors B in place, its last use, while each lane
-    takes the SVD of B - zI and then draws A - zI straight into its copy
-    from the unit's seed, once for the SVD and once for the LU. Only the
-    calling thread calls a public function.
+    Where the plan puts B's eigensolve beside the shifts, it runs there
+    instead (spectral._eigensolve_beside): B is checked and copied into
+    Fortran order, each shift's LU of B - zI is taken, then zgeev factors B
+    in place, its last use, while each lane takes the SVD of B - zI and
+    then draws A - zI straight into its copy from the unit's seed, once for
+    the SVD and once for the LU. Only the calling thread calls a public
+    function.
 
     The bytes are those of delta_scan and disk_record on build_pair's pair,
-    at any share and ambient BLAS thread count.
+    under any plan and at any ambient BLAS thread count.
     """
     dim, rank = perturbation.dim, perturbation.rank
     points = config.z_grid.points()
-    share = spectral._lane_share() if share is None else share
-    lanes = min(len(points), share)
     b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
-    if _overlaps(config, stages, share):
+    if plan.beside:
         seed = ensemble.derive_seed(config.master_seed, dim, replicate)
         b = np.asfortranarray(spectral._as_matrix(b))
         eig, pairs = spectral._eigensolve_beside(b, points.tolist(), lambda out: (
@@ -429,14 +435,14 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
         diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z in pairs)
         return UnitResult(dim=dim, replicate=replicate, diagnostics=diags,
                           disk=_disk_of(eig, rank, dim, replicate))
-    disk = _disk(b, rank, dim, replicate) if "disk" in stages else None
+    disk = _disk(b, rank, dim, replicate) if "disk" in plan.stages else None
     diags = ()
-    if "delta" in stages:
-        b_side = spectral.shifted(b, points, lanes)
+    if "delta" in plan.stages:
+        b_side = spectral.shifted(b, points, plan.lanes)
         del b
         a = ensemble.scaled(_sample(config, dim, replicate))
         diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z
-                      in zip(spectral.shifted(a, points, lanes), b_side))
+                      in zip(spectral.shifted(a, points, plan.lanes), b_side))
     return UnitResult(dim=dim, replicate=replicate, diagnostics=diags, disk=disk)
 
 
@@ -460,25 +466,18 @@ def _output_dir(config: ExperimentConfig) -> Path:
 def run_units(config: ExperimentConfig, stages, workers: int = 1) -> list[UnitResult]:
     """Every (dim, replicate) unit in dims-then-replicates order, computing
     the given subset of STAGES from one Perturbation per dim, built before
-    any unit samples. Units run up to `workers` at a time, at most the
-    number of units (_at_once), on threads (spectral._on_lanes), each with
-    an equal share of the ambient BLAS thread count for its shifts and, where
-    one is spare, its eigensolve (_run_unit). At workers=1 every unit runs
-    on the calling thread. Each LAPACK call runs on one BLAS thread, so the
-    results depend on neither the worker count nor the ambient count."""
-    _check_workers(workers)
-    unknown = sorted(set(stages) - set(STAGES))
-    if unknown or not stages:
-        raise ValidationError(
-            f"stages must be a nonempty subset of {STAGES}, got {unknown or 'none'}")
+    any unit samples. The schedule is one plan (_plan), made here and
+    passed to every unit: units run plan.at_once at a time on threads
+    (spectral._on_lanes), and at one every unit runs on the calling thread.
+    Each LAPACK call runs on one BLAS thread, so the results depend on
+    neither the worker count nor the ambient count."""
+    plan = _plan(config, stages, workers)
     perturbations = [ensemble.build_perturbation(config.perturbation, dim)
                      for dim in config.dims]
     tasks = [(perturbation, replicate) for perturbation in perturbations
              for replicate in range(config.replicates)]
-    at_once = _at_once(config, workers)
-    share = spectral._lane_share(at_once)
-    return spectral._on_lanes(lambda _, task: _run_unit(config, *task, stages, share),
-                              tasks, at_once)
+    return spectral._on_lanes(lambda _, task: _run_unit(config, *task, plan),
+                              tasks, plan.at_once)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:

@@ -3,7 +3,9 @@
 Eigenvalues are labeled by nonincreasing modulus with ties broken by
 increasing principal argument; singular values are nonincreasing. log|det|
 is computed from the singular values and cross-checked against an
-LU-factorization value; disagreement is an internal-consistency error.
+LU-factorization value (logdet_agree): `summarize` raises on a
+disagreement, while `shifted` returns both values and a run's delta row
+fails its cross_check rule (diagnostics.ROW_CHECKS).
 
 A caller's matrix is checked once (`_as_matrix`), and `_log_abs_det` alone
 decides that a matrix is singular. This module owns the BLAS thread count
@@ -215,12 +217,6 @@ def _lane_share(workers: int = 1) -> int:
     if threads is None or _lapack() is None:
         return 1
     return max(1, threads // workers)
-
-
-def _lanes(shifts: int, workers: int = 1) -> int:
-    """How many threads shifted factors `shifts` shifts on: the unit's share
-    (_lane_share), at most the number of shifts."""
-    return max(1, min(shifts, _lane_share(workers)))
 
 
 def _check_finite(m: np.ndarray) -> None:
@@ -545,9 +541,10 @@ def shifted(m, z, lanes: int | None = None):
     read, z by the number rule (_numbers) as a point or a 1-d sequence; a
     non-finite point is found by the scan of its shifted diagonal. Each
     shift is written into a lane's working buffer (_Lane) and factored
-    there. The shifts run on `lanes` threads (_on_lanes), by default
-    _lanes(shifts), every LAPACK call on one BLAS thread, so the values are
-    the same at any lane count and ambient thread count.
+    there. The shifts run on `lanes` threads (_on_lanes), by default the
+    ambient share (_lane_share) capped at the number of shifts, every
+    LAPACK call on one BLAS thread, so the values are the same at any lane
+    count and ambient thread count.
     They are those of singular_values and log_abs_det_lu on a shifted copy,
     unless a zero singular value makes it singular."""
     m = _as_matrix(m)
@@ -558,7 +555,7 @@ def shifted(m, z, lanes: int | None = None):
     one = shifts.ndim == 0
     points = shifts.astype(np.complex128).reshape(-1).tolist()
     spectra = _on_lanes(lambda lane, p: lane.factor(m, p), points,
-                        _lanes(len(points)) if lanes is None else lanes,
+                        min(len(points), _lane_share()) if lanes is None else lanes,
                         lambda: _Lane(n, _lapack()))
     return spectra[0] if one else spectra
 

@@ -63,6 +63,14 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**fields)
 
 
+def plan_at(monkeypatch, cfg, stages, share):
+    """harness._plan of cfg's stages at one worker, with a lane share of
+    `share` at any ambient thread count."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_lane_share", lambda workers: share)
+        return harness._plan(cfg, stages, 1)
+
+
 @pytest.fixture
 def sample_calls(monkeypatch):
     """The arguments of every ensemble.sample_matrix call."""
@@ -680,8 +688,10 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.0, 0.5), (0.0, 0.5), 0.5))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
-    lanes = spectral._lanes(len(cfg.z_grid))
-    harness._run_unit(cfg, perturbation, 1, harness.STAGES, lanes)
+    plan = plan_at(monkeypatch, cfg, harness.STAGES,
+                   min(len(cfg.z_grid), spectral._lane_share()))
+    assert not plan.beside
+    harness._run_unit(cfg, perturbation, 1, plan)
     per_lane = sum(lane_nbytes(n))
     current = []
     blas = spectral._blas
@@ -696,11 +706,11 @@ def test_run_unit_holds_one_dense_matrix_at_each_lapack_call(tmp_path, monkeypat
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        harness._run_unit(cfg, perturbation, 0, harness.STAGES, lanes)
+        harness._run_unit(cfg, perturbation, 0, plan)
     finally:
         tracemalloc.stop()
     assert len(current) == 4 * len(cfg.z_grid) + 1
-    assert max(current) <= 1.25 * 16 * n * n + lanes * per_lane
+    assert max(current) <= 1.25 * 16 * n * n + plan.lanes * per_lane
 
 
 def test_an_overlapped_unit_holds_b_and_one_lane_at_each_lapack_call(tmp_path,
@@ -719,7 +729,9 @@ def test_an_overlapped_unit_holds_b_and_one_lane_at_each_lapack_call(tmp_path,
     n = 200
     cfg = small_config(tmp_path, dims=(n,), z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
     perturbation = ensemble.build_perturbation(cfg.perturbation, n)
-    harness._run_unit(cfg, perturbation, 1, harness.STAGES, 2)
+    plan = plan_at(monkeypatch, cfg, harness.STAGES, 2)
+    assert plan.beside
+    harness._run_unit(cfg, perturbation, 1, plan)
     lane = spectral._Lane(n, spectral._lapack())
     beside = sum(lane_nbytes(n)) + lane.eig_workspace_nbytes()
     calls = []
@@ -728,7 +740,7 @@ def test_an_overlapped_unit_holds_b_and_one_lane_at_each_lapack_call(tmp_path,
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        harness._run_unit(cfg, perturbation, 0, harness.STAGES, 2)
+        harness._run_unit(cfg, perturbation, 0, plan)
     finally:
         tracemalloc.stop()
     assert sorted(name for name, _, _ in calls) == ["eigvals", "slogdet", "slogdet",
@@ -778,8 +790,8 @@ def _one_shift_configs(tmp_path, rank3_csv):
 
 @pytest.mark.parametrize("stages", [{"delta"}, {"disk"}, {"delta", "disk"}],
                          ids=["delta", "disk", "both"])
-def test_run_unit_bytes_are_those_of_the_pair_entry_points(tmp_path, rank3_csv,
-                                                           stages):
+def test_run_unit_bytes_are_those_of_the_pair_entry_points(tmp_path, monkeypatch,
+                                                           rank3_csv, stages):
     """A unit's rows and disc record, from one matrix at a time and a second
     draw of X, are bitwise delta_scan and disk_record of build_pair's pair:
     at lane shares 1 and 2, so a one-shift unit computing both stages takes
@@ -794,19 +806,21 @@ def test_run_unit_bytes_are_those_of_the_pair_entry_points(tmp_path, rank3_csv,
             rows = diagnostics.delta_scan(pair, cfg.z_grid) if "delta" in stages else []
             disk = harness.disk_record(pair, n, replicate) if "disk" in stages else None
             for share in (1, 2):
-                unit = harness._run_unit(cfg, perturbation, replicate, stages, share)
+                plan = plan_at(monkeypatch, cfg, stages, share)
+                unit = harness._run_unit(cfg, perturbation, replicate, plan)
                 assert [repr(d) for d in unit.diagnostics] == [repr(d) for d in rows]
                 assert repr(unit.disk) == repr(disk)
 
 
-def test_run_unit_draws_x_twice_for_delta_and_once_for_disk(tmp_path, sample_calls):
+def test_run_unit_draws_x_twice_for_delta_and_once_for_disk(tmp_path, monkeypatch,
+                                                             sample_calls):
     """A disk-only unit never forms A, so it draws X once; with delta it
     draws X again, from the same seed, for A's pass."""
     cfg = small_config(tmp_path, dims=(6,), replicates=1)
     perturbation = ensemble.build_perturbation(cfg.perturbation, 6)
-    harness._run_unit(cfg, perturbation, 0, {"disk"})
+    harness._run_unit(cfg, perturbation, 0, harness._plan(cfg, {"disk"}, 1))
     assert len(sample_calls) == 1
-    harness._run_unit(cfg, perturbation, 0, harness.STAGES, 1)
+    harness._run_unit(cfg, perturbation, 0, plan_at(monkeypatch, cfg, harness.STAGES, 1))
     assert len(sample_calls) == 3 and sample_calls[1] == sample_calls[2]
 
 
@@ -827,7 +841,7 @@ def test_an_overlapped_unit_draws_x_once_for_b_and_twice_into_a_lane(
     cfg = small_config(tmp_path, dims=(6,), replicates=1,
                        z_grid=ZGrid((0.5, 0.5), (0.5, 0.5), 1.0))
     perturbation = ensemble.build_perturbation(cfg.perturbation, 6)
-    harness._run_unit(cfg, perturbation, 0, harness.STAGES, 2)
+    harness._run_unit(cfg, perturbation, 0, plan_at(monkeypatch, cfg, harness.STAGES, 2))
     assert len(sample_calls) == 1
     assert draws == [sample_calls[0][2]] * 3
 
@@ -859,8 +873,9 @@ def test_an_overlapped_unit_raises_a_lapack_failure_and_joins_its_helper(
     perturbation = ensemble.build_perturbation(cfg.perturbation, 40)
     threads = threading.active_count()
     for share in (1, 2):
+        plan = plan_at(monkeypatch, cfg, harness.STAGES, share)
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            harness._run_unit(cfg, perturbation, 0, harness.STAGES, share)
+            harness._run_unit(cfg, perturbation, 0, plan)
         assert threading.active_count() == threads
 
 
@@ -992,11 +1007,11 @@ def test_reports_equal_at_one_and_two_workers_and_threads_at_every_dim(
     seen = []
     together = [None]
 
-    def recording(config, perturbation, replicate, stages, share):
-        seen.append((perturbation.dim, threading.get_ident(), share))
+    def recording(config, perturbation, replicate, plan):
+        seen.append((perturbation.dim, threading.get_ident(), plan.share))
         if perturbation.dim == 401 and together[0] is not None:
             together[0].wait()
-        return run_unit(config, perturbation, replicate, stages, share)
+        return run_unit(config, perturbation, replicate, plan)
 
     monkeypatch.setattr(harness, "_run_unit", recording)
 
@@ -1027,9 +1042,9 @@ def test_a_lone_unit_at_two_workers_takes_both_threads(tmp_path, monkeypatch,
     run_unit = harness._run_unit
     shares = []
 
-    def recording(config, perturbation, replicate, stages, share):
-        shares.append(share)
-        return run_unit(config, perturbation, replicate, stages, share)
+    def recording(config, perturbation, replicate, plan):
+        shares.append(plan.share)
+        return run_unit(config, perturbation, replicate, plan)
 
     monkeypatch.setattr(harness, "_run_unit", recording)
 
@@ -1041,7 +1056,9 @@ def test_a_lone_unit_at_two_workers_takes_both_threads(tmp_path, monkeypatch,
     one = at_ambient_threads(2, lambda: reports(1))
     assert at_ambient_threads(2, lambda: reports(2)) == one
     assert shares == [2, 2]
-    assert harness._in_flight(cfg, 2) == harness._in_flight(cfg, 1)
+    plans = at_ambient_threads(2, lambda: [harness._plan(cfg, harness.STAGES, workers)
+                                           for workers in (1, 2)])
+    assert plans[0] == plans[1] and plans[0].beside
 
 
 def test_two_workers_give_each_unit_its_share_of_the_ambient_threads(tmp_path,
@@ -1069,6 +1086,59 @@ def test_two_workers_give_each_unit_its_share_of_the_ambient_threads(tmp_path,
     lanes.clear()
     harness.run_units(cfg, {"delta"}, 1)
     assert lanes == [3] * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("points", [1, 2])
+@pytest.mark.parametrize("command, stages", [
+    ("delta-scan", {"delta"}), ("circular-law", {"disk"}), ("run", set(harness.STAGES))],
+    ids=["delta", "disk", "both"])
+def test_the_plan_is_what_ran(tmp_path, capsys, monkeypatch, lapack_calls, threads,
+                              points, command, stages):
+    """With OpenBLAS faked to an ambient count of 1, 2 or 4, one unit on a
+    grid of 1 or 2 points at --workers 1 runs as harness._plan says: B's
+    eigensolve off the calling thread exactly when plan.beside, and each
+    pass of shifts (one _on_lanes call) on plan.lanes threads. run's BLAS
+    line states the same plan."""
+    if spectral._lapack() is None:
+        pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
+    count = [threads]
+    monkeypatch.setattr(spectral, "_openblas", lambda: (
+        lambda: count[0], lambda value: count.__setitem__(0, value)))
+    grid = {1: {"re_range": [0.5, 0.5], "im_range": [0.5, 0.5], "step": 1.0},
+            2: {"re_range": [0.0, 0.5], "im_range": [0.0, 0.0], "step": 0.5}}[points]
+    path = write_config(tmp_path, dims=[8], replicates=1, z_grid=grid)
+    plan = harness._plan(harness.load_config(path), stages, 1)
+    assert (plan.at_once, plan.share, plan.lanes, plan.beside) == (
+        1, threads, min(points, threads), stages == set(harness.STAGES) and threads > points)
+
+    passes = [0]
+    on_lanes = spectral._on_lanes
+
+    def counting(*args):
+        passes[0] += 1
+        return on_lanes(*args)
+
+    monkeypatch.setattr(spectral, "_on_lanes", counting)
+    calls = []
+    lapack_calls(lambda name, a: calls.append((passes[0], name, threading.get_ident())))
+    assert cli.main([command, "--config", str(path), "--workers", "1"]) == 0
+    assert count == [threads]
+    main = threading.get_ident()
+    assert [ident != main for _, name, ident in calls if name == "eigvals"] == (
+        [plan.beside] if "disk" in stages else [])
+    shift_threads = {}
+    for k, name, ident in calls:
+        if name != "eigvals":
+            shift_threads.setdefault(k, set()).add(ident)
+    assert len(shift_threads) == (2 if "delta" in stages else 0)
+    assert {len(idents) for idents in shift_threads.values()} <= {plan.lanes}
+    if command == "run":
+        lanes = plan.lanes
+        line = (f"  BLAS: {threads} ambient threads, 1 per call; a unit's grid shifts "
+                f"on up to {lanes} lane{'s' * (lanes > 1)}"
+                + (", and B's eigensolve on one more beside them" if plan.beside else ""))
+        assert line in capsys.readouterr().out.splitlines()
 
 
 def test_run_units_raise_the_first_failing_units_error_at_any_worker_count(
@@ -1423,11 +1493,11 @@ def test_cli_workers_default_to_the_available_cores(tmp_path, capsys, monkeypatc
     on_caller = []
     together = threading.Barrier(2, timeout=60)
 
-    def recording(config, perturbation, replicate, stages, share):
+    def recording(config, perturbation, replicate, plan):
         on_caller.append(threading.current_thread() is threading.main_thread())
         if cores > 1:
             together.wait()
-        return run_unit(config, perturbation, replicate, stages, share)
+        return run_unit(config, perturbation, replicate, plan)
 
     monkeypatch.setattr(harness, "_run_unit", recording)
     files, out = at_ambient_threads(2, written)

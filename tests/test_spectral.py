@@ -340,19 +340,19 @@ def test_pins_on_more_threads_than_cores_under_fast_switching(at_ambient_threads
 
 
 def test_lane_share_is_the_same_inside_a_pin(at_ambient_threads):
-    """_lanes reads the ambient count inside a pin, where OpenBLAS reads 1,
-    so a unit run inside another's pin gets the same share of threads."""
+    """_lane_share reads the ambient count inside a pin, where OpenBLAS
+    reads 1, so a unit planned inside another's pin gets the same share of
+    threads."""
     if spectral._lapack() is None:
         pytest.skip("numpy's OpenBLAS LAPACK symbols are not available")
-    cases = [(shifts, workers) for shifts in (1, 2, 9) for workers in (1, 2, 3)]
 
     def shares():
-        outside = [spectral._lanes(*case) for case in cases]
+        outside = [spectral._lane_share(workers) for workers in (1, 2, 3)]
         with spectral._pinned():
-            return outside, [spectral._lanes(*case) for case in cases]
+            return outside, [spectral._lane_share(workers) for workers in (1, 2, 3)]
 
     outside, inside = at_ambient_threads(2, shares)
-    assert inside == outside and max(outside) == 2
+    assert inside == outside == [2, 1, 1]
 
 
 def test_shifted_flags_a_singular_shift():
