@@ -179,22 +179,18 @@ class EntryDistribution:
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """An n-by-n draw of i.i.d. standardized entries, taken by the one input
-    rule (spectral._as_matrix) and stored writeable, a read-only array copied
-    once. scaled (and so assemble) spends the entries."""
+    """A sample is its checked entries: an n-by-n matrix X, taken by the one
+    input rule (spectral._as_matrix) and stored writeable, a read-only array
+    copied once. Its n is the entries' side. scaled (and so assemble) spends
+    the entries."""
 
-    dim: int
     entries: np.ndarray
-    seed: int
-    distribution: EntryDistribution
 
     def __post_init__(self) -> None:
         entries = _as_matrix(self.entries)
         if not entries.flags.writeable:
             entries = entries.copy()
         object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.dim, self.dim):
-            raise ShapeError(f"entries shape {entries.shape} does not match dim {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,6 @@ class AssembledPair:
 
     a_matrix: np.ndarray
     b_matrix: np.ndarray
-    dim: int
     perturbation_rank: int
 
 
@@ -371,7 +366,8 @@ def _row_keys(seed: int, n: int) -> np.ndarray:
 
 
 def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
-    """Draw an n-by-n matrix of i.i.d. standardized entries.
+    """Draw an n-by-n matrix of i.i.d. standardized entries, as the sample
+    of its checked entries.
 
     Entry (j, k) is a pure function of (seed, j, k): each row has its own
     counter-based Philox stream, keyed by SeedSequence(seed, spawn_key=(0, j)),
@@ -385,7 +381,7 @@ def sample_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     check_dimension(n)
     _check_seed(seed)
     entries = _draw(dist, seed, np.empty((n, n), dtype=np.complex128))
-    return MatrixSample(dim=n, entries=entries, seed=seed, distribution=dist)
+    return MatrixSample(entries)
 
 
 def _draw(dist: EntryDistribution, seed: int, out: np.ndarray) -> np.ndarray:
@@ -559,13 +555,15 @@ def build_perturbation(spec: PerturbationSpec, n: int) -> Perturbation:
 
 def perturbed(x: MatrixSample, perturbation: Perturbation) -> np.ndarray:
     """B = (X + M)/sqrt(n) for the perturbation's M in a new array: U V*,
-    plus X, times s = 1/sqrt(n). x is left as it was."""
-    if perturbation.dim != x.dim:
+    plus X, times s = 1/sqrt(n), n the side of x's entries. x is left as it
+    was."""
+    n = x.entries.shape[0]
+    if perturbation.dim != n:
         raise ShapeError(f"perturbation dim {perturbation.dim} does not match "
-                         f"sample dim {x.dim}")
+                         f"sample dim {n}")
     b = _blas(np.matmul, perturbation.u, perturbation.vh)
     b += x.entries
-    b *= 1.0 / np.sqrt(float(x.dim))
+    b *= 1.0 / np.sqrt(float(n))
     return b
 
 
@@ -582,10 +580,10 @@ def _scale(x: np.ndarray) -> np.ndarray:
 
 
 def assemble(x: MatrixSample, perturbation: Perturbation) -> AssembledPair:
-    """A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M: B by
-    perturbed, then x spent by scaled into A, so the pair holds two n-by-n
-    arrays rather than three. A caller who wants to keep X passes a copy."""
+    """A = X/sqrt(n) and B = (X + M)/sqrt(n) for the perturbation's M, n the
+    side of the sample's checked entries: B by perturbed, then x spent by
+    scaled into A, so the pair holds two n-by-n arrays rather than three. A
+    caller who wants to keep X passes a copy."""
     b = perturbed(x, perturbation)
-    return AssembledPair(
-        a_matrix=scaled(x), b_matrix=b, dim=x.dim, perturbation_rank=perturbation.rank,
-    )
+    return AssembledPair(a_matrix=scaled(x), b_matrix=b,
+                         perturbation_rank=perturbation.rank)

@@ -276,21 +276,15 @@ class RunReport:
     def flagged_points(self) -> int:
         return sum(1 for _, _, d in self.delta_rows if d.singular_flag)
 
-    @property
-    def consistency_ok(self) -> bool:
-        """No delta row, flagged or not, fails a rule of ROW_CHECKS."""
-        return not any(d.failed_checks() for _, _, d in self.delta_rows)
-
 
 def disk_record(pair, dim: int, replicate: int) -> DiskRecord:
-    """Disc-law distances of the perturbed ESD for one assembled pair: its
-    B and the rank of its perturbation (see _disk)."""
-    return _disk(pair.b_matrix, pair.perturbation_rank, dim, replicate)
-
-
-def _disk(b: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord:
-    """Disc-law distances of the eigenvalues of B, one eigensolve (_disk_of)."""
-    return _disk_of(spectral.eigenvalues(b), rank, dim, replicate)
+    """Disc-law distances of the perturbed ESD for one assembled pair: one
+    eigensolve of its B, and the rank of its perturbation (see _disk_of). A
+    sample is its checked entries and the pair holds only its matrices and
+    that rank, so dim and replicate, which label the record, are the
+    caller's."""
+    return _disk_of(spectral.eigenvalues(pair.b_matrix), pair.perturbation_rank,
+                    dim, replicate)
 
 
 def _disk_of(eig: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord:
@@ -327,12 +321,17 @@ def _disk_of(eig: np.ndarray, rank: int, dim: int, replicate: int) -> DiskRecord
     )
 
 
-def _sample(config: ExperimentConfig, dim: int, replicate: int) -> ensemble.MatrixSample:
-    """The unit's X. Its seed is a pure function of (master_seed, dim,
+def _unit_seed(config: ExperimentConfig, dim: int, replicate: int) -> int:
+    """The unit's sample seed, a pure function of (master_seed, dim,
     replicate), so units can be computed in any order or concurrently, and a
     unit can draw its X again instead of keeping it."""
-    seed = ensemble.derive_seed(config.master_seed, dim, replicate)
-    return ensemble.sample_matrix(config.distribution, dim, seed)
+    return ensemble.derive_seed(config.master_seed, dim, replicate)
+
+
+def _sample(config: ExperimentConfig, dim: int, replicate: int) -> ensemble.MatrixSample:
+    """The unit's X, drawn from its seed (_unit_seed)."""
+    return ensemble.sample_matrix(config.distribution, dim,
+                                  _unit_seed(config, dim, replicate))
 
 
 def build_pair(config: ExperimentConfig, perturbation: ensemble.Perturbation,
@@ -428,14 +427,15 @@ def _run_unit(config: ExperimentConfig, perturbation: ensemble.Perturbation,
     points = config.z_grid.points()
     b = ensemble.perturbed(_sample(config, dim, replicate), perturbation)
     if plan.beside:
-        seed = ensemble.derive_seed(config.master_seed, dim, replicate)
+        seed = _unit_seed(config, dim, replicate)
         b = np.asfortranarray(spectral._as_matrix(b))
         eig, pairs = spectral._eigensolve_beside(b, points.tolist(), lambda out: (
             ensemble._scale(ensemble._draw(config.distribution, seed, out))))
         diags = tuple(diagnostics.delta_row(a_z, b_z, rank) for a_z, b_z in pairs)
         return UnitResult(dim=dim, replicate=replicate, diagnostics=diags,
                           disk=_disk_of(eig, rank, dim, replicate))
-    disk = _disk(b, rank, dim, replicate) if "disk" in plan.stages else None
+    disk = (_disk_of(spectral.eigenvalues(b), rank, dim, replicate)
+            if "disk" in plan.stages else None)
     diags = ()
     if "delta" in plan.stages:
         b_side = spectral.shifted(b, points, plan.lanes)

@@ -93,7 +93,7 @@ def test_delta_zero_perturbation_is_exactly_zero():
 def test_delta_one_by_one_analytic():
     """n = 1: delta is log|x - z| - log|x + m - z| exactly."""
     x_val = 0.3 + 0.4j
-    x = MatrixSample(dim=1, entries=np.array([[x_val]]), seed=0, distribution=CG)
+    x = MatrixSample(np.array([[x_val]]))
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 1))
     z = 0.1 - 0.2j
     d = delta_at(pair, z)
@@ -124,7 +124,7 @@ def test_delta_at_of_real_sample_matches_complex(dtype):
     z = 0.3 + 0.2j
     records = []
     for entries in (values.astype(dtype), values.astype(np.complex128)):
-        x = MatrixSample(dim=6, entries=entries, seed=0, distribution=CG)
+        x = MatrixSample(entries)
         pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 6))
         assert pair.a_matrix.dtype == pair.b_matrix.dtype == np.complex128
         records.append(repr(delta_at(pair, z)))
@@ -229,8 +229,7 @@ def test_delta_at_hands_lapack_the_shifted_matrices(monkeypatch, shifted, lapack
 def test_delta_singular_point_is_flagged():
     """Entries 2I at n = 4 make A exactly the identity, so z = 1 is singular."""
     n = 4
-    x = MatrixSample(dim=n, entries=2.0 * np.eye(n, dtype=complex), seed=0,
-                     distribution=CG)
+    x = MatrixSample(2.0 * np.eye(n, dtype=complex))
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
     d = delta_at(pair, 1.0 + 0.0j)
     assert d.singular_flag
@@ -462,8 +461,7 @@ def test_constant_case_deterministic_skeleton():
     {sqrt(n), 0, ..., 0}; the disc record reads the outlier and the bulk's
     largest modulus from them."""
     n = 16
-    x = MatrixSample(dim=n, entries=np.zeros((n, n), dtype=complex), seed=0,
-                     distribution=CG)
+    x = MatrixSample(np.zeros((n, n), dtype=complex))
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), n))
 
     eig = eigenvalues(pair.b_matrix)

@@ -653,10 +653,7 @@ def test_bad_factor_entry_rejected(side, bad):
 
 def test_assemble_scaling_and_shift():
     """x = 0, m = all ones, n = 4: b has constant entries 1/2."""
-    d = EntryDistribution.parse("complex-gaussian")
-    x = sample_matrix(d, 4, seed=0)
-    x = type(x)(dim=4, entries=np.zeros((4, 4), dtype=complex), seed=0,
-                distribution=d)
+    x = MatrixSample(np.zeros((4, 4), dtype=complex))
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 4))
     assert np.all(pair.a_matrix == 0.0)
     assert np.all(pair.b_matrix == 0.5)
@@ -699,6 +696,15 @@ def test_perturbed_and_scaled_spend_x_into_the_assembled_pair():
     assert a.tobytes() == pair.a_matrix.tobytes()
     with pytest.raises(ShapeError, match="perturbation dim 8"):
         ensemble.perturbed(x, build_perturbation(PerturbationSpec("zero"), 8))
+
+
+def test_perturbed_takes_the_sample_size_from_its_entries():
+    """A sample holds no size of its own: perturbed reads n from the
+    entries' side and names both sizes when the perturbation's differs."""
+    x = MatrixSample(np.eye(5))
+    with pytest.raises(ShapeError) as exc:
+        ensemble.perturbed(x, build_perturbation(PerturbationSpec("zero"), 4))
+    assert str(exc.value) == "perturbation dim 4 does not match sample dim 5"
 
 
 def test_assemble_exact_linearity_in_perturbation():
@@ -793,13 +799,11 @@ def test_assemble_spends_x_into_a_with_reference_bytes(tmp_path, make_perturbati
 def test_matrix_sample_stores_complex128(entries):
     """Real or integer entries are stored as their complex128 values; a
     complex128 array is kept as it is."""
-    x = MatrixSample(dim=4, entries=entries, seed=0,
-                     distribution=EntryDistribution.parse("real-gaussian"))
+    x = MatrixSample(entries)
     assert x.entries.dtype == np.complex128
     assert np.array_equal(x.entries, entries)
     same = np.asarray(entries, np.complex128)
-    assert MatrixSample(dim=4, entries=same, seed=0,
-                        distribution=x.distribution).entries is same
+    assert MatrixSample(same).entries is same
 
 
 def test_matrix_sample_accepts_a_transposed_sample():
@@ -807,7 +811,7 @@ def test_matrix_sample_accepts_a_transposed_sample():
     C-contiguous array with its values, and assemble spends the copy."""
     d = EntryDistribution.parse("complex-gaussian")
     xt = sample_matrix(d, 4, seed=6).entries.T
-    x = MatrixSample(dim=4, entries=xt, seed=6, distribution=d)
+    x = MatrixSample(xt)
     assert x.entries.flags.c_contiguous and np.array_equal(x.entries, xt)
     before = xt.copy()
     pair = assemble(x, build_perturbation(PerturbationSpec("all-ones"), 4))
@@ -823,8 +827,7 @@ def test_assemble_copies_read_only_entries_once():
     frozen = sample_matrix(d, 5, seed=2).entries
     frozen.flags.writeable = False
     before = frozen.copy()
-    pair = assemble(MatrixSample(dim=5, entries=frozen, seed=2, distribution=d),
-                    build_perturbation(PerturbationSpec("zero"), 5))
+    pair = assemble(MatrixSample(frozen), build_perturbation(PerturbationSpec("zero"), 5))
     assert np.array_equal(frozen, before)
     assert pair.a_matrix.tobytes() == (before * (1.0 / np.sqrt(5.0))).tobytes()
 
@@ -835,7 +838,7 @@ def test_assemble_zero_bytes_match_dense_sum():
     d = EntryDistribution.parse("real-gaussian")
     entries = sample_matrix(d, n, seed=3).entries.copy()
     entries[0, 0] = complex(-0.0, -0.0)
-    x = MatrixSample(dim=n, entries=entries, seed=3, distribution=d)
+    x = MatrixSample(entries)
     p = build_perturbation(PerturbationSpec("zero"), n)
     dense = (x.entries + np.zeros((n, n), dtype=complex)) * (1.0 / np.sqrt(float(n)))
     assert assemble(x, p).b_matrix.tobytes() == dense.tobytes()
@@ -851,7 +854,7 @@ def test_assemble_all_ones_bytes_match_full_reference(dist, scale):
     d = EntryDistribution.parse(dist)
     entries = sample_matrix(d, n, seed=3).entries.copy()
     entries[0, 0] = complex(-0.0, -0.0)
-    x = MatrixSample(dim=n, entries=entries, seed=3, distribution=d)
+    x = MatrixSample(entries)
     p = build_perturbation(PerturbationSpec("all-ones", scale=scale), n)
     m = np.full((n, n), complex(scale + 0.0))
     dense = (entries + m) * (1.0 / np.sqrt(float(n)))

@@ -90,6 +90,13 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def consistent(report):
+    """Every rule of ROW_CHECKS holds on every delta row, as report.json's
+    consistency section says."""
+    section = harness.consistency_section(report.delta_rows)
+    return all(v for k, v in section.items() if k.endswith("_ok"))
+
+
 def test_parse_minimal_config_fills_defaults():
     c = parse_config(cfg_json())
     assert c.name == "demo"
@@ -588,7 +595,7 @@ def test_run_units_rejects_unknown_stages(tmp_path, monkeypatch, stages):
 def test_run_experiment_zero_perturbation(tmp_path):
     cfg = small_config(tmp_path, perturbation=PerturbationSpec("zero"))
     report = run_experiment(cfg)
-    assert report.consistency_ok
+    assert consistent(report)
     assert report.flagged_points == 0
     rows = read_csv(tmp_path / "out" / "delta.csv")
     # 2 dims * 2 replicates * 2 grid points
@@ -607,7 +614,7 @@ def test_run_experiment_zero_perturbation(tmp_path):
 def test_run_experiment_all_ones(tmp_path):
     cfg = small_config(tmp_path)
     report = run_experiment(cfg)
-    assert report.consistency_ok
+    assert consistent(report)
     rows = read_csv(tmp_path / "out" / "delta.csv")
     assert len(rows) == 8
     assert {r["n"] for r in rows} == {"6", "8"}
@@ -649,7 +656,7 @@ def test_disk_csv_bulk_max_modulus_is_the_units_largest_bulk_modulus(
 def test_disk_of_an_empty_bulk_is_nan():
     """n = 1 with rank 1: the one eigenvalue is the outlier, so no bulk is
     left and its distances and largest modulus are NaN."""
-    record = harness._disk(np.array([[2.0 + 0j]]), 1, 1, 0)
+    record = harness._disk_of(spectral.eigenvalues(np.array([[2.0 + 0j]])), 1, 1, 0)
     assert record.top_eigen_modulus == 2.0
     assert all(math.isnan(v) for v in (record.radial_ks, record.angular_ks,
                                        record.bulk_max_modulus))
@@ -659,7 +666,7 @@ def test_disk_of_an_exact_zero_bulk_atom_has_no_angle():
     """B = diag(3, 0) with rank 1: the bulk is the atom 0, whose argument is
     undefined, so the angular distance is NaN; all its mass sits at radius 0,
     so the radial distance is 1."""
-    record = harness._disk(np.diag([3.0, 0.0]).astype(complex), 1, 2, 0)
+    record = harness._disk_of(spectral.eigenvalues(np.diag([3.0, 0.0])), 1, 2, 0)
     assert (record.top_eigen_modulus, record.bulk_max_modulus, record.radial_ks) == \
         (3.0, 0.0, 1.0)
     assert math.isnan(record.angular_ks)
@@ -892,7 +899,7 @@ def low_rank_config(tmp_path, n=8):
 def test_run_experiment_low_rank_end_to_end(tmp_path):
     cfg = low_rank_config(tmp_path)
     report = run_experiment(cfg, workers=1)
-    assert report.consistency_ok
+    assert consistent(report)
     assert len(report.disk_rows) == 2
     assert all(r.top_eigen_modulus >= r.bulk_max_modulus > 0.0
                for r in report.disk_rows)
@@ -1581,7 +1588,7 @@ def test_cli_a_check_added_to_the_table_gates_everything(tmp_path, capsys, monke
         assert "CONSISTENCY FAILURE on 4 of 4 delta rows" in err
         assert "first at n=6 replicate=0 z=0j: always fails: ks=" in err
     report = run_experiment(harness.load_config(path))
-    assert not report.consistency_ok
+    assert not consistent(report)
     for _, _, d in report.delta_rows:
         assert d.failed_checks() == [
             f"always fails: ks={d.ks!r} vs rank_bound={d.rank_bound!r}"]

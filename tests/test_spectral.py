@@ -664,9 +664,8 @@ def shifts_of_the_identity(z):
 
 
 def matrix_sample(m):
-    """A MatrixSample of the entries m, at their row count."""
-    return MatrixSample(dim=len(m), entries=m, seed=0,
-                        distribution=EntryDistribution.parse("complex-gaussian"))
+    """A MatrixSample of the entries m."""
+    return MatrixSample(m)
 
 
 @pytest.mark.parametrize("fn", [eigenvalues, singular_values, log_abs_det_lu, summarize,
