@@ -38,9 +38,9 @@ from .ensemble import (
     write_matrix_csv,
 )
 from .spectral import (
+    Check,
     ShiftedSpectrum,
     SpectralSummary,
-    WeylCheck,
     check_weyl,
     eigenvalues,
     log_abs_det_lu,
@@ -68,7 +68,6 @@ from .diagnostics import (
     DimScalingStats,
     GreenIdentityResult,
     LemmaSuiteReport,
-    RankCheck,
     Rectangle,
     ScalingReport,
     ZGrid,

@@ -249,6 +249,7 @@ def _cmd_run(args) -> int:
                         f"{threads} ambient threads, 1 per call")
           + f"; a unit's grid shifts on up to {lanes} lane{'s' * (lanes > 1)}"
           + (", and B's eigensolve on one more beside them" if plan.beside else ""))
+    print(f"  BLAS: OpenBLAS {spectral.blas_kernel()} kernel")
     print(f"  reports in {config.output_dir}")
     return _consistency_status(report.delta_rows)
 

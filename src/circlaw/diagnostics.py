@@ -31,7 +31,6 @@ __all__ = [
     "ROW_CHECKS",
     "SCALING_STATS",
     "DeltaDiagnostics",
-    "RankCheck",
     "DimScalingStats",
     "ScalingReport",
     "ConstantCaseRecord",
@@ -117,10 +116,9 @@ class ZGrid:
 # The checks of every delta row, by name. A RowRule gives a check's two sides
 # on a row, whether they hold (slacks are read at each call) and the line
 # that names a failure by both sides; unless on_flagged, it holds vacuously
-# on a singular-flagged row. A RowCheck is a rule evaluated on one row.
+# on a singular-flagged row. A rule evaluated on one row is a spectral.Check.
 RowRule = NamedTuple("RowRule", [("sides", Callable), ("holds", Callable),
                                  ("line", str), ("on_flagged", bool)])
-RowCheck = NamedTuple("RowCheck", [("lhs", float), ("rhs", float), ("holds", bool)])
 ROW_CHECKS = {
     "cross_check": RowRule(  # the SVD and LU routes agree
         lambda d: (d.delta, d.delta_logdet), lambda x, y: spectral.logdet_agree(x, y),
@@ -155,14 +153,14 @@ class DeltaDiagnostics:
     ibp_bound: float
     singular_flag: bool
 
-    def check(self, name: str) -> RowCheck:
+    def check(self, name: str) -> spectral.Check:
         """The rule ROW_CHECKS[name] on this row."""
         rule = ROW_CHECKS[name]
         lhs, rhs = rule.sides(self)
         vacuous = self.singular_flag and not rule.on_flagged
-        return RowCheck(lhs, rhs, bool(vacuous or rule.holds(lhs, rhs)))
+        return spectral.Check(lhs, rhs, bool(vacuous or rule.holds(lhs, rhs)))
 
-    def checks(self) -> dict[str, RowCheck]:
+    def checks(self) -> dict[str, spectral.Check]:
         """Every rule of ROW_CHECKS on this row, by name."""
         return {name: self.check(name) for name in ROW_CHECKS}
 
@@ -174,13 +172,6 @@ class DeltaDiagnostics:
         """One line per failing check, with both sides of its inequality."""
         return [ROW_CHECKS[name].line.format(c.lhs, c.rhs)
                 for name, c in self.checks().items() if not c.holds]
-
-
-@dataclass(frozen=True)
-class RankCheck:
-    ks: float
-    bound: float
-    holds: bool
 
 
 def delta_row(a: spectral.ShiftedSpectrum, b: spectral.ShiftedSpectrum,
@@ -240,8 +231,10 @@ def delta_at(pair: ensemble.AssembledPair, z: complex) -> DeltaDiagnostics:
                      spectral.shifted(pair.b_matrix, z), pair.perturbation_rank)
 
 
-def verify_rank_inequality(a, b) -> RankCheck:
-    """Check the rank bound on the singular-value ECDF distance.
+def verify_rank_inequality(a, b) -> spectral.Check:
+    """Check the rank bound on the singular-value ECDF distance: lhs is the
+    KS distance ks, rhs the bound, and holds the rank_inequality rule's
+    verdict (ROW_CHECKS).
 
     For n-by-m inputs the measures carry the n eigenvalues of sqrt(AA*), so
     singular values are zero-padded to the row count, and the bound is
@@ -260,8 +253,7 @@ def verify_rank_inequality(a, b) -> RankCheck:
     with np.errstate(over="ignore", invalid="ignore"):  # numerical_rank rejects inf
         difference = a - b
     bound = ensemble.numerical_rank(difference) / rows
-    holds = ROW_CHECKS["rank_inequality"].holds(ks, bound)
-    return RankCheck(ks=ks, bound=bound, holds=bool(holds))
+    return spectral.Check(ks, bound, bool(ROW_CHECKS["rank_inequality"].holds(ks, bound)))
 
 
 def delta_scan(pair: ensemble.AssembledPair, grid: ZGrid) -> list[DeltaDiagnostics]:
@@ -636,7 +628,7 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaSuiteReport:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             bump_m += np.outer(u, v)
         check = verify_rank_inequality(base, base + bump_m)
-        if not check.holds or check.bound > k / n + RANK_SLACK:
+        if not check.holds or check.rhs > k / n + RANK_SLACK:
             rank_bad += 1
 
         # KS against the brute-force oracle, exact match required.

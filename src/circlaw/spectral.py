@@ -42,7 +42,7 @@ from .errors import (
 __all__ = [
     "SpectralSummary",
     "ShiftedSpectrum",
-    "WeylCheck",
+    "Check",
     "eigenvalues",
     "singular_values",
     "shifted",
@@ -53,6 +53,7 @@ __all__ = [
     "max_dimension",
     "check_dimension",
     "blas_thread_count",
+    "blas_kernel",
 ]
 
 DEFAULT_MAX_DIMENSION = 2000
@@ -168,6 +169,21 @@ def blas_thread_count() -> int | None:
         return None
     with _pin_lock:
         return _pins_ambient if _pins_open else openblas[0]()
+
+
+def blas_kernel() -> str:
+    """The kernel the bundled OpenBLAS runs, read from its config string:
+    the word before MAX_THREADS= (SkylakeX, or Haswell under
+    OPENBLAS_CORETYPE=Haswell), or "unknown"."""
+    try:
+        get_config = _openblas_lib().scipy_openblas_get_config64_
+    except AttributeError:  # no such symbol, or no library (None)
+        return "unknown"
+    get_config.argtypes = []
+    get_config.restype = ctypes.c_char_p
+    words = get_config().decode(errors="replace").split()
+    at = next((i for i, w in enumerate(words) if w.startswith("MAX_THREADS=")), 0)
+    return words[at - 1] if at else "unknown"
 
 
 @contextlib.contextmanager
@@ -302,13 +318,6 @@ class ShiftedSpectrum:
     singular_values: np.ndarray
     log_abs_det: float
     singular: bool
-
-
-@dataclass(frozen=True)
-class WeylCheck:
-    lhs: float  # sum of squared eigenvalue moduli
-    rhs: float  # sum of squared singular values
-    holds: bool
 
 
 def _by_modulus(vals: np.ndarray) -> np.ndarray:
@@ -607,6 +616,11 @@ def _eigensolve_beside(m: np.ndarray, points: list, write) -> tuple[np.ndarray, 
     return _by_modulus(done[-1]), done[:-1]
 
 
+# An inequality the lab checks, evaluated once: its two sides and whether it
+# holds (diagnostics.ROW_CHECKS, verify_rank_inequality, check_weyl).
+Check = NamedTuple("Check", [("lhs", float), ("rhs", float), ("holds", bool)])
+
+
 def logdet_agree(x: float, y: float) -> bool:
     """|x - y| within CROSS_CHECK_RTOL relative plus CROSS_CHECK_ATOL absolute;
     an infinite value agrees with nothing."""
@@ -639,8 +653,9 @@ def summarize(a) -> SpectralSummary:
     )
 
 
-def check_weyl(a) -> WeylCheck:
-    """Compare the eigenvalue and singular-value second moments.
+def check_weyl(a) -> Check:
+    """Compare the eigenvalue and singular-value second moments: lhs is the
+    sum of squared eigenvalue moduli, rhs the sum of squared singular values.
 
     The eigenvalue sum never exceeds the singular-value sum; equality holds
     for normal matrices.
@@ -648,4 +663,4 @@ def check_weyl(a) -> WeylCheck:
     m = _as_matrix(a)
     lhs = float(np.sum(np.abs(_eigenvalues(m)) ** 2))
     rhs = float(np.sum(_svd_values(m) ** 2))
-    return WeylCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-8 * rhs))
+    return Check(lhs, rhs, bool(lhs <= rhs + 1e-8 * rhs))

@@ -245,15 +245,15 @@ def test_delta_singular_point_is_flagged():
 def test_verify_rank_inequality_identical():
     a = np.eye(5, dtype=complex)
     r = verify_rank_inequality(a, a)
-    assert r.ks == 0.0
-    assert r.bound == 0.0
+    assert r.lhs == 0.0
+    assert r.rhs == 0.0
     assert r.holds
 
 
 def test_verify_rank_inequality_rank_one():
     pair = make_pair(10, seed=5)
     r = verify_rank_inequality(pair.a_matrix, pair.b_matrix)
-    assert r.bound == 0.1
+    assert r.rhs == 0.1
     assert r.holds
 
 
@@ -265,7 +265,7 @@ def test_verify_rank_inequality_three_rows():
     b[9, 3] -= 2.0j
     b[17] *= 3.0
     r = verify_rank_inequality(a, b)
-    assert r.bound == 3.0 / 20.0
+    assert r.rhs == 3.0 / 20.0
     assert r.holds
 
 
@@ -275,7 +275,7 @@ def test_verify_rank_inequality_shift_invariance():
     r0 = verify_rank_inequality(pair.a_matrix, pair.b_matrix)
     r1 = verify_rank_inequality(pair.a_matrix - z * np.eye(12),
                                 pair.b_matrix - z * np.eye(12))
-    assert r0.bound == r1.bound
+    assert r0.rhs == r1.rhs
     assert r1.holds
 
 
@@ -288,9 +288,22 @@ def test_verify_rank_inequality_rectangular(shape):
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     b = a + np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
     r = verify_rank_inequality(a, b)
-    assert r.bound == 1.0 / rows
-    assert r.ks == pytest.approx(r.bound, abs=1e-15)
+    assert r.rhs == 1.0 / rows
+    assert r.lhs == pytest.approx(r.rhs, abs=1e-15)
     assert r.holds
+
+
+def test_every_checked_inequality_returns_one_check_record():
+    """The rank bound, Weyl's inequality and every rule of a delta row come
+    back as the same (lhs, rhs, holds) record."""
+    pair = make_pair(10, seed=5)
+    d = delta_at(pair, 0.5 + 0.5j)
+    checks = [verify_rank_inequality(pair.a_matrix, pair.b_matrix),
+              spectral.check_weyl(pair.b_matrix),
+              *(d.check(name) for name in diagnostics.ROW_CHECKS)]
+    assert [type(c) for c in checks] == [spectral.Check] * (2 + len(diagnostics.ROW_CHECKS))
+    assert all(c.holds for c in checks)
+    assert d.checks() == {name: d.check(name) for name in diagnostics.ROW_CHECKS}
 
 
 def test_verify_rank_inequality_shape_mismatch():

@@ -3,11 +3,14 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1393,6 +1396,41 @@ def test_cli_run_prints_blas_threads_outside_reports(tmp_path, capsys,
             "2 lanes\n") in out
     for name in ("delta.csv", "disk.csv", "scaling.csv", "report.json"):
         assert "BLAS" not in (tmp_path / "out" / name).read_text()
+
+
+def test_cli_run_names_the_kernel_in_blas_info_config(tmp_path, capsys):
+    """run's kernel is the word before MAX_THREADS= in the config string
+    that perfbench's child reads from the same library."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", pathlib.Path(__file__).parents[1] / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    config = child.blas_info()["config"]
+    kernel = (config.split(" MAX_THREADS=")[0].split()[-1] if "MAX_THREADS=" in config
+              else "unknown")
+    assert spectral.blas_kernel() == kernel
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main(["run", "--config", str(path), "--workers", "1"]) == 0
+    assert f"  BLAS: OpenBLAS {kernel} kernel" in capsys.readouterr().out.splitlines()
+
+
+def _no_max_threads():
+    return b"OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX"
+
+
+@pytest.mark.parametrize("library", [
+    None, types.SimpleNamespace(),
+    types.SimpleNamespace(scipy_openblas_get_config64_=_no_max_threads)],
+    ids=["no library", "no config symbol", "no MAX_THREADS="])
+def test_cli_run_names_an_unknown_kernel(tmp_path, capsys, monkeypatch, library):
+    # the cached LAPACK and thread handles are read from the real library
+    # first, so only the kernel read sees the stand-in
+    spectral._openblas(), spectral._lapack()
+    monkeypatch.setattr(spectral, "_openblas_lib", lambda: library)
+    assert spectral.blas_kernel() == "unknown"
+    path = write_config(tmp_path, replicates=1)
+    assert cli.main(["run", "--config", str(path), "--workers", "1"]) == 0
+    assert "  BLAS: OpenBLAS unknown kernel" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_run_without_openblas_symbols_does_not_pin(
